@@ -13,15 +13,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import diffpoly as dp
 from . import obstruction as ob
 from . import transforms as tf
-from .errors import DforgeError, FactorLimitExceeded
+from .errors import ConfigError, DforgeError, FactorLimitExceeded, SchemaError
 from .formal_eval import forcing_threshold, substitute
 from .grammar import parse_diffpoly, pretty
 from .io import (
@@ -46,27 +46,45 @@ EXIT_REFUTATION = 2
 
 @dataclass
 class AnalysisConfig:
-    """Tool-wide knobs; round-trips losslessly through its JSON file form."""
+    """Tool-wide knobs; round-trips losslessly through its JSON file form.
+    Invalid values raise :class:`ConfigError`."""
 
     precision_bits: int = DEFAULT_PRECISION
-    horizon: Optional[dict] = None          # exponent object, or null
+    horizon: dict | None = None             # exponent object, or null
     rank_bound: int = 10
     ratio_threshold: str = "100"            # exact rational as p/q text
     max_weight: int = 3
     factor_limit: int = 10 ** 6
-    output: Optional[str] = None
-    seed: int = 0
+    output: str | None = None
 
     def __post_init__(self):
+        for name, kind in get_type_hints(AnalysisConfig).items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"config value {name!r} must not be a "
+                                  f"{type(value).__name__}")
         if self.precision_bits <= 0 or self.rank_bound <= 0 or \
                 self.max_weight <= 0 or self.factor_limit <= 0:
-            raise ValueError("all bounds must be positive")
-        parse_frac(self.ratio_threshold)
+            raise ConfigError("all bounds must be positive")
+        try:
+            parse_frac(self.ratio_threshold)
+        except SchemaError as exc:
+            raise ConfigError(f"config value 'ratio_threshold': {exc}") from None
 
     @staticmethod
     def from_file(path) -> "AnalysisConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return AnalysisConfig(**json.load(fh))
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: a config file must hold a JSON object")
+        obj.pop("seed", None)  # retired key: older files still load
+        unknown = sorted(set(obj) - {f.name for f in fields(AnalysisConfig)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {unknown}")
+        return AnalysisConfig(**obj)
 
     def to_file(self, path) -> None:
         Path(path).write_text(canonical_json(asdict(self)) + "\n", encoding="utf-8")
@@ -78,13 +96,6 @@ class AnalysisInputs:
     series: Optional[str] = None
     equation: Optional[str] = None
     derive: bool = False
-
-
-def _apply_env(config: AnalysisConfig) -> AnalysisConfig:
-    env = os.environ.get("DFORGE_PRECISION")
-    if env:
-        config.precision_bits = int(env)
-    return config
 
 
 def run_analysis(config: AnalysisConfig, inputs: AnalysisInputs
@@ -142,14 +153,7 @@ def run_analysis(config: AnalysisConfig, inputs: AnalysisInputs
         horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
         found = derive_ade(phi, config.max_weight, horizon)
         if isinstance(found, NotFoundWithinW):
-            summary["derive_ade"] = {
-                "found": None,
-                "max_weight": found.max_weight,
-                "subsets_searched": found.subsets_searched,
-                "candidates_refuted": list(found.candidates_refuted),
-                "skipped_underdetermined": list(found.skipped_underdetermined),
-                "skipped_inconclusive": list(found.skipped_inconclusive),
-            }
+            summary["derive_ade"] = _not_found_obj(found)
         else:
             summary["derive_ade"] = {"found": pretty(found)}
             certificates.append(ob.substitution_certificate(found, phi, horizon))
@@ -165,6 +169,17 @@ def run_analysis(config: AnalysisConfig, inputs: AnalysisInputs
 
     code = EXIT_REFUTATION if any(c.is_refutation for c in certificates) else EXIT_OK
     return code, certificates, summary
+
+
+def _not_found_obj(found: NotFoundWithinW) -> dict:
+    return {
+        "found": None,
+        "max_weight": found.max_weight,
+        "subsets_searched": found.subsets_searched,
+        "candidates_refuted": list(found.candidates_refuted),
+        "skipped_underdetermined": list(found.skipped_underdetermined),
+        "skipped_inconclusive": list(found.skipped_inconclusive),
+    }
 
 
 def verify_certificate(path) -> VerifyResult:
@@ -199,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor-limit", type=int)
     p.add_argument("--max-weight", type=int)
     p.add_argument("--horizon", help="exponent object JSON text")
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("substitute", help="residual of a series in an equation")
     common(p)
@@ -262,23 +276,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> AnalysisConfig:
+    """The config file, overridden by flags, overridden by DFORGE_PRECISION."""
     config = AnalysisConfig.from_file(args.config) if getattr(args, "config", None) \
         else AnalysisConfig()
-    for attr, key in (("rank_bound", "rank_bound"),
-                      ("ratio_threshold", "ratio_threshold"),
-                      ("factor_limit", "factor_limit"),
-                      ("max_weight", "max_weight"),
-                      ("seed", "seed")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, key, value)
-    if getattr(args, "precision", None):
-        config.precision_bits = args.precision
+    overrides = {key: getattr(args, key, None) for key in
+                 ("rank_bound", "ratio_threshold", "factor_limit", "max_weight")}
+    overrides["precision_bits"] = getattr(args, "precision", None)
+    overrides["output"] = getattr(args, "out", None)
     if getattr(args, "horizon", None):
-        config.horizon = json.loads(args.horizon)
-    if getattr(args, "out", None):
-        config.output = args.out
-    return _apply_env(config)
+        overrides["horizon"] = json.loads(args.horizon)
+    env = os.environ.get("DFORGE_PRECISION")
+    if env:
+        try:
+            overrides["precision_bits"] = int(env)
+        except ValueError:
+            raise ConfigError(f"DFORGE_PRECISION={env!r} is not an integer") from None
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(cert: Certificate, out: Optional[str]) -> None:
@@ -373,14 +386,7 @@ def _dispatch(args) -> int:
         horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
         found = derive_ade(phi, args.max_weight, horizon, args.max_k)
         if isinstance(found, NotFoundWithinW):
-            print(canonical_json({
-                "found": None,
-                "max_weight": found.max_weight,
-                "subsets_searched": found.subsets_searched,
-                "candidates_refuted": list(found.candidates_refuted),
-                "skipped_underdetermined": list(found.skipped_underdetermined),
-                "skipped_inconclusive": list(found.skipped_inconclusive),
-            }))
+            print(canonical_json(_not_found_obj(found)))
             return EXIT_OK
         print(pretty(found))
         cert = ob.substitution_certificate(found, phi, horizon)

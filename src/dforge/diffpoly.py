@@ -117,17 +117,8 @@ class DiffPolynomial:
             seen.update(ind for ind, _ in powers)
         return tuple(sorted(seen))
 
-    def coefficient_symbols(self) -> set:
-        out = set()
-        for _, c in self.terms:
-            out |= c.symbols()
-        return out
-
     def has_shifts(self) -> bool:
         return any(ind.shift != 0 for ind in self.indeterminates())
-
-    def has_damping(self) -> bool:
-        return any(not damp.is_zero for _, c in self.terms for (_, damp), _ in c.terms)
 
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         d = dict(self.terms)

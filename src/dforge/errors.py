@@ -171,3 +171,9 @@ class SchemaError(DforgeError):
     """A certificate file does not match the expected JSON schema."""
 
     code = "schema-error"
+
+
+class ConfigError(DforgeError, ValueError):
+    """A config file, flag or environment value is malformed or out of range."""
+
+    code = "config"

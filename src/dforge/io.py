@@ -29,6 +29,8 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise SchemaError(f"rational {text!r} must be \"p/q\" text")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

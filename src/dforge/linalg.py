@@ -157,12 +157,6 @@ def ring_nullspace_vector(matrix: Sequence[Sequence[object]], ring: Ring) -> Opt
     return out
 
 
-def fraction_ring() -> Ring:
-    return Ring(zero=Fraction(0), one=Fraction(1),
-                add=lambda a, b: a + b, neg=lambda a: -a,
-                mul=lambda a, b: a * b, is_zero=lambda a: a == 0)
-
-
 def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals by plain Gaussian elimination."""
     rows = [list(map(Fraction, r)) for r in matrix]

@@ -33,13 +33,6 @@ def decimal_str_to_mpf(text: str, precision_bits: int) -> mpmath.mpf:
         return mpmath.mpf(text)
 
 
-def mpf_to_str(x, precision_bits: int) -> str:
-    """Deterministic decimal rendering of ``x`` for certificate payloads."""
-    digits = max(1, int(precision_bits * 0.30103) + 2)
-    with workprec(precision_bits):
-        return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=True)
-
-
 def tie_threshold(precision_bits: int) -> mpmath.mpf:
     """Absolute tie window 2^-P used by ordering decisions."""
     with workprec(precision_bits):

@@ -4,20 +4,26 @@ A certificate packages the evidence of one analysis over a *scanned prefix*
 of a series: lattice-rank growth, gap-ratio exceedances, coefficient-field
 structure, bivariate degree/exponent statistics, a sign-flip construction,
 or a substitution residual.  Verdicts never claim anything about unseen
-terms; a standalone checker (:func:`recheck`) recomputes every claimed
-value from the payload and must agree bit-exactly.
+terms; a standalone checker (:func:`recheck`) rebuilds the whole
+certificate from its own payload with the builder that made it and must
+agree field for field.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import mpmath
 
-from .errors import InsufficientNonzeroTerms, SchemaError, UnknownFamily
+from .errors import DforgeError, InsufficientNonzeroTerms, SchemaError, UnknownFamily
+from .formal_eval import forcing_threshold, substitute
+from .grammar import parse_diffpoly, pretty
 from .io import (
     TOOL_VERSION,
     basis_to_obj,
@@ -26,9 +32,11 @@ from .io import (
     frac_str,
     obj_to_basis,
     obj_to_exponent,
+    obj_to_series,
     parse_frac,
+    series_to_obj,
 )
-from .lattice import RankScan, gap_ratios
+from .lattice import RankScan, factorize, gap_ratios, integer_basis
 from .numeric import workprec
 from .series import Exponent, FormalSeries, SymbolBasis
 
@@ -83,16 +91,16 @@ class Certificate:
 
     @staticmethod
     def from_obj(obj: dict) -> "Certificate":
-        try:
-            kind = obj["kind"]
-            if kind not in KINDS:
-                raise SchemaError(f"unknown certificate kind {kind!r}")
-            return Certificate(kind, int(obj["scanned"]), dict(obj["evidence"]),
-                               obj.get("basis"),
-                               obj.get("tool_version", TOOL_VERSION),
-                               obj.get("verdict_scope", VERDICT_SCOPE))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad certificate object: {exc}") from None
+        if not isinstance(obj, dict):
+            raise SchemaError("a certificate must be a JSON object")
+        kind = _get(obj, "kind", str)
+        if kind not in KINDS:
+            raise SchemaError(f"unknown certificate kind {kind!r}")
+        return Certificate(kind, _get(obj, "scanned", int),
+                           dict(_get(obj, "evidence", dict)),
+                           _get(obj, "basis", (dict, type(None))),
+                           _get(obj, "tool_version", str),
+                           _get(obj, "verdict_scope", str))
 
     @staticmethod
     def load(path) -> "Certificate":
@@ -114,33 +122,49 @@ def _nstr(x, precision: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Payload reading: a missing key or a wrong type is a SchemaError
+# ---------------------------------------------------------------------------
+
+def _typed(value, kind, where: str):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        raise SchemaError(f"{where}: unexpected {type(value).__name__}")
+    return value
+
+
+def _get(obj: dict, key: str, kind):
+    if key not in obj:
+        raise SchemaError(f"missing key {key!r}")
+    return _typed(obj[key], kind, f"key {key!r}")
+
+
+def _list(obj: dict, key: str, kind) -> list:
+    return [_typed(v, kind, f"item of {key!r}") for v in _get(obj, key, list)]
+
+
+def _exponents(obj: dict) -> list[Exponent]:
+    return [obj_to_exponent(o) for o in _get(obj, "exponents", list)]
+
+
+def _counts(obj: dict, key: str) -> list[list[int]]:
+    pairs = _list(obj, key, list)
+    if any(len(p) != 2 or any(type(v) is not int for v in p) for p in pairs):
+        raise SchemaError(f"key {key!r}: expected [value, count] integer pairs")
+    return pairs
+
+
+# ---------------------------------------------------------------------------
 # Finite-basis scan
 # ---------------------------------------------------------------------------
 
-def finite_basis_certificate(exponents, rank_bound: int,
-                             basis: Optional[SymbolBasis] = None) -> Certificate:
+def finite_basis_certificate(exponents: Sequence[Exponent], rank_bound: int,
+                             basis: SymbolBasis) -> Certificate:
     """Scan the exponent stream tracking lattice rank against the bound.
 
-    Accepts a :class:`FormalSeries` (its basis and stored exponents are
-    used), a sequence of exponents over an explicit basis, or a sequence of
-    positive integer indices n (scanned as log n over a prime-log basis).
     Rank exceeding the bound is refutation evidence (no series over these
     exponents can formally satisfy any difference-differential equation,
     modulo the scanned-prefix caveat); otherwise the certificate records
     where the rank stabilized.
     """
-    if isinstance(exponents, FormalSeries):
-        basis = exponents.basis
-        exponents = [e for e, _ in exponents.terms]
-    else:
-        exponents = list(exponents)
-        if exponents and isinstance(exponents[0], int):
-            from .lattice import log_basis_for_indices
-            precision = basis.precision if basis is not None else 128
-            basis, table = log_basis_for_indices(exponents, precision)
-            exponents = [table[n] for n in exponents]
-    if basis is None:
-        raise ValueError("a symbol basis is required for exponent streams")
     scan = RankScan(basis)
     exceeded_at = None
     for e in exponents:
@@ -162,11 +186,10 @@ def finite_basis_certificate(exponents, rank_bound: int,
                        basis_to_obj(basis))
 
 
-def _recheck_finite_basis(cert: Certificate) -> list[str]:
-    basis = obj_to_basis(cert.basis)
-    exponents = [obj_to_exponent(o) for o in cert.evidence["exponents"]]
-    fresh = finite_basis_certificate(exponents, cert.evidence["rank_bound"], basis)
-    return _diff_evidence(fresh.evidence, cert.evidence)
+def _finite_basis_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    ev = cert.evidence
+    return partial(finite_basis_certificate, _exponents(ev),
+                   _get(ev, "rank_bound", int), obj_to_basis(cert.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +215,11 @@ def gap_certificate(exponents: Sequence[Exponent], ratio_threshold: Fraction,
     return Certificate(GAP_CRITERION, len(exponents), evidence, basis_to_obj(basis))
 
 
-def _recheck_gap(cert: Certificate) -> list[str]:
-    basis = obj_to_basis(cert.basis)
-    exponents = [obj_to_exponent(o) for o in cert.evidence["exponents"]]
-    fresh = gap_certificate(exponents, parse_frac(cert.evidence["ratio_threshold"]), basis)
-    return _diff_evidence(fresh.evidence, cert.evidence)
+def _gap_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    ev = cert.evidence
+    return partial(gap_certificate, _exponents(ev),
+                   parse_frac(_get(ev, "ratio_threshold", str)),
+                   obj_to_basis(cert.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +256,11 @@ def coefficient_field_certificate(tags: Iterable[CoefficientTag],
     Unboundedly many distinct root-of-unity orders (or distinct prime square
     roots) cannot lie in one finitely generated field; at scan scale,
     "unbounded" means more distinct values than ``distinct_bound``.  Streams
-    of plain rationals yield no obstruction from this test.
+    of plain rationals yield no obstruction from this test.  The evidence
+    counts each order and each prime, so the scan can be rebuilt from it.
     """
-    orders: set[int] = set()
-    primes: set[int] = set()
+    orders: Counter[int] = Counter()
+    primes: Counter[int] = Counter()
     asserted: list[str] = []
     rational_count = 0
     count = 0
@@ -246,15 +270,14 @@ def coefficient_field_certificate(tags: Iterable[CoefficientTag],
             if tag.order < 1:
                 raise UnknownFamily(f"bad root-of-unity order {tag.order}")
             if tag.order > 2:
-                orders.add(tag.order)
+                orders[tag.order] += 1
             else:
                 rational_count += 1  # orders 1 and 2 are just +-1
         elif isinstance(tag, PrimeSquareRoot):
-            from .lattice import factorize
             factors, _ = factorize(tag.prime)
             if list(factors.items()) != [(tag.prime, 1)]:
                 raise UnknownFamily(f"{tag.prime} is not prime")
-            primes.add(tag.prime)
+            primes[tag.prime] += 1
         elif isinstance(tag, RationalCoeff):
             rational_count += 1
         elif isinstance(tag, UserAsserted):
@@ -277,6 +300,8 @@ def coefficient_field_certificate(tags: Iterable[CoefficientTag],
         "distinct_bound": distinct_bound,
         "root_of_unity_orders": sorted(orders),
         "prime_square_roots": sorted(primes),
+        "root_of_unity_order_counts": sorted([o, c] for o, c in orders.items()),
+        "prime_square_root_counts": sorted([p, c] for p, c in primes.items()),
         "rational_count": rational_count,
         "user_asserted": asserted,
         "outcome": "refuted" if refuted else "no_obstruction",
@@ -285,16 +310,16 @@ def coefficient_field_certificate(tags: Iterable[CoefficientTag],
     return Certificate(COEFFICIENT_FIELD, count, evidence)
 
 
-def _recheck_coefficient_field(cert: Certificate) -> list[str]:
+def _coefficient_field_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    # orders 1 and 2 were counted as rationals; rebuilding them as rationals
+    # reproduces the same evidence
     ev = cert.evidence
-    problems = []
-    refuted = (len(ev["root_of_unity_orders"]) > ev["distinct_bound"]
-               or len(ev["prime_square_roots"]) > ev["distinct_bound"]
-               or bool(ev["user_asserted"]))
-    outcome = "refuted" if refuted else "no_obstruction"
-    if outcome != ev["outcome"]:
-        problems.append(f"outcome: recomputed {outcome!r} != claimed {ev['outcome']!r}")
-    return problems
+    tags = chain(
+        repeat(RationalCoeff(Fraction(0)), _get(ev, "rational_count", int)),
+        *(repeat(RootOfUnity(o), c) for o, c in _counts(ev, "root_of_unity_order_counts")),
+        *(repeat(PrimeSquareRoot(p), c) for p, c in _counts(ev, "prime_square_root_counts")),
+        (UserAsserted(note) for note in _list(ev, "user_asserted", str)))
+    return partial(coefficient_field_certificate, tags, _get(ev, "distinct_bound", int))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +335,8 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
     The criterion needs (a) no nonzero rational accumulation point of the
     ratio sequence, and (b) either unbounded lattice rank or unbounded
     exponent gaps at scan scale.  Everything is reported honestly even when
-    the criterion fails.
+    the criterion fails.  Symbolic exponents are recorded exactly; other
+    inputs are recorded as the decimal text they were read from.
     """
     if len(degrees) != len(exponents):
         raise ValueError("degrees and exponents must align")
@@ -347,7 +373,7 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
         for r in ratios:
             key = f"{r:.1f}"
             hist[key] = hist.get(key, 0) + 1
-    rank_unbounded = False
+    rank_unbounded = gap_exceeded = False
     rank_history = []
     if symbolic:
         scan = RankScan(basis)
@@ -356,8 +382,6 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
         rank_history = [list(h) for h in scan.history]
         # rank still growing in the last half of the scan
         rank_unbounded = bool(scan.history) and scan.history[-1][0] > len(exponents) // 2
-    gap_exceeded = False
-    if symbolic:
         stats = gap_ratios(list(exponents), basis)
         with workprec(precision):
             thr = mpmath.mpf(ratio_threshold.numerator) / ratio_threshold.denominator
@@ -376,23 +400,26 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
         "condition_gap_at_scan": gap_exceeded,
         "criterion_met": criterion_met,
         "note": "purely formal data; convergence is not modelled",
+        "ratio_threshold": frac_str(Fraction(ratio_threshold)),
+        "precision_bits": precision,
     }
     payload_basis = basis_to_obj(basis) if symbolic else None
     if symbolic:
         evidence["exponents"] = [exponent_to_obj(e) for e in exponents]
+    else:
+        evidence["input_values"] = [str(e) for e in exponents]
     return Certificate(BIVARIATE_CRITERION, len(degrees), evidence, payload_basis)
 
 
-def _recheck_bivariate(cert: Certificate) -> list[str]:
+def _bivariate_from_payload(cert: Certificate) -> Callable[[], Certificate]:
     ev = cert.evidence
-    if "exponents" in ev and cert.basis is not None:
-        basis = obj_to_basis(cert.basis)
-        exponents = [obj_to_exponent(o) for o in ev["exponents"]]
+    if "input_values" in ev:
+        basis, exponents = None, _list(ev, "input_values", str)
     else:
-        basis = None
-        exponents = [mpmath.mpf(v) for v in ev["exponent_values"]]
-    fresh = bivariate_certificate(ev["degrees"], exponents, basis)
-    return _diff_evidence(fresh.evidence, ev)
+        basis, exponents = obj_to_basis(cert.basis), _exponents(ev)
+    return partial(bivariate_certificate, _list(ev, "degrees", int), exponents, basis,
+                   parse_frac(_get(ev, "ratio_threshold", str)),
+                   _get(ev, "precision_bits", int))
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +431,20 @@ def default_gap_rule(i: int) -> int:
     return 2 ** (i * i)
 
 
-def signflip_construct(coefficients: Sequence[Fraction],
-                       gap_rule: Callable[[int], int] = default_gap_rule
+def signflip_construct(coefficients: Sequence[Fraction]
                        ) -> tuple[list[Fraction], list[tuple[int, Fraction]], Certificate]:
     """Select a gap subseries Q and flip its signs inside P.
 
-    Returns (P1, Q, certificate) with P1 = P - 2Q exactly on the scan; when
-    a rule position lands on a zero coefficient the selection advances to
-    the next nonzero position.
+    Returns (P1, Q, certificate) with P1 = P - 2Q exactly on the scan.  Q
+    sits at the :func:`default_gap_rule` positions; when one lands on a zero
+    coefficient the selection advances to the next nonzero position.
     """
     coeffs = [Fraction(c) for c in coefficients]
     scan = len(coeffs)
     positions: list[int] = []
     i = 1
     while True:
-        target = gap_rule(i)
+        target = default_gap_rule(i)
         if positions and target <= positions[-1]:
             target = positions[-1] + 1
         pos = next((p for p in range(target, scan) if coeffs[p] != 0), None)
@@ -451,112 +477,18 @@ def signflip_construct(coefficients: Sequence[Fraction],
     return flipped, q_terms, cert
 
 
-def _recheck_signflip(cert: Certificate) -> list[str]:
-    ev = cert.evidence
-    coeffs = [parse_frac(c) for c in ev["original"]]
-    problems = []
-    for p, fv in zip(ev["positions"], ev["flipped_values"]):
-        if parse_frac(fv) != -coeffs[p]:
-            problems.append(f"flip at {p}: {fv} != -({coeffs[p]})")
-    for j in range(1, len(ev["positions"])):
-        expect = frac_str(Fraction(ev["positions"][j], ev["positions"][j - 1]))
-        if ev["position_ratios"][j - 1] != expect:
-            problems.append(f"ratio #{j}: {ev['position_ratios'][j-1]} != {expect}")
-    return problems
+def _signflip_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    original = [parse_frac(c) for c in _get(cert.evidence, "original", list)]
+    return lambda: signflip_construct(original)[2]
 
 
 # ---------------------------------------------------------------------------
-# Standalone re-verification
+# Substitution residuals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    mismatches: tuple[str, ...] = ()
-    note: Optional[str] = None
-
-
-def _diff_evidence(fresh: dict, claimed: dict) -> list[str]:
-    problems = []
-    for key in sorted(set(fresh) | set(claimed)):
-        if fresh.get(key) != claimed.get(key):
-            problems.append(f"{key}: recomputed {fresh.get(key)!r} != claimed {claimed.get(key)!r}")
-    return problems
-
-
-def recheck(cert: Certificate) -> VerifyResult:
-    """Recompute the certificate's evidence from its own payload."""
-    handlers = {
-        FINITE_BASIS_REFUTATION: _recheck_finite_basis,
-        GAP_CRITERION: _recheck_gap,
-        COEFFICIENT_FIELD: _recheck_coefficient_field,
-        BIVARIATE_CRITERION: _recheck_bivariate,
-        SIGNFLIP_CONSTRUCTION: _recheck_signflip,
-        FORMAL_SATISFACTION: _recheck_formal,
-        FORMAL_REFUTATION: _recheck_formal,
-    }
-    handler = handlers.get(cert.kind)
-    if handler is None:
-        return VerifyResult(False, (f"unknown kind {cert.kind!r}",))
-    problems = handler(cert)
-    note = None
-    if cert.tool_version != TOOL_VERSION:
-        note = (f"certificate written by {cert.tool_version!r}, "
-                f"verified by {TOOL_VERSION!r}")
-    return VerifyResult(not problems, tuple(problems), note)
-
-
-def _recheck_formal(cert: Certificate) -> list[str]:
-    # late import: the satisfaction checks live in higher-level modules
-    from . import transforms
-    ev = cert.evidence
-    check = ev.get("check")
-    if check == "hilbert":
-        fresh = transforms.verify_hilbert_zeta(
-            ev["n"], ev["max_shift"], ev["max_weight_ops"],
-            ds_max=ev["max_s_derivatives"], precision=ev["precision_bits"])
-        return _diff_evidence(fresh.evidence, ev)
-    if check == "substitute":
-        return _recheck_substitution(cert)
-    if check == "rescale":
-        return transforms.recheck_rescale(cert)
-    return [f"unknown formal check {check!r}"]
-
-
-def _recheck_substitution(cert: Certificate) -> list[str]:
-    from .formal_eval import substitute
-    from .grammar import parse_diffpoly
-    from .io import obj_to_series
-    ev = cert.evidence
-    phi = obj_to_series(ev["series"])
-    F = parse_diffpoly(ev["equation"], phi.basis)
-    horizon = None if ev.get("horizon") is None else obj_to_exponent(ev["horizon"])
-    residual = substitute(F, phi, horizon)
-    problems = []
-    verdict = "zero" if residual.is_zero else "nonzero"
-    if verdict != ev["residual"]:
-        problems.append(f"residual: recomputed {verdict!r} != claimed {ev['residual']!r}")
-    lead = None
-    if not residual.is_zero:
-        e, p = residual.leading
-        lead = {"exponent": exponent_to_obj(e), "coeff": str(p.constant())}
-    if lead != ev.get("leading"):
-        problems.append(f"leading: recomputed {lead!r} != claimed {ev.get('leading')!r}")
-    if "threshold_report" in ev:
-        from .formal_eval import forcing_threshold
-        report = forcing_threshold(F, phi)
-        fresh = threshold_report_obj(report)
-        problems.extend(f"threshold_report.{p}" for p in
-                        _diff_evidence(fresh, ev["threshold_report"]))
-    return problems
-
 
 def substitution_certificate(F, phi: FormalSeries, horizon=None,
                              threshold_report=None) -> Certificate:
     """FormalSatisfaction / FormalRefutation evidence for one substitution."""
-    from .formal_eval import substitute
-    from .grammar import pretty
-    from .io import series_to_obj
     residual = substitute(F, phi, horizon)
     evidence = {
         "check": "substitute",
@@ -587,3 +519,104 @@ def threshold_report_obj(report) -> dict:
         "verified_indices": list(report.verified_indices),
         "horizon": None if report.horizon is None else exponent_to_obj(report.horizon),
     }
+
+
+# ---------------------------------------------------------------------------
+# Standalone re-verification: rebuild from the payload, then compare
+# ---------------------------------------------------------------------------
+
+def _equation_payload(ev: dict):
+    phi = obj_to_series(_get(ev, "series", dict))
+    horizon = _get(ev, "horizon", (dict, type(None)))
+    return (parse_diffpoly(_get(ev, "equation", str), phi.basis), phi,
+            None if horizon is None else obj_to_exponent(horizon))
+
+
+def _substitution_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    F, phi, horizon = _equation_payload(cert.evidence)
+    if "threshold_report" not in cert.evidence:
+        return partial(substitution_certificate, F, phi, horizon)
+    return lambda: substitution_certificate(F, phi, horizon,
+                                            forcing_threshold(F, phi, horizon))
+
+
+def _hilbert_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    from .transforms import verify_hilbert_zeta
+    ev = cert.evidence
+    return partial(verify_hilbert_zeta, _get(ev, "n", int), _get(ev, "max_shift", int),
+                   _get(ev, "max_weight_ops", int),
+                   ds_max=_get(ev, "max_s_derivatives", int),
+                   precision=_get(ev, "precision_bits", int))
+
+
+def _rescale_from_payload(cert: Certificate) -> Callable[[], Certificate]:
+    from .transforms import verify_rescale_invariance
+    F, phi, horizon = _equation_payload(cert.evidence)
+    scalars = [parse_frac(c) for c in _get(cert.evidence, "scalars", list)]
+    return lambda: verify_rescale_invariance(
+        F, phi, integer_basis([e for e, _ in phi.terms], phi.basis), scalars, horizon)
+
+
+# payload readers: each returns the rebuild as a zero-argument call
+_FROM_PAYLOAD = {
+    FINITE_BASIS_REFUTATION: _finite_basis_from_payload,
+    GAP_CRITERION: _gap_from_payload,
+    COEFFICIENT_FIELD: _coefficient_field_from_payload,
+    BIVARIATE_CRITERION: _bivariate_from_payload,
+    SIGNFLIP_CONSTRUCTION: _signflip_from_payload,
+}
+_FORMAL_FROM_PAYLOAD = {
+    "substitute": _substitution_from_payload,
+    "hilbert": _hilbert_from_payload,
+    "rescale": _rescale_from_payload,
+}
+_HEADER = ("kind", "scanned", "basis", "verdict_scope")
+
+
+@dataclass(frozen=True)
+class VerifyResult:
+    ok: bool
+    mismatches: tuple[str, ...] = ()
+    note: Optional[str] = None
+
+
+def recheck(cert: Certificate) -> VerifyResult:
+    """Rebuild the certificate from its payload with the builder that made
+    it, then compare the header (kind, scanned, basis, verdict_scope) and
+    every evidence key; a different ``tool_version`` only yields a note.
+
+    A builder failing during the rebuild is a mismatch.  A malformed payload
+    (missing key, wrong type, evidence not fitting its kind) raises
+    :class:`SchemaError`.
+    """
+    if cert.kind in (FORMAL_SATISFACTION, FORMAL_REFUTATION):
+        reader = _FORMAL_FROM_PAYLOAD.get(_get(cert.evidence, "check", str))
+    else:
+        reader = _FROM_PAYLOAD.get(cert.kind)
+    if reader is None:
+        raise SchemaError(f"no {cert.kind} certificate has this evidence block")
+    try:
+        rebuild = reader(cert)
+    except (KeyError, TypeError, ValueError, DforgeError) as exc:
+        raise SchemaError(f"unreadable {cert.kind} payload: {exc}") from None
+    note = None if cert.tool_version == TOOL_VERSION else (
+        f"certificate written by {cert.tool_version!r}, verified by {TOOL_VERSION!r}")
+    try:
+        fresh = rebuild()
+    except (DforgeError, ValueError) as exc:
+        return VerifyResult(False, (f"rebuild failed: {exc}",), note)
+    if fresh.kind == cert.kind and fresh.evidence.keys() != cert.evidence.keys():
+        raise SchemaError(
+            f"{cert.kind} evidence: missing keys "
+            f"{sorted(fresh.evidence.keys() - cert.evidence.keys())}, unexpected keys "
+            f"{sorted(cert.evidence.keys() - fresh.evidence.keys())}")
+    problems = (_diff({f: getattr(fresh, f) for f in _HEADER},
+                      {f: getattr(cert, f) for f in _HEADER})
+                + _diff(fresh.evidence, cert.evidence))
+    return VerifyResult(not problems, problems, note)
+
+
+def _diff(rebuilt: dict, claimed: dict) -> tuple[str, ...]:
+    return tuple(f"{key}: recomputed {rebuilt.get(key)!r} != claimed {claimed.get(key)!r}"
+                 for key in sorted(rebuilt.keys() | claimed.keys())
+                 if rebuilt.get(key) != claimed.get(key))

@@ -759,15 +759,6 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     return _build(basis, accum, bound)
 
 
-def series_pow(a: FormalSeries, k: int) -> FormalSeries:
-    if k < 0:
-        raise ValueError("negative series powers are not defined")
-    result = constant_series(a.basis, 1)
-    for _ in range(k):
-        result = series_mul(result, a)
-    return result
-
-
 def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:
     """Termwise d^k/ds^k: coefficients pick up the exact factor (-lambda)^k."""
     if k < 0:

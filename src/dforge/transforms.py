@@ -24,9 +24,10 @@ from .errors import (
     ZeroScalar,
 )
 from .formal_eval import substitute
-from .io import exponent_to_obj, frac_str, series_to_obj
+from .grammar import pretty
+from .io import basis_to_obj, exponent_to_obj, frac_str, series_to_obj
 from .lattice import LatticeBasis, express, log_basis_for_indices
-from .obstruction import FORMAL_SATISFACTION, Certificate, _diff_evidence
+from .obstruction import FORMAL_SATISFACTION, Certificate
 from .series import (
     Coefficient,
     Exponent,
@@ -97,7 +98,6 @@ def verify_rescale_invariance(F: DiffPolynomial, phi: FormalSeries, B: LatticeBa
                 f"homogeneity mechanism mismatch on the partial wrt "
                 f"f^({ind.order})(s+{ind.shift})")
         mechanism_checks += 1
-    from .grammar import pretty
     evidence = {
         "check": "rescale",
         "series": series_to_obj(phi),
@@ -108,26 +108,8 @@ def verify_rescale_invariance(F: DiffPolynomial, phi: FormalSeries, B: LatticeBa
         "rescaled_residual": "zero",
         "mechanism_checks": mechanism_checks,
     }
-    from .io import basis_to_obj
     return Certificate(FORMAL_SATISFACTION, len(phi.terms), evidence,
                        basis_to_obj(phi.basis))
-
-
-def recheck_rescale(cert: Certificate) -> list[str]:
-    from .grammar import parse_diffpoly
-    from .io import obj_to_exponent, obj_to_series
-    from .lattice import integer_basis
-    ev = cert.evidence
-    phi = obj_to_series(ev["series"])
-    F = parse_diffpoly(ev["equation"], phi.basis)
-    B = integer_basis([e for e, _ in phi.terms], phi.basis)
-    scalars = [Fraction(s) for s in ev["scalars"]]
-    horizon = None if ev.get("horizon") is None else obj_to_exponent(ev["horizon"])
-    try:
-        fresh = verify_rescale_invariance(F, phi, B, scalars, horizon)
-    except (InvarianceViolated, ValueError) as exc:
-        return [f"re-verification failed: {exc}"]
-    return _diff_evidence(fresh.evidence, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -409,5 +391,4 @@ def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
         "residuals_all_zero": True,
         "horizon": exponent_to_obj(exponents[N]),
     }
-    from .io import basis_to_obj
     return Certificate(FORMAL_SATISFACTION, N, evidence, basis_to_obj(basis))

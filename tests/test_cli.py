@@ -90,6 +90,29 @@ class TestMain:
         assert verify_certificate(out).ok
         assert main(["verify", "cert", str(out)]) == EXIT_OK
 
+    def test_horizon_threshold_cert_verifies(self, geometric_file, tmp_path, capsys):
+        out = tmp_path / "sub.cert.json"
+        assert main(["substitute", "--series", str(geometric_file),
+                     "--eq", "f' + lam*f + lam*f^2", "--horizon", '{"lam": "12"}',
+                     "--with-threshold", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["evidence"]["threshold_report"]["horizon"] \
+            == {"lam": "12"}
+        capsys.readouterr()
+        assert main(["verify", "cert", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "OK"
+
+    def test_verify_missing_key_is_schema_error(self, geometric_file, tmp_path, capsys):
+        out = tmp_path / "sub.cert.json"
+        main(["substitute", "--series", str(geometric_file),
+              "--eq", "f' + lam*f + lam*f^2", "--out", str(out)])
+        obj = json.loads(out.read_text())
+        del obj["evidence"]["residual"]
+        out.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "cert", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema-error]:") and "Traceback" not in err
+
     def test_verify_detects_tampering(self, geometric_file, tmp_path, capsys):
         out = tmp_path / "sub.cert.json"
         main(["substitute", "--series", str(geometric_file),
@@ -161,7 +184,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         config = AnalysisConfig(precision_bits=96, rank_bound=7,
                                 ratio_threshold="7/2", max_weight=4,
-                                factor_limit=10 ** 5, seed=3,
+                                factor_limit=10 ** 5,
                                 horizon={"lam": "5"})
         path = tmp_path / "config.json"
         config.to_file(path)
@@ -178,3 +201,27 @@ class TestConfig:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             AnalysisConfig(rank_bound=0)
+
+    def test_retired_seed_key_ignored(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rank_bound": 7, "seed": 3}))
+        assert AnalysisConfig.from_file(path) == AnalysisConfig(rank_bound=7)
+
+    def test_bad_env_precision(self, monkeypatch, zeta_corpus, capsys):
+        monkeypatch.setenv("DFORGE_PRECISION", "abc")
+        assert main(["analyze", "--corpus", str(zeta_corpus)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[config]:")
+
+    @pytest.mark.parametrize("obj", [{"rank_bound": 7, "colour": "red"},
+                                     {"rank_bound": "7"},
+                                     {"ratio_threshold": 3},
+                                     {"precision_bits": 1.5},
+                                     {"ratio_threshold": "x/y"},
+                                     [1, 2]])
+    def test_bad_config_file(self, obj, tmp_path, zeta_corpus, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        code = main(["analyze", "--corpus", str(zeta_corpus), "--config", str(path)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:") and "Traceback" not in err

@@ -1,16 +1,20 @@
 """Certificates: finite-basis scans, gap criteria, coefficient fields,
 bivariate diagnostics, sign flips, and standalone re-verification."""
 
+import copy
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import PREC
+from conftest import PREC, geometric_series
 from dforge.errors import InsufficientNonzeroTerms, SchemaError, UnknownFamily
-from dforge.lattice import log_basis_for_indices
+from dforge.formal_eval import forcing_threshold
+from dforge.grammar import parse_diffpoly
+from dforge.lattice import integer_basis, log_basis_for_indices
 from dforge.obstruction import (
+    KINDS,
     Certificate,
     PrimeSquareRoot,
     RationalCoeff,
@@ -23,8 +27,10 @@ from dforge.obstruction import (
     gap_certificate,
     recheck,
     signflip_construct,
+    substitution_certificate,
 )
-from dforge.series import Exponent
+from dforge.series import Exponent, SymbolBasis
+from dforge.transforms import verify_hilbert_zeta, verify_rescale_invariance
 
 
 class TestFiniteBasis:
@@ -137,6 +143,12 @@ class TestBivariate:
         assert cert.evidence["drift"] == "to_infinity"
         assert recheck(cert).ok
 
+    def test_float_inputs_recorded_exactly(self):
+        values = [math.log(i) for i in range(2, 40)]
+        cert = bivariate_certificate(list(range(2, 40)), values)
+        assert cert.evidence["input_values"] == [repr(v) for v in values]
+        assert recheck(cert).ok
+
 
 class TestSignFlip:
     def test_all_ones(self):
@@ -234,3 +246,182 @@ class TestCertificateIO:
         a = gap_certificate(exps, Fraction(2), unit_basis).to_json()
         b = gap_certificate(exps, Fraction(2), unit_basis).to_json()
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Tamper suite: one genuine certificate per kind and formal check
+# ---------------------------------------------------------------------------
+
+def _genuine():
+    """name -> (certificate, keys left unedited).
+
+    The unedited keys are builder inputs (the header ``basis`` included for
+    the kinds that take a basis): an edit there describes another input,
+    whose certificate may well be genuine.  CoefficientField's counts are
+    inputs too, but any edit to them changes the header's ``scanned``, so
+    they are edited like derived keys.
+    """
+    lam_basis = SymbolBasis.from_pairs([("lam", "0.7")], precision=PREC)
+    unit = SymbolBasis.unit(PREC)
+    geo = geometric_series(lam_basis, 15)
+    F = parse_diffpoly("f' + lam*f + lam*f^2", lam_basis)
+    horizon = Exponent.of("lam") * 12
+    basis, vecs = log_basis_for_indices(range(1, 20), PREC)
+    tags = [RootOfUnity(3), RootOfUnity(3), RootOfUnity(1),
+            *map(RootOfUnity, range(5, 15)), PrimeSquareRoot(2), PrimeSquareRoot(2),
+            PrimeSquareRoot(3), RationalCoeff(Fraction(1, 2))]
+    equation = {"series", "equation", "horizon"}
+    return {
+        "finite_basis": (finite_basis_certificate(
+            [vecs[n] for n in range(1, 20)], 4, basis),
+            {"basis", "exponents", "rank_bound"}),
+        "gap": (gap_certificate(
+            [Exponent.constant(math.factorial(i)) for i in range(1, 9)], Fraction(5), unit),
+            {"basis", "exponents", "ratio_threshold"}),
+        "coefficient_field": (coefficient_field_certificate(tags, distinct_bound=8),
+                              {"distinct_bound", "user_asserted"}),
+        "coefficient_field_asserted": (coefficient_field_certificate(
+            [UserAsserted("period-like family"), RationalCoeff(Fraction(1))]),
+            {"distinct_bound", "user_asserted"}),
+        # a non-default threshold: it must travel in the payload
+        "bivariate_symbolic": (bivariate_certificate(
+            list(range(2, 12)), [Exponent.constant(2 ** i) for i in range(2, 12)], unit,
+            Fraction(101, 100)),
+            {"basis", "degrees", "exponents", "ratio_threshold", "precision_bits"}),
+        "bivariate_numeric": (bivariate_certificate(
+            [2 ** i for i in range(2, 30)], [math.log(i) for i in range(2, 30)]),
+            {"degrees", "input_values", "ratio_threshold", "precision_bits"}),
+        "signflip": (signflip_construct([Fraction(1, n + 1) for n in range(600)])[2],
+                     {"original"}),
+        "substitute_satisfied": (substitution_certificate(
+            F, geo, horizon, forcing_threshold(F, geo, horizon)), equation),
+        "substitute_refuted": (substitution_certificate(
+            parse_diffpoly("f' + lam*f", lam_basis), geo), equation),
+        "hilbert": (verify_hilbert_zeta(6, 2, 2),
+                    {"n", "max_shift", "max_weight_ops", "max_s_derivatives",
+                     "precision_bits"}),
+        "rescale": (verify_rescale_invariance(
+            F, geo, integer_basis([e for e, _ in geo.terms], lam_basis), [Fraction(1, 2)]),
+            equation | {"scalars"}),
+    }
+
+
+@pytest.fixture(scope="module")
+def genuine():
+    certs = _genuine()
+    assert sorted(certs) == sorted(CASES)
+    return certs
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict) and obj:
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def _edited(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if value is None:
+        return 1
+    if isinstance(value, str):
+        try:
+            return str(Fraction(value) + 1)
+        except (ValueError, ZeroDivisionError):
+            return value + " (edited)"
+    return [0] if isinstance(value, list) else {"edited": 0}
+
+
+def _rejected(obj) -> bool:
+    try:
+        return not recheck(Certificate.from_obj(obj)).ok
+    except SchemaError:
+        return True
+
+
+def _tamper_paths(obj, unedited):
+    for path in _leaves({k: v for k, v in obj.items() if k != "tool_version"}):
+        if path[0] == "evidence" and len(path) > 1 and path[1] in unedited:
+            continue
+        if path[0] == "basis" and "basis" in unedited:
+            continue
+        yield path
+
+
+CASES = [
+    "finite_basis", "gap", "coefficient_field", "coefficient_field_asserted",
+    "bivariate_symbolic", "bivariate_numeric", "signflip", "substitute_satisfied",
+    "substitute_refuted", "hilbert", "rescale"]
+
+
+class TestTamper:
+    @pytest.mark.parametrize("name", CASES)
+    def test_genuine_rechecks(self, genuine, name):
+        cert, _ = genuine[name]
+        result = recheck(Certificate.from_obj(cert.to_obj()))
+        assert result.ok, result.mismatches
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_edited_leaf_is_rejected(self, genuine, name):
+        cert, unedited = genuine[name]
+        base = cert.to_obj()
+        accepted = []
+        for path in _tamper_paths(base, unedited):
+            obj = copy.deepcopy(base)
+            node = obj
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = _edited(node[path[-1]])
+            if not _rejected(obj):
+                accepted.append(path)
+        assert not accepted
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_other_kind_is_rejected(self, genuine, name):
+        cert, _ = genuine[name]
+        for kind in sorted(KINDS - {cert.kind}):
+            obj = cert.to_obj()
+            obj["kind"] = kind
+            assert _rejected(obj), kind
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_missing_key_is_a_schema_error(self, genuine, name):
+        cert, _ = genuine[name]
+        for key in cert.evidence:
+            obj = copy.deepcopy(cert.to_obj())
+            del obj["evidence"][key]
+            if key == "threshold_report":
+                # optional: without it the payload is the genuine certificate
+                # of the bare substitution
+                assert recheck(Certificate.from_obj(obj)).ok
+                continue
+            with pytest.raises(SchemaError):
+                recheck(Certificate.from_obj(obj))
+
+    def test_wrong_types_are_schema_errors(self, genuine):
+        cert, _ = genuine["finite_basis"]
+        for key, value in (("rank_bound", "4"), ("rank_bound", True),
+                           ("exponents", {}), ("exponents", [{"L2": 1}])):
+            obj = cert.to_obj()
+            obj["evidence"] = dict(obj["evidence"], **{key: value})
+            with pytest.raises(SchemaError):
+                recheck(Certificate.from_obj(obj))
+        for key, value in (("scanned", "19"), ("scanned", 19.0), ("evidence", []),
+                           ("basis", []), ("verdict_scope", None)):
+            obj = dict(cert.to_obj(), **{key: value})
+            with pytest.raises(SchemaError):
+                Certificate.from_obj(obj)
+
+    def test_failing_rebuild_is_a_mismatch(self, genuine):
+        cert, _ = genuine["signflip"]
+        obj = cert.to_obj()
+        obj["evidence"]["original"] = ["1"] * 10
+        result = recheck(Certificate.from_obj(obj))
+        assert not result.ok and result.mismatches[0].startswith("rebuild failed")
