@@ -66,10 +66,13 @@ class AnalysisConfig:
         if self.precision_bits <= 0 or self.rank_bound <= 0 or \
                 self.max_weight <= 0 or self.factor_limit <= 0:
             raise ConfigError("all bounds must be positive")
-        try:
-            parse_frac(self.ratio_threshold)
-        except SchemaError as exc:
-            raise ConfigError(f"config value 'ratio_threshold': {exc}") from None
+        for name, parse in (("ratio_threshold", parse_frac), ("horizon", obj_to_exponent)):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    parse(value)
+            except SchemaError as exc:
+                raise ConfigError(f"config value {name!r}: {exc}") from None
 
     @staticmethod
     def from_file(path) -> "AnalysisConfig":
@@ -284,7 +287,10 @@ def _load_config(args) -> AnalysisConfig:
     overrides["precision_bits"] = getattr(args, "precision", None)
     overrides["output"] = getattr(args, "out", None)
     if getattr(args, "horizon", None):
-        overrides["horizon"] = json.loads(args.horizon)
+        try:
+            overrides["horizon"] = json.loads(args.horizon)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--horizon is not JSON: {exc}") from None
     env = os.environ.get("DFORGE_PRECISION")
     if env:
         try:

@@ -12,8 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DegenerateInput, ResultantVanished
-from .linalg import Ring, determinant
-from .series import Coefficient, XPoly, _as_coefficient, _as_fraction
+from .linalg import determinant, operator_ring
+from .series import (
+    Coefficient,
+    SparsePoly,
+    XPoly,
+    _as_coefficient,
+    _as_fraction,
+    drop_power,
+    merge_powers,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -43,16 +51,9 @@ class DiffIndeterminate:
 # Monomial: (x-degree, sorted tuple of (indeterminate, positive power)).
 DPMonomial = tuple[int, tuple[tuple[DiffIndeterminate, int], ...]]
 
-_UNIT: DPMonomial = (0, ())
-
 
 def _dpm_mul(a: DPMonomial, b: DPMonomial) -> DPMonomial:
-    xa, pa = a
-    xb, pb = b
-    powers = dict(pa)
-    for ind, k in pb:
-        powers[ind] = powers.get(ind, 0) + k
-    return (xa + xb, tuple(sorted((i, k) for i, k in powers.items() if k != 0)))
+    return (a[0] + b[0], merge_powers(a[1], b[1]))
 
 
 def _dpm_f_degree(m: DPMonomial) -> int:
@@ -60,31 +61,21 @@ def _dpm_f_degree(m: DPMonomial) -> int:
 
 
 @dataclass(frozen=True)
-class DiffPolynomial:
+class DiffPolynomial(SparsePoly):
     """Sparse difference-differential polynomial with exact coefficients."""
 
     terms: tuple[tuple[DPMonomial, Coefficient], ...] = ()
 
-    @staticmethod
-    def _from_dict(d: dict) -> "DiffPolynomial":
-        return DiffPolynomial(tuple(sorted(
-            ((m, c) for m, c in d.items() if not c.is_zero),
-            key=lambda t: t[0])))
-
-    @staticmethod
-    def zero() -> "DiffPolynomial":
-        return DiffPolynomial()
+    _UNIT = (0, ())
+    _mono_mul = staticmethod(_dpm_mul)
+    _coerce = staticmethod(_as_coefficient)
 
     @staticmethod
     def from_coefficient(c) -> "DiffPolynomial":
         c = _as_coefficient(c)
         if c.is_zero:
             return DiffPolynomial()
-        return DiffPolynomial(((_UNIT, c),))
-
-    @staticmethod
-    def one() -> "DiffPolynomial":
-        return DiffPolynomial.from_coefficient(1)
+        return DiffPolynomial(((DiffPolynomial._UNIT, c),))
 
     @staticmethod
     def from_indeterminate(ind: DiffIndeterminate, power: int = 1) -> "DiffPolynomial":
@@ -97,10 +88,6 @@ class DiffPolynomial:
         if k < 0:
             raise ValueError("x-degree must be non-negative")
         return DiffPolynomial((((k, ()), Coefficient.one()),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def total_degree(self) -> int:
@@ -120,98 +107,33 @@ class DiffPolynomial:
     def has_shifts(self) -> bool:
         return any(ind.shift != 0 for ind in self.indeterminates())
 
-    def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        d = dict(self.terms)
-        for m, c in other.terms:
-            d[m] = d.get(m, Coefficient.zero()) + c
-        return DiffPolynomial._from_dict(d)
-
-    def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial(tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        d: dict = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = _dpm_mul(ma, mb)
-                prod = ca * cb
-                if m in d:
-                    d[m] = d[m] + prod
-                else:
-                    d[m] = prod
-        return DiffPolynomial._from_dict(d)
-
-    def scale(self, c) -> "DiffPolynomial":
-        c = _as_coefficient(c)
-        d = {m: v * c for m, v in self.terms}
-        return DiffPolynomial._from_dict(d)
-
-    def __pow__(self, k: int) -> "DiffPolynomial":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = DiffPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __str__(self) -> str:
         from .grammar import pretty
         return pretty(self)
 
 
-_DP_RING = Ring(zero=DiffPolynomial.zero(), one=DiffPolynomial.one(),
-                add=lambda a, b: a + b, neg=lambda a: -a,
-                mul=lambda a, b: a * b, is_zero=lambda a: a.is_zero)
+_DP_RING = operator_ring(DiffPolynomial.zero(), DiffPolynomial.one())
 
 
 def partial_wrt(F: DiffPolynomial, z: DiffIndeterminate) -> DiffPolynomial:
     """Formal partial derivative with respect to one indeterminate."""
-    d: dict = {}
-    for (xdeg, powers), c in F.terms:
-        for idx, (ind, k) in enumerate(powers):
-            if ind != z:
-                continue
-            if k == 1:
-                rest = powers[:idx] + powers[idx + 1:]
-            else:
-                rest = powers[:idx] + ((ind, k - 1),) + powers[idx + 1:]
-            m = (xdeg, rest)
-            contrib = c.scale(k)
-            d[m] = d.get(m, Coefficient.zero()) + contrib
-    return DiffPolynomial._from_dict(d)
+    return DiffPolynomial.collect(
+        ((xdeg, drop_power(powers, idx)), c.scale(k))
+        for (xdeg, powers), c in F.terms
+        for idx, (ind, k) in enumerate(powers) if ind == z)
 
 
 def _total_derivative(F: DiffPolynomial, include_x: bool) -> DiffPolynomial:
-    d: dict = {}
+    def pairs():
+        for (xdeg, powers), c in F.terms:
+            # chain rule over the indeterminates: f^(nu) contributes f^(nu+1)
+            for idx, (ind, k) in enumerate(powers):
+                bumped = merge_powers(drop_power(powers, idx), ((ind.derived(), 1),))
+                yield (xdeg, bumped), c.scale(k)
+            if include_x and xdeg > 0:
+                yield (xdeg - 1, powers), c.scale(xdeg)
 
-    def accumulate(m, c):
-        if m in d:
-            d[m] = d[m] + c
-        else:
-            d[m] = c
-
-    for (xdeg, powers), c in F.terms:
-        # chain rule over the indeterminates: f^(nu) contributes f^(nu+1)
-        for idx, (ind, k) in enumerate(powers):
-            if k == 1:
-                rest = powers[:idx] + powers[idx + 1:]
-            else:
-                rest = powers[:idx] + ((ind, k - 1),) + powers[idx + 1:]
-            bumped = dict(rest)
-            up = ind.derived()
-            bumped[up] = bumped.get(up, 0) + 1
-            m = (xdeg, tuple(sorted(bumped.items())))
-            accumulate(m, c.scale(k))
-        if include_x and xdeg > 0:
-            accumulate((xdeg - 1, powers), c.scale(xdeg))
-    return DiffPolynomial._from_dict(d)
+    return DiffPolynomial.collect(pairs())
 
 
 def total_derivative_s(F: DiffPolynomial) -> DiffPolynomial:
@@ -226,12 +148,10 @@ def total_derivative_x(F: DiffPolynomial) -> DiffPolynomial:
 
 def x_coefficients(F: DiffPolynomial) -> list[DiffPolynomial]:
     """Coefficients of F viewed as univariate in x, ascending degree."""
-    n = F.x_degree
-    out = [dict() for _ in range(n + 1)]
+    out: list[list] = [[] for _ in range(F.x_degree + 1)]
     for (xdeg, powers), c in F.terms:
-        m = (0, powers)
-        out[xdeg][m] = out[xdeg].get(m, Coefficient.zero()) + c
-    return [DiffPolynomial._from_dict(d) for d in out]
+        out[xdeg].append(((0, powers), c))
+    return [DiffPolynomial.collect(pairs) for pairs in out]
 
 
 def sylvester_matrix(A: DiffPolynomial, B: DiffPolynomial) -> list[list[DiffPolynomial]]:
@@ -272,8 +192,7 @@ def split_x_monomial_content(F: DiffPolynomial) -> tuple[int, DiffPolynomial]:
     m = min(xdeg for (xdeg, _), _ in F.terms)
     if m == 0:
         return 0, F
-    shifted = {( (xdeg - m, powers)): c for (xdeg, powers), c in F.terms}
-    return m, DiffPolynomial._from_dict(shifted)
+    return m, DiffPolynomial.collect(((xdeg - m, powers), c) for (xdeg, powers), c in F.terms)
 
 
 def eliminate_x(F: DiffPolynomial) -> DiffPolynomial:
@@ -304,11 +223,7 @@ def eliminate_x(F: DiffPolynomial) -> DiffPolynomial:
 # ---------------------------------------------------------------------------
 
 def xpoly_derivative(p: XPoly) -> XPoly:
-    d = {}
-    for k, c in p.coeffs:
-        if k >= 1:
-            d[k - 1] = d.get(k - 1, Coefficient.zero()) + c.scale(k)
-    return XPoly._from_dict(d)
+    return XPoly.collect((k - 1, c.scale(k)) for k, c in p.terms if k >= 1)
 
 
 def xpoly_shift(p: XPoly, h: Fraction) -> XPoly:
@@ -316,12 +231,8 @@ def xpoly_shift(p: XPoly, h: Fraction) -> XPoly:
     if h == 0:
         return p
     from math import comb
-    d: dict = {}
-    for k, c in p.coeffs:
-        for j in range(k + 1):
-            w = c.scale(Fraction(comb(k, j)) * h ** (k - j))
-            d[j] = d.get(j, Coefficient.zero()) + w
-    return XPoly._from_dict(d)
+    return XPoly.collect((j, c.scale(Fraction(comb(k, j)) * h ** (k - j)))
+                         for k, c in p.terms for j in range(k + 1))
 
 
 def evaluate_on_xpolynomial(F: DiffPolynomial, phi: XPoly) -> XPoly:

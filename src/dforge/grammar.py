@@ -24,7 +24,7 @@ from typing import Optional
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import ExprSyntaxError, UnknownSymbol
-from .series import Coefficient, Exponent, SymbolBasis
+from .series import Coefficient, Exponent, SymbolBasis, _join_signed
 
 _KEYWORDS = {"x", "f", "s", "exp"}
 
@@ -307,11 +307,4 @@ def pretty(F: DiffPolynomial) -> str:
     """Canonical text form; ``parse_diffpoly(pretty(F)) == F``."""
     if F.is_zero:
         return "0"
-    chunks = []
-    for m, c in F.terms:
-        chunks.append(_term_str(m, c))
-    sign, body = chunks[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join_signed([_term_str(m, c) for m, c in F.terms])

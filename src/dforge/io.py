@@ -73,7 +73,7 @@ def obj_to_basis(obj: dict) -> SymbolBasis:
 def series_to_obj(s: FormalSeries) -> dict:
     terms = []
     for e, p in s.terms:
-        for xdeg, c in p.coeffs:
+        for xdeg, c in p.terms:
             entry = {"exponent": exponent_to_obj(e), "coeff": str(c)}
             if xdeg:
                 entry["xdegree"] = xdeg

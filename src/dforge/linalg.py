@@ -9,6 +9,7 @@ domain.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -22,6 +23,12 @@ class Ring:
     neg: Callable
     mul: Callable
     is_zero: Callable
+
+
+def operator_ring(zero, one) -> Ring:
+    """Ring of values with ``+``, unary ``-``, ``*`` and an ``is_zero`` property."""
+    return Ring(zero=zero, one=one, add=operator.add, neg=operator.neg,
+                mul=operator.mul, is_zero=lambda a: a.is_zero)
 
 
 def determinant(matrix: Sequence[Sequence[object]], ring: Ring):

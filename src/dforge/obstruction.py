@@ -163,7 +163,11 @@ def finite_basis_certificate(exponents: Sequence[Exponent], rank_bound: int,
     Rank exceeding the bound is refutation evidence (no series over these
     exponents can formally satisfy any difference-differential equation,
     modulo the scanned-prefix caveat); otherwise the certificate records
-    where the rank stabilized.
+    where the rank stabilized.  The rank is taken over the symbol
+    coordinates, which equals the rank of the numeric exponents only when
+    the basis assumes the symbol values independent; without that
+    assumption an exceeded bound is reported as ``rank_exceeded_unassumed``
+    and refutes nothing.
     """
     scan = RankScan(basis)
     exceeded_at = None
@@ -172,13 +176,19 @@ def finite_basis_certificate(exponents: Sequence[Exponent], rank_bound: int,
         if rank > rank_bound and exceeded_at is None:
             exceeded_at = len(scan.exponents)
     lattice = scan.finish()
+    if exceeded_at is None:
+        outcome = "rank_stabilized"
+    elif basis.independence_assumed:
+        outcome = "rank_exceeded"
+    else:
+        outcome = "rank_exceeded_unassumed"
     evidence = {
         "rank_bound": rank_bound,
         "exponents": [exponent_to_obj(e) for e in scan.exponents],
         "rank_history": [list(h) for h in scan.history],
         "final_rank": lattice.rank,
         "generators": [exponent_to_obj(g) for g in lattice.generators],
-        "outcome": "rank_exceeded" if exceeded_at is not None else "rank_stabilized",
+        "outcome": outcome,
         "exceeded_at": exceeded_at,
         "stable_since": scan.history[-1][0] if scan.history else 0,
     }
@@ -380,8 +390,10 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
         for e in exponents:
             scan.add(e)
         rank_history = [list(h) for h in scan.history]
-        # rank still growing in the last half of the scan
-        rank_unbounded = bool(scan.history) and scan.history[-1][0] > len(exponents) // 2
+        # rank still growing in the last half of the scan; symbol-coordinate
+        # rank says nothing about the numeric rank unless independence is assumed
+        rank_unbounded = basis.independence_assumed and bool(scan.history) and \
+            scan.history[-1][0] > len(exponents) // 2
         stats = gap_ratios(list(exponents), basis)
         with workprec(precision):
             thr = mpmath.mpf(ratio_threshold.numerator) / ratio_threshold.denominator

@@ -18,6 +18,7 @@ treated as an exact object, or a constant).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +46,15 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+
+
+def _join_signed(pieces: list) -> str:
+    """Join ``(sign, body)`` pairs as ``a + b - c``; only a leading minus shows."""
+    sign, first = pieces[0]
+    text = ("-" if sign == "-" else "") + first
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +166,7 @@ class Exponent:
             pieces.append(("-" if q < 0 else "+", body))
         if self.const != 0 or not pieces:
             pieces.append(("-" if self.const < 0 else "+", str(abs(self.const))))
-        sign, first = pieces[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_signed(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,132 @@ def meet_bounds(basis: SymbolBasis, a: Optional[Exponent], b: Optional[Exponent]
 
 
 # ---------------------------------------------------------------------------
+# Sparse polynomial kernel
+# ---------------------------------------------------------------------------
+
+def _accumulate(acc: dict, pairs) -> dict:
+    for m, c in pairs:
+        prev = acc.get(m)
+        acc[m] = c if prev is None else prev + c
+    return acc
+
+
+def merge_powers(a: tuple, b: tuple) -> tuple:
+    """Product of two sorted ``((factor, power), ...)`` tuples."""
+    powers = dict(a)
+    for n, k in b:
+        powers[n] = powers.get(n, 0) + k
+    return tuple(sorted((n, k) for n, k in powers.items() if k != 0))
+
+
+def drop_power(powers: tuple, idx: int) -> tuple:
+    """Lower the power at position ``idx`` by one, dropping it at zero."""
+    n, k = powers[idx]
+    if k == 1:
+        return powers[:idx] + powers[idx + 1:]
+    return powers[:idx] + ((n, k - 1),) + powers[idx + 1:]
+
+
+class SparsePoly:
+    """Sparse map from monomials to nonzero coefficients.
+
+    ``terms`` holds ``(monomial, coefficient)`` pairs with distinct
+    monomials and no zero coefficient, sorted by ``_mono_key``, so equal
+    values have equal ``terms``.  Coefficients are ``Fraction`` or
+    :class:`Coefficient`; both are false exactly when zero.
+
+    A subclass is a frozen dataclass whose last field is ``terms``.  It
+    supplies the monomial product ``_mono_mul``, the unit monomial
+    ``_UNIT``, the scalar coercion ``_coerce`` and, when the monomials do
+    not sort by themselves, ``_mono_key``.  Any fields before ``terms``
+    are passed through ``collect``, ``zero`` and ``one`` and kept by the
+    ``_new`` hook.
+    """
+
+    _mono_key = None
+
+    @classmethod
+    def _canonical(cls, acc: dict) -> tuple:
+        items = [(m, c) for m, c in acc.items() if c]
+        key = cls._mono_key
+        items.sort(key=operator.itemgetter(0) if key is None else (lambda t: key(t[0])))
+        return tuple(items)
+
+    @classmethod
+    def collect(cls, pairs, *fields):
+        """Merge equal monomials, drop zero coefficients and sort."""
+        return cls(*fields, cls._canonical(_accumulate({}, pairs)))
+
+    @classmethod
+    def _from_dict(cls, d: dict):
+        return cls.collect(d.items())
+
+    @classmethod
+    def zero(cls, *fields):
+        return cls(*fields, ())
+
+    @classmethod
+    def one(cls, *fields):
+        return cls.zero(*fields)._unit()
+
+    def _new(self, terms: tuple):
+        """An instance of this class, with this instance's other fields."""
+        return type(self)(terms)
+
+    def _unit(self):
+        return self._new(((self._UNIT, self._coerce(1)),))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        return self._new(self._canonical(_accumulate(dict(self.terms), other.terms)))
+
+    def __neg__(self):
+        return self._new(tuple((m, -c) for m, c in self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        mono_mul = self._mono_mul
+        acc: dict = {}
+        for ma, ca in self.terms:
+            for mb, cb in other.terms:
+                m = mono_mul(ma, mb)
+                c = ca * cb
+                prev = acc.get(m)
+                acc[m] = c if prev is None else prev + c
+        return self._new(self._canonical(acc))
+
+    def scale(self, c):
+        """Multiply every coefficient by the scalar ``c``."""
+        c = self._coerce(c)
+        return self._new(tuple((m, w) for m, v in self.terms if (w := v * c)))
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers are not defined")
+        out = self._unit()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Coefficients
 # ---------------------------------------------------------------------------
 
@@ -314,11 +446,7 @@ def _mono_key(m: Monomial):
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     pa, da = a
     pb, db = b
-    powers = dict(pa)
-    for n, k in pb:
-        powers[n] = powers.get(n, 0) + k
-    syms = tuple(sorted((n, k) for n, k in powers.items() if k != 0))
-    return (syms, da + db)
+    return (merge_powers(pa, pb), da + db)
 
 
 def _mono_str(m: Monomial) -> str:
@@ -332,20 +460,15 @@ def _mono_str(m: Monomial) -> str:
 
 
 @dataclass(frozen=True)
-class Coefficient:
+class Coefficient(SparsePoly):
     """Sparse polynomial over the basis symbols and damping factors."""
 
     terms: tuple[tuple[Monomial, Fraction], ...] = ()
 
-    @staticmethod
-    def _from_dict(d: dict) -> "Coefficient":
-        items = tuple(sorted(((m, q) for m, q in d.items() if q != 0),
-                             key=lambda t: _mono_key(t[0])))
-        return Coefficient(items)
-
-    @staticmethod
-    def zero() -> "Coefficient":
-        return Coefficient()
+    _UNIT = _UNIT_MONO
+    _mono_key = staticmethod(_mono_key)
+    _mono_mul = staticmethod(_mono_mul)
+    _coerce = staticmethod(_as_fraction)
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "Coefficient":
@@ -353,10 +476,6 @@ class Coefficient:
         if q == 0:
             return Coefficient()
         return Coefficient(((_UNIT_MONO, q),))
-
-    @staticmethod
-    def one() -> "Coefficient":
-        return Coefficient.from_fraction(1)
 
     @staticmethod
     def from_symbol(name: str, power: int = 1) -> "Coefficient":
@@ -367,21 +486,14 @@ class Coefficient:
     @staticmethod
     def from_exponent(e: Exponent) -> "Coefficient":
         """The exponent as a linear polynomial in the symbols (exact)."""
-        out = {}
-        if e.const != 0:
-            out[_UNIT_MONO] = e.const
-        for n, q in e.coords:
-            out[(((n, 1),), Exponent())] = q
-        return Coefficient._from_dict(out)
+        pairs = [(_UNIT_MONO, e.const)]
+        pairs += [((((n, 1),), Exponent()), q) for n, q in e.coords]
+        return Coefficient.collect(pairs)
 
     @staticmethod
     def damping(nu: Exponent) -> "Coefficient":
         """The factor e^(-nu); the multiplier M(lam, h) is damping(h*lam)."""
         return Coefficient((((() , nu), Fraction(1)),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_rational(self) -> bool:
@@ -399,44 +511,6 @@ class Coefficient:
         for (syms, damp), _ in self.terms:
             out.update(n for n, _ in syms)
             out.update(damp.symbols())
-        return out
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        d = dict(self.terms)
-        for m, q in other.terms:
-            d[m] = d.get(m, Fraction(0)) + q
-        return Coefficient._from_dict(d)
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(tuple((m, -q) for m, q in self.terms))
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        d = {}
-        for ma, qa in self.terms:
-            for mb, qb in other.terms:
-                m = _mono_mul(ma, mb)
-                d[m] = d.get(m, Fraction(0)) + qa * qb
-        return Coefficient._from_dict(d)
-
-    def scale(self, q: RationalLike) -> "Coefficient":
-        q = _as_fraction(q)
-        if q == 0:
-            return Coefficient()
-        return Coefficient(tuple((m, c * q) for m, c in self.terms))
-
-    def __pow__(self, k: int) -> "Coefficient":
-        if k < 0:
-            raise ValueError("negative coefficient powers are not defined")
-        out = Coefficient.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
         return out
 
     def numeric(self, basis: SymbolBasis):
@@ -466,11 +540,7 @@ class Coefficient:
             else:
                 body = str(abs(q))
             parts.append(("-" if q < 0 else "+", body))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _join_signed(parts)
 
 
 def _as_coefficient(v) -> Coefficient:
@@ -484,25 +554,21 @@ def _as_coefficient(v) -> Coefficient:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class XPoly:
-    """Univariate polynomial in x over :class:`Coefficient` entries."""
+class XPoly(SparsePoly):
+    """Univariate polynomial in x over :class:`Coefficient` entries.
 
-    coeffs: tuple[tuple[int, Coefficient], ...] = ()
+    ``terms`` holds ``(x-degree, coefficient)`` pairs in ascending degree.
+    """
 
-    @staticmethod
-    def _from_dict(d: dict) -> "XPoly":
-        return XPoly(tuple(sorted((k, c) for k, c in d.items() if not c.is_zero)))
+    terms: tuple[tuple[int, Coefficient], ...] = ()
 
-    @staticmethod
-    def zero() -> "XPoly":
-        return XPoly()
+    _UNIT = 0
+    _mono_mul = staticmethod(operator.add)
+    _coerce = staticmethod(_as_coefficient)
 
     @staticmethod
     def from_coefficient(c) -> "XPoly":
-        c = _as_coefficient(c)
-        if c.is_zero:
-            return XPoly()
-        return XPoly(((0, c),))
+        return XPoly.monomial(0, c)
 
     @staticmethod
     def monomial(degree: int, c) -> "XPoly":
@@ -514,16 +580,12 @@ class XPoly:
         return XPoly(((degree, c),))
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> Optional[int]:
         """Exact x-degree, ``None`` for the zero polynomial."""
-        return self.coeffs[-1][0] if self.coeffs else None
+        return self.terms[-1][0] if self.terms else None
 
     def coefficient(self, degree: int) -> Coefficient:
-        for k, c in self.coeffs:
+        for k, c in self.terms:
             if k == degree:
                 return c
         return Coefficient.zero()
@@ -531,41 +593,15 @@ class XPoly:
     def constant(self) -> Coefficient:
         return self.coefficient(0)
 
-    def __add__(self, other: "XPoly") -> "XPoly":
-        d = dict(self.coeffs)
-        for k, c in other.coeffs:
-            d[k] = d.get(k, Coefficient.zero()) + c
-        return XPoly._from_dict(d)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(tuple((k, -c) for k, c in self.coeffs))
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "XPoly") -> "XPoly":
-        d = {}
-        for ka, ca in self.coeffs:
-            for kb, cb in other.coeffs:
-                k = ka + kb
-                prod = ca * cb
-                d[k] = d.get(k, Coefficient.zero()) + prod
-        return XPoly._from_dict(d)
-
-    def scale(self, c) -> "XPoly":
-        c = _as_coefficient(c)
-        d = {k: v * c for k, v in self.coeffs}
-        return XPoly._from_dict(d)
-
     def x_log_derivative(self) -> "XPoly":
         """x * d/dx, the degree-weighting operator."""
-        return XPoly._from_dict({k: c.scale(k) for k, c in self.coeffs})
+        return XPoly.collect((k, c.scale(k)) for k, c in self.terms)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for k, c in self.coeffs:
+        for k, c in self.terms:
             cs = str(c)
             if k == 0:
                 parts.append(cs)
@@ -642,6 +678,11 @@ def _sorted_terms(basis: SymbolBasis, accum: dict) -> tuple:
     return tuple((e, p) for _, _, e, p in keyed)
 
 
+def _group(accum: dict) -> dict:
+    """Exponent -> XPoly from exponent -> list of (x-degree, coefficient)."""
+    return {e: XPoly.collect(pairs) for e, pairs in accum.items()}
+
+
 def _build(basis: SymbolBasis, accum: dict, truncation: Optional[Exponent]) -> FormalSeries:
     terms = _sorted_terms(basis, accum)
     if truncation is not None:
@@ -676,8 +717,8 @@ def make_series(spec, basis: SymbolBasis, truncation: Optional[Exponent]) -> For
             poly = XPoly.monomial(xdeg, c)
         if truncation is not None and basis.compare(e, truncation) > 0:
             raise BadBound(f"term exponent ({e}) exceeds the truncation bound ({truncation})")
-        accum[e] = accum.get(e, XPoly.zero()) + poly
-    return _build(basis, accum, truncation)
+        accum.setdefault(e, []).extend(poly.terms)
+    return _build(basis, _group(accum), truncation)
 
 
 def zero_series(basis: SymbolBasis, truncation: Optional[Exponent] = None) -> FormalSeries:
@@ -700,12 +741,10 @@ def _require_same_basis(a: FormalSeries, b: FormalSeries) -> None:
 def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     _require_same_basis(a, b)
     accum: dict = {}
-    for e, p in a.terms:
-        accum[e] = accum.get(e, XPoly.zero()) + p
-    for e, p in b.terms:
-        accum[e] = accum.get(e, XPoly.zero()) + p
+    for e, p in a.terms + b.terms:
+        accum.setdefault(e, []).extend(p.terms)
     bound = meet_bounds(a.basis, a.truncation, b.truncation)
-    return _build(a.basis, accum, bound)
+    return _build(a.basis, _group(accum), bound)
 
 
 def series_neg(a: FormalSeries) -> FormalSeries:
@@ -729,6 +768,21 @@ def series_scale_xpoly(a: FormalSeries, poly: XPoly) -> FormalSeries:
     return _build(a.basis, accum, a.truncation)
 
 
+def product_bound(basis: SymbolBasis, a_bound: Optional[Exponent], a_least: Optional[Exponent],
+                  b_bound: Optional[Exponent], b_least: Optional[Exponent]) -> Optional[Exponent]:
+    """Provable bound of a truncated product: min(T_a + least_b, T_b + least_a).
+
+    A ``None`` bound is plus infinity; a ``None`` least exponent (a factor
+    with no true terms) yields no candidate.
+    """
+    bound: Optional[Exponent] = None
+    for t, least in ((a_bound, b_least), (b_bound, a_least)):
+        if t is not None and least is not None:
+            candidate = t + least
+            bound = candidate if bound is None else meet_bounds(basis, bound, candidate)
+    return bound
+
+
 def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Cauchy product by exponent addition, truncated to the provable bound."""
     _require_same_basis(a, b)
@@ -736,27 +790,17 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     # An exactly-zero factor annihilates everything, with full knowledge.
     if a.is_zero and a.is_exact or b.is_zero and b.is_exact:
         return zero_series(basis)
-    bounds = []
-    if a.truncation is not None:
-        m = _effective_min(b)
-        if m is not None:
-            bounds.append(a.truncation + m)
-    if b.truncation is not None:
-        m = _effective_min(a)
-        if m is not None:
-            bounds.append(b.truncation + m)
-    bound: Optional[Exponent] = None
-    for candidate in bounds:
-        bound = candidate if bound is None else meet_bounds(basis, bound, candidate)
+    bound = product_bound(basis, a.truncation, _effective_min(a),
+                          b.truncation, _effective_min(b))
     accum: dict = {}
     for ea, pa in a.terms:
         for eb, pb in b.terms:
             e = ea + eb
             if bound is not None and basis.compare(e, bound) > 0:
                 continue
-            prod = pa * pb
-            accum[e] = accum.get(e, XPoly.zero()) + prod
-    return _build(basis, accum, bound)
+            accum.setdefault(e, []).extend(
+                (ka + kb, ca * cb) for ka, ca in pa.terms for kb, cb in pb.terms)
+    return _build(basis, _group(accum), bound)
 
 
 def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diffpoly import DiffPolynomial, partial_wrt
+from .diffpoly import DiffPolynomial, partial_wrt, xpoly_derivative
 from .errors import (
     DforgeError,
     InvarianceViolated,
@@ -32,9 +32,14 @@ from .series import (
     Coefficient,
     Exponent,
     FormalSeries,
+    SparsePoly,
     SymbolBasis,
+    XPoly,
+    _as_coefficient,
     differentiate_s,
+    drop_power,
     make_series,
+    merge_powers,
     series_sub,
     x_log_derivative,
 )
@@ -123,58 +128,31 @@ PdeMonomial = tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
-class PdePolynomial:
+class PdePolynomial(SparsePoly):
     """Polynomial in the partial derivatives of G, the x variables, and the
     rate symbols, with exact coefficients."""
 
     mu: int
     terms: tuple[tuple[PdeMonomial, Coefficient], ...] = ()
 
-    @staticmethod
-    def _from_dict(mu: int, d: dict) -> "PdePolynomial":
-        return PdePolynomial(mu, tuple(sorted(
-            ((m, c) for m, c in d.items() if not c.is_zero))))
+    _coerce = staticmethod(_as_coefficient)
 
     @staticmethod
-    def zero(mu: int) -> "PdePolynomial":
-        return PdePolynomial(mu)
+    def _mono_mul(a: PdeMonomial, b: PdeMonomial) -> PdeMonomial:
+        (pa, xa), (pb, xb) = a, b
+        return (merge_powers(pa, pb), tuple(p + q for p, q in zip(xa, xb)))
+
+    @property
+    def _UNIT(self) -> PdeMonomial:
+        return ((), (0,) * self.mu)
+
+    def _new(self, terms: tuple) -> "PdePolynomial":
+        return PdePolynomial(self.mu, terms)
 
     @staticmethod
     def g_value(mu: int) -> "PdePolynomial":
         mono = ((((0,) * mu), 1),), (0,) * mu
         return PdePolynomial(mu, ((mono, Coefficient.one()),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PdePolynomial") -> "PdePolynomial":
-        d = dict(self.terms)
-        for m, c in other.terms:
-            d[m] = d.get(m, Coefficient.zero()) + c
-        return PdePolynomial._from_dict(self.mu, d)
-
-    def __neg__(self) -> "PdePolynomial":
-        return PdePolynomial(self.mu, tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "PdePolynomial") -> "PdePolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "PdePolynomial") -> "PdePolynomial":
-        d: dict = {}
-        for (pa, xa), ca in self.terms:
-            for (pb, xb), cb in other.terms:
-                powers = dict(pa)
-                for beta, k in pb:
-                    powers[beta] = powers.get(beta, 0) + k
-                mono = (tuple(sorted(powers.items())),
-                        tuple(a + b for a, b in zip(xa, xb)))
-                prod = ca * cb
-                d[mono] = d.get(mono, Coefficient.zero()) + prod
-        return PdePolynomial._from_dict(self.mu, d)
-
-    def scale(self, c: Coefficient) -> "PdePolynomial":
-        return PdePolynomial._from_dict(self.mu, {m: v * c for m, v in self.terms})
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -198,29 +176,23 @@ class PdePolynomial:
 def _chain_derivative(p: PdePolynomial, lambda_names: Sequence[str]) -> PdePolynomial:
     """d/ds of p evaluated on arguments x_i(s) with x_i' = -lambda_i * x_i."""
     mu = p.mu
-    d: dict = {}
+    rates = [Coefficient.from_symbol(name) for name in lambda_names]
 
-    def add(mono, coeff):
-        d[mono] = d.get(mono, Coefficient.zero()) + coeff
+    def bump(t: tuple, i: int) -> tuple:
+        return tuple(a + (1 if j == i else 0) for j, a in enumerate(t))
 
-    for (partials, xpow), c in p.terms:
-        for idx, (beta, k) in enumerate(partials):
-            for i in range(mu):
-                up = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
-                powers = dict(partials)
-                if k == 1:
-                    del powers[beta]
-                else:
-                    powers[beta] = k - 1
-                powers[up] = powers.get(up, 0) + 1
-                new_x = tuple(a + (1 if j == i else 0) for j, a in enumerate(xpow))
-                factor = Coefficient.from_symbol(lambda_names[i]).scale(-k)
-                add((tuple(sorted(powers.items())), new_x), c * factor)
-        for i, q in enumerate(xpow):
-            if q:
-                factor = Coefficient.from_symbol(lambda_names[i]).scale(-q)
-                add((partials, xpow), c * factor)
-    return PdePolynomial._from_dict(mu, d)
+    def pairs():
+        for (partials, xpow), c in p.terms:
+            for idx, (beta, k) in enumerate(partials):
+                rest = drop_power(partials, idx)
+                for i in range(mu):
+                    mono = (merge_powers(rest, ((bump(beta, i), 1),)), bump(xpow, i))
+                    yield mono, c * rates[i].scale(-k)
+            for i, q in enumerate(xpow):
+                if q:
+                    yield (partials, xpow), c * rates[i].scale(-q)
+
+    return PdePolynomial.collect(pairs(), mu)
 
 
 @dataclass(frozen=True)
@@ -260,13 +232,9 @@ def ode_to_pde(F: DiffPolynomial, mu: int,
         derivs.append(_chain_derivative(derivs[-1], names))
     total = PdePolynomial.zero(mu)
     for (xdeg, powers), c in F.terms:
-        part = None
+        part = PdePolynomial.one(mu)
         for ind, k in powers:
-            factor = derivs[ind.order]
-            for _ in range(k):
-                part = factor if part is None else part * factor
-        if part is None:
-            part = PdePolynomial(mu, (((() , (0,) * mu), Coefficient.one()),))
+            part = part * derivs[ind.order] ** k
         total = total + part.scale(c)
     return PdeResult(total, mu, names, order)
 
@@ -281,44 +249,26 @@ def substitute_power_series(result: PdeResult, g_coeffs: Sequence[Fraction],
     """
     if result.mu != 1:
         raise ValueError("series substitution is implemented for one variable")
-    base = [Coefficient.from_fraction(Fraction(c)) for c in g_coeffs]
 
-    def derivative(series: list[Coefficient]) -> list[Coefficient]:
-        return [series[j + 1].scale(j + 1) for j in range(len(series) - 1)]
+    def cut(p: XPoly) -> XPoly:
+        return XPoly(tuple(t for t in p.terms if t[0] <= order))
 
-    partial_cache: dict[int, list[Coefficient]] = {0: base}
+    partials = [XPoly.collect((k, Coefficient.from_fraction(Fraction(c)))
+                              for k, c in enumerate(g_coeffs))]
 
-    def partial(a: int) -> list[Coefficient]:
-        if a not in partial_cache:
-            partial_cache[a] = derivative(partial(a - 1))
-        return partial_cache[a]
+    def partial(a: int) -> XPoly:
+        while len(partials) <= a:
+            partials.append(xpoly_derivative(partials[-1]))
+        return partials[a]
 
-    def mul(a: list[Coefficient], b: list[Coefficient]) -> list[Coefficient]:
-        out = [Coefficient.zero()] * (order + 1)
-        for i, ca in enumerate(a[: order + 1]):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(b[: order + 1 - i]):
-                if cb.is_zero:
-                    continue
-                out[i + j] = out[i + j] + ca * cb
-        return out
-
-    total = [Coefficient.zero()] * (order + 1)
-    for (partials, xpow), c in result.poly.terms:
-        term = [Coefficient.zero()] * (order + 1)
-        term[0] = Coefficient.one()
-        for beta, k in partials:
-            p = partial(beta[0])
+    total = XPoly.zero()
+    for (betas, xpow), c in result.poly.terms:
+        term = cut(XPoly.monomial(xpow[0], c))
+        for beta, k in betas:
             for _ in range(k):
-                term = mul(term, p)
-        shift = xpow[0]
-        if shift:
-            term = ([Coefficient.zero()] * shift + term)[: order + 1]
-        for j in range(order + 1):
-            if not term[j].is_zero:
-                total[j] = total[j] + term[j] * c
-    return total
+                term = cut(term * partial(beta[0]))
+        total = total + term
+    return [total.coefficient(j) for j in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------

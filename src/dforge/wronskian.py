@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import HorizonTooShort
 from .formal_eval import substitute
-from .linalg import Ring, determinant, ring_nullspace_vector
+from .linalg import Ring, determinant, operator_ring, ring_nullspace_vector
 from .series import (
     Coefficient,
     Exponent,
@@ -29,6 +29,7 @@ from .series import (
     differentiate_s,
     meet_bounds,
     prefix,
+    product_bound,
     series_add,
     series_mul,
     series_neg,
@@ -36,9 +37,7 @@ from .series import (
     zero_series,
 )
 
-_COEFF_RING = Ring(zero=Coefficient.zero(), one=Coefficient.one(),
-                   add=lambda a, b: a + b, neg=lambda a: -a,
-                   mul=lambda a, b: a * b, is_zero=lambda a: a.is_zero)
+_COEFF_RING = operator_ring(Coefficient.zero(), Coefficient.one())
 
 
 def _series_ring(basis) -> Ring:
@@ -248,21 +247,13 @@ def _numeric_ring(basis) -> tuple[Ring, object]:
 
     eadd = basis._cache.setdefault(("eadd",), {})
 
+    def least(s: _NumSeries) -> Optional[Exponent]:
+        return min(s.terms, key=basis.ordering_key) if s.terms else s.bound
+
     def mul(a: _NumSeries, b: _NumSeries) -> _NumSeries:
         if (not a.terms and a.bound is None) or (not b.terms and b.bound is None):
             return _NumSeries({}, None)
-        bounds = []
-        if a.bound is not None:
-            m = min(b.terms, key=basis.ordering_key) if b.terms else b.bound
-            if m is not None:
-                bounds.append(a.bound + m)
-        if b.bound is not None:
-            m = min(a.terms, key=basis.ordering_key) if a.terms else a.bound
-            if m is not None:
-                bounds.append(b.bound + m)
-        bound = None
-        for cand in bounds:
-            bound = cand if bound is None else meet_bounds(basis, bound, cand)
+        bound = product_bound(basis, a.bound, least(a), b.bound, least(b))
         out: dict = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():

@@ -225,3 +225,11 @@ class TestConfig:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error[config]:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("horizon", ['{bad', '{"lam": "x"}', '{"lam": 1}'])
+    def test_bad_horizon_is_config_error(self, horizon, geometric_file, capsys):
+        code = main(["substitute", "--series", str(geometric_file),
+                     "--eq", "f' + lam*f + lam*f^2", "--horizon", horizon])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:") and "Traceback" not in err

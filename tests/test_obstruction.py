@@ -33,6 +33,12 @@ from dforge.series import Exponent, SymbolBasis
 from dforge.transforms import verify_hilbert_zeta, verify_rescale_invariance
 
 
+def _unassumed(basis: SymbolBasis) -> SymbolBasis:
+    """The same symbols and values, without assuming their independence."""
+    return SymbolBasis.from_pairs(zip(basis.symbols, basis.values), basis.precision,
+                                  independence_assumed=False)
+
+
 class TestFiniteBasis:
     def test_zeta_100_rank_25(self):
         basis, vecs = log_basis_for_indices(range(1, 101), PREC)
@@ -54,6 +60,17 @@ class TestFiniteBasis:
     def test_single_exponential(self, lam_basis):
         cert = finite_basis_certificate([Exponent.of("lam")], 10, lam_basis)
         assert cert.evidence["final_rank"] == 1
+
+    def test_unassumed_independence_refutes_nothing(self):
+        basis, vecs = log_basis_for_indices(range(1, 40), PREC)
+        stream = [vecs[n] for n in range(1, 40)]
+        assumed = finite_basis_certificate(stream, 4, basis)
+        assert assumed.evidence["outcome"] == "rank_exceeded"
+        unassumed = finite_basis_certificate(stream, 4, _unassumed(basis))
+        assert unassumed.evidence["outcome"] == "rank_exceeded_unassumed"
+        assert unassumed.evidence["exceeded_at"] == assumed.evidence["exceeded_at"]
+        assert not unassumed.is_refutation
+        assert recheck(unassumed).ok
 
 
 class TestGap:
@@ -142,6 +159,17 @@ class TestBivariate:
         assert cert.evidence["rational_accumulation"] is None
         assert cert.evidence["drift"] == "to_infinity"
         assert recheck(cert).ok
+
+    def test_rank_condition_needs_assumed_independence(self):
+        basis, vecs = log_basis_for_indices(range(2, 40), PREC)
+        exponents = [vecs[n] for n in range(2, 40)]
+        degrees = list(range(2, 40))
+        assumed = bivariate_certificate(degrees, exponents, basis)
+        assert assumed.evidence["condition_no_finite_basis_at_scan"] is True
+        unassumed = bivariate_certificate(degrees, exponents, _unassumed(basis))
+        assert unassumed.evidence["condition_no_finite_basis_at_scan"] is False
+        assert unassumed.evidence["rank_history"] == assumed.evidence["rank_history"]
+        assert recheck(unassumed).ok
 
     def test_float_inputs_recorded_exactly(self):
         values = [math.log(i) for i in range(2, 40)]

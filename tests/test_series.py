@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from conftest import PREC, convolve_oracle, rand_fraction
+from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
 from dforge.series import (
     Coefficient,
@@ -23,6 +24,7 @@ from dforge.series import (
     truncate,
     zero_series,
 )
+from dforge.transforms import PdePolynomial
 
 
 class TestMakeSeries:
@@ -282,3 +284,86 @@ class TestCoefficientNormalForm:
         with mpmath.workprec(PREC):
             expected = mpmath.log(2) * mpmath.exp(-mpmath.log(3))
             assert abs(val - expected) < mpmath.mpf(2) ** (-100)
+
+
+def _powers(rng, factors, most=2):
+    """A canonical sorted ((factor, positive power), ...) tuple."""
+    chosen = rng.sample(factors, rng.randint(0, len(factors)))
+    return tuple(sorted((f, rng.randint(1, most)) for f in chosen))
+
+
+_DAMPINGS = [Exponent(), Exponent.of("L2"), Exponent.make({"L3": Fraction(-1, 2)}, 1)]
+
+
+def _coefficient_pair(rng):
+    return (_powers(rng, ["L2", "L3"]), rng.choice(_DAMPINGS)), rand_fraction(rng)
+
+
+def _rand_coefficient(rng, size):
+    return Coefficient.collect(_coefficient_pair(rng) for _ in range(rng.randint(0, size)))
+
+
+_INDETERMINATES = [DiffIndeterminate.make(0), DiffIndeterminate.make(1),
+                   DiffIndeterminate.make(0, 1)]
+_BETAS = [(0, 0), (1, 0), (0, 1)]
+
+# name -> (random (monomial, coefficient) pair, canonical key, class, extra fields)
+_KERNEL_CASES = {
+    "Coefficient": (_coefficient_pair, lambda m: (m[0], m[1].sort_key()), Coefficient, ()),
+    "XPoly": (
+        lambda rng: (rng.randint(0, 3), _rand_coefficient(rng, 2)),
+        lambda m: m, XPoly, ()),
+    "DiffPolynomial": (
+        lambda rng: ((rng.randint(0, 1), _powers(rng, _INDETERMINATES)),
+                     _rand_coefficient(rng, 2)),
+        lambda m: m, DiffPolynomial, ()),
+    "PdePolynomial": (
+        lambda rng: ((_powers(rng, _BETAS), (rng.randint(0, 1), rng.randint(0, 1))),
+                     _rand_coefficient(rng, 2)),
+        lambda m: m, PdePolynomial, (2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+class TestSparseKernel:
+    """Canonical form and ring laws shared by every sparse polynomial class."""
+
+    def _elements(self, name, count, most=3):
+        pair, _, cls, fields = _KERNEL_CASES[name]
+        rng = random.Random(sum(map(ord, name)))
+        out = []
+        for _ in range(count):
+            pairs = [pair(rng) for _ in range(rng.randint(0, most))]
+            out.append((cls.collect(pairs, *fields), pairs))
+        return cls, fields, out
+
+    def test_canonical_terms(self, name):
+        key = _KERNEL_CASES[name][1]
+        cls, fields, elements = self._elements(name, 30, most=6)
+        rng = random.Random(5)
+        for p, pairs in elements:
+            assert all(c != type(c)() for _, c in p.terms)
+            keys = [key(m) for m, _ in p.terms]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            shuffled = pairs[:]
+            rng.shuffle(shuffled)
+            assert cls.collect(shuffled, *fields).terms == p.terms
+            summed = cls.zero(*fields)
+            for pair in reversed(pairs):
+                summed = summed + cls.collect([pair], *fields)
+            assert summed.terms == p.terms
+
+    def test_ring_laws(self, name):
+        cls, fields, elements = self._elements(name, 24)
+        values = [p for p, _ in elements]
+        one = cls.one(*fields)
+        for a, b, c in zip(values[0::3], values[1::3], values[2::3]):
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a + b == b + a
+            assert a * b == b * a
+            assert a * (b + c) == a * b + a * c
+            assert (a - a).is_zero and (a - a).terms == ()
+            assert a ** 0 == one
+            assert a ** 3 == a * a * a
+            assert a * one == a
