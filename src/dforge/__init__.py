@@ -29,6 +29,7 @@ from .formal_eval import (
 )
 from .grammar import parse_coefficient, parse_diffpoly, pretty
 from .lattice import (
+    Lattice,
     LatticeBasis,
     PrimeSupport,
     express,

@@ -1,9 +1,10 @@
 """Integer-linear structure of exponent systems.
 
 Exponents are rational vectors over the symbol basis (plus the constant
-coordinate).  Clearing denominators turns a finite family into an integer
-matrix whose row lattice is computed in Hermite normal form; the resulting
-generators witness minimal rank and support exact membership tests.
+coordinate).  A :class:`Lattice` keeps the integer row lattice of a growing
+family incrementally, one common denominator cleared; its canonical
+generators are the Hermite normal form of those rows, which witness minimal
+rank and support exact membership tests.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import FactorLimitExceeded, NotInLatticeError, PrecisionTieWarning
-from .linalg import rational_rank
 from .series import (
     Coefficient,
     Exponent,
@@ -29,21 +30,6 @@ _CONST_COL = None
 
 def _columns(basis: SymbolBasis) -> tuple:
     return (_CONST_COL, *basis.symbols)
-
-
-def _exponent_row(e: Exponent, columns) -> list[Fraction]:
-    return [e.const if c is _CONST_COL else e.coord(c) for c in columns]
-
-
-def _row_to_exponent(row: Sequence[Fraction], columns) -> Exponent:
-    coords = {}
-    const = Fraction(0)
-    for c, v in zip(columns, row):
-        if c is _CONST_COL:
-            const = v
-        else:
-            coords[c] = v
-    return Exponent.make(coords, const)
 
 
 def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -80,26 +66,191 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     return m[:r]
 
 
-def _solve_over_echelon(vec: Sequence[Fraction],
-                        rows: Sequence[Sequence[Fraction]]) -> Optional[list[int]]:
-    """Integer coefficients c with vec = sum c_i rows_i, or None."""
-    v = list(vec)
-    coeffs = []
-    for row in rows:
-        pc = next((j for j, x in enumerate(row) if x != 0), None)
-        if pc is None:
-            coeffs.append(0)
-            continue
-        q = v[pc] / row[pc]
-        if q.denominator != 1:
+# ---------------------------------------------------------------------------
+# Sparse integer rows: {column index: nonzero int}, column 0 the constant.
+# Rows are never mutated in place, so echelons may share them.
+# ---------------------------------------------------------------------------
+
+def _int_row(e: Exponent, index: dict, denom: int) -> Optional[dict[int, int]]:
+    """The row of ``denom * e``, or None when ``e`` has a symbol outside
+    ``index`` or a denominator that does not divide ``denom``."""
+    row = {}
+    for j, q in ((0, e.const), *((index.get(n), q) for n, q in e.coords)):
+        if j is None or denom % q.denominator:
             return None
-        q = int(q)
-        coeffs.append(q)
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    if any(v):
+            row[j] = q.numerator * (denom // q.denominator)
+    return row
+
+
+def _minus(u: dict, q: int, v: dict) -> dict:
+    """The row ``u - q*v``."""
+    out = dict(u)
+    for j, x in v.items():
+        y = out.get(j, 0) - q * x
+        if y:
+            out[j] = y
+        else:
+            out.pop(j, None)
+    return out
+
+
+def _insert(pivots: dict, row: dict) -> bool:
+    """Reduce ``row`` into the echelon ``pivots`` (leading column -> row).
+
+    Euclid on the leading entries: subtract the pivot row's multiple and,
+    while a remainder is left, swap it in as the pivot row.  Each step is
+    unimodular on the pair, so the pivot rows keep generating exactly the
+    lattice of all rows inserted.  True when the row survives as a new pivot
+    row, that is, when the rank grows.
+    """
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = row
+            return True
+        q, r = divmod(row[c], p[c])
+        row = _minus(row, q, p)
+        if r:
+            pivots[c], row = row, p
+    return False
+
+
+def _divide_out(pivots: dict, row: dict) -> Optional[dict[int, int]]:
+    """Quotients {pivot column: q} with ``row == sum q * pivots[c]``, or None.
+
+    Exact-division back-substitution: a lattice element's leading entry is
+    a multiple of the pivot in its leading column, or it is not in the
+    lattice at all.
+    """
+    quotients = {}
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            return None
+        q, r = divmod(row[c], p[c])
+        if r:
+            return None
+        quotients[c] = q
+        row = _minus(row, q, p)
+    return quotients
+
+
+class Lattice:
+    """Integer row lattice of a growing exponent family, kept incrementally.
+
+    Rows are sparse integer vectors over the columns ``(const, *symbols)``
+    scaled by one common denominator, in echelon form keyed by leading
+    column.  ``add`` reduces each new row into the echelon by unimodular
+    Euclid steps, so nothing is ever re-eliminated; ``history`` holds
+    ``(count added, rank)`` at every rank increase.  ``contains`` decides
+    membership exactly, ``generators`` gives the canonical (Hermite normal
+    form) generators and ``finish`` the full :class:`LatticeBasis`.
+    """
+
+    def __init__(self, basis: SymbolBasis):
+        self.basis = basis
+        self.cols = _columns(basis)
+        self._index = {c: j for j, c in enumerate(self.cols)}
+        self.exponents: list[Exponent] = []
+        self.history: list[tuple[int, int]] = []
+        self.rank = 0
+        self._denom = 1
+        self._pivots: dict[int, dict[int, int]] = {}
+        # echelon of the rank-raising inputs alone, for ``input_subset``
+        self._picked: dict[int, dict[int, int]] = {}
+        self._finished: Optional[LatticeBasis] = None
+
+    def add(self, e: Exponent) -> int:
+        """Add one exponent; returns the rank of everything added so far."""
+        self.basis.validate_exponent(e)
+        self.exponents.append(e)
+        self._finished = None
+        self._clear_denominators(e)
+        row = _int_row(e, self._index, self._denom)
+        if _insert(self._pivots, row):
+            _insert(self._picked, row)
+            self.rank += 1
+            self.history.append((len(self.exponents), self.rank))
+        return self.rank
+
+    def _clear_denominators(self, e: Exponent) -> None:
+        d = math.lcm(self._denom, e.const.denominator, *(q.denominator for _, q in e.coords))
+        if d != self._denom:
+            k = d // self._denom
+            for pivots in (self._pivots, self._picked):
+                for c, row in pivots.items():
+                    pivots[c] = {j: k * x for j, x in row.items()}
+            self._denom = d
+
+    def contains(self, e: Exponent) -> bool:
+        """Exact membership of ``e`` in the lattice."""
+        return self._coordinates(e) is not None
+
+    def _coordinates(self, e: Exponent) -> Optional[tuple[int, ...]]:
+        """Integer coefficients of ``e`` over the pivot rows in insertion
+        order, or None."""
+        row = _int_row(e, self._index, self._denom)
+        quotients = None if row is None else _divide_out(self._pivots, row)
+        if quotients is None:
+            return None
+        return tuple(quotients.get(c, 0) for c in self._pivots)
+
+    def express(self, e: Exponent) -> Optional[tuple[int, ...]]:
+        """Integer coordinates of ``e`` over ``generators()``, or None."""
+        return express(e, self.finish())
+
+    def generators(self) -> tuple[Exponent, ...]:
+        """Hermite-normal-form generators, each signed to a positive value.
+
+        The HNF of a lattice is unique for a fixed column order, so these do
+        not depend on the order in which exponents were added.
+        """
+        n = len(self.cols)
+        rows = [[self._pivots[c].get(j, 0) for j in range(n)] for c in sorted(self._pivots)]
+        gens = []
+        for row in hermite_normal_form(rows):
+            g = Exponent.make({c: Fraction(v, self._denom)
+                               for c, v in zip(self.cols[1:], row[1:]) if v},
+                              Fraction(row[0], self._denom))
+            val = self.basis.exponent_value(g)
+            if val < 0:
+                g = -g
+            elif val == 0 and not g.is_zero:
+                warnings.warn(
+                    f"lattice generator ({g}) evaluates to zero; "
+                    "numeric independence of the basis is in doubt",
+                    PrecisionTieWarning, stacklevel=2)
+            gens.append(g)
+        return tuple(gens)
+
+    def finish(self) -> LatticeBasis:
+        """Generators, every input over them, and a generating input subset."""
+        if self._finished is None:
+            gens = self.generators()
+            echelon = _lattice_of(gens, self.basis)
+            change = tuple(echelon._coordinates(e) for e in self.exponents)
+            if None in change:
+                raise AssertionError("input exponent not expressible over its own HNF basis")
+            self._finished = LatticeBasis(self.basis, gens, change, self.rank,
+                                          self._input_subset())
+        return self._finished
+
+    def _input_subset(self) -> Optional[tuple[int, ...]]:
+        # The rank-raising inputs span a sublattice S of the same rank; with
+        # both in echelon form over the same pivot columns, each pivot of S
+        # is a multiple of the matching pivot here and the index of S is the
+        # product of the ratios, so S is the whole lattice exactly when the
+        # pivots agree up to sign.
+        if all(abs(self._picked[c][c]) == abs(p[c]) for c, p in self._pivots.items()):
+            return tuple(count - 1 for count, _ in self.history)
         return None
-    return coeffs
+
+
+# Name kept for rank-scan callers; perfbench's tracer wraps ``RankScan.add``.
+RankScan = Lattice
 
 
 @dataclass(frozen=True)
@@ -117,9 +268,18 @@ class LatticeBasis:
     rank: int
     input_subset: Optional[tuple[int, ...]] = None
 
-    def generator_rows(self) -> list[list[Fraction]]:
-        cols = _columns(self.basis)
-        return [_exponent_row(g, cols) for g in self.generators]
+    @cached_property
+    def _echelon(self) -> Lattice:
+        # HNF generators are in echelon order with distinct leading columns,
+        # so each becomes its own pivot row, in generator order.
+        return _lattice_of(self.generators, self.basis)
+
+
+def _lattice_of(exponents: Sequence[Exponent], basis: SymbolBasis) -> Lattice:
+    lattice = Lattice(basis)
+    for e in exponents:
+        lattice.add(e)
+    return lattice
 
 
 def integer_basis(exponents: Sequence[Exponent], basis: SymbolBasis) -> LatticeBasis:
@@ -128,78 +288,12 @@ def integer_basis(exponents: Sequence[Exponent], basis: SymbolBasis) -> LatticeB
     Generators are returned in the symbol space with positive numeric
     values; empty input gives rank 0.
     """
-    exponents = list(exponents)
-    cols = _columns(basis)
-    for e in exponents:
-        basis.validate_exponent(e)
-    if not exponents:
-        return LatticeBasis(basis, (), (), 0, ())
-    rows = [_exponent_row(e, cols) for e in exponents]
-    denom_lcm = 1
-    for row in rows:
-        for v in row:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    int_rows = [[int(v * denom_lcm) for v in row] for row in rows]
-    hnf_rows = hermite_normal_form(int_rows)
-    gen_rows = [[Fraction(v, denom_lcm) for v in row] for row in hnf_rows]
-    generators = []
-    for row in gen_rows:
-        g = _row_to_exponent(row, cols)
-        val = basis.exponent_value(g)
-        if val < 0:
-            g = -g
-            row[:] = [-v for v in row]
-        elif val == 0 and not g.is_zero:
-            warnings.warn(
-                f"lattice generator ({g}) evaluates to zero; "
-                "numeric independence of the basis is in doubt",
-                PrecisionTieWarning, stacklevel=2)
-        generators.append(g)
-    change = []
-    for e, row in zip(exponents, rows):
-        sol = _solve_over_echelon(row, gen_rows)
-        if sol is None:
-            raise AssertionError("input exponent not expressible over its own HNF basis")
-        change.append(tuple(sol))
-    subset = _same_lattice_subset(rows, gen_rows)
-    return LatticeBasis(basis, tuple(generators), tuple(change),
-                        len(generators), subset)
-
-
-def _same_lattice_subset(rows, gen_rows) -> Optional[tuple[int, ...]]:
-    """Indices of a rank-sized input subset generating the same lattice."""
-    picked: list[int] = []
-    picked_rows: list = []
-    target = len(gen_rows)
-    for i, row in enumerate(rows):
-        if len(picked) == target:
-            break
-        if rational_rank(picked_rows + [row]) > len(picked):
-            picked.append(i)
-            picked_rows.append(row)
-    if len(picked) < target:
-        return None
-    denom_lcm = 1
-    for row in picked_rows:
-        for v in row:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    sub_hnf = hermite_normal_form([[int(v * denom_lcm) for v in row] for row in picked_rows])
-    sub_rows = [[Fraction(v, denom_lcm) for v in row] for row in sub_hnf]
-    for grow in gen_rows:
-        if _solve_over_echelon(grow, sub_rows) is None:
-            return None
-    return tuple(picked)
+    return _lattice_of(exponents, basis).finish()
 
 
 def express(e: Exponent, B: LatticeBasis) -> Optional[tuple[int, ...]]:
     """Exact integer coordinates of ``e`` over the generators, or None."""
-    cols = _columns(B.basis)
-    for n, _ in e.coords:
-        if n not in B.basis.symbols:
-            return None
-    vec = _exponent_row(e, cols)
-    sol = _solve_over_echelon(vec, B.generator_rows())
-    return None if sol is None else tuple(sol)
+    return B._echelon._coordinates(e)
 
 
 def reconstruct(B: LatticeBasis, coeffs: Sequence[int]) -> Exponent:
@@ -209,31 +303,6 @@ def reconstruct(B: LatticeBasis, coeffs: Sequence[int]) -> Exponent:
         if c:
             total = total + g * c
     return total
-
-
-class RankScan:
-    """Incremental lattice-rank tracker over a stream of exponents."""
-
-    def __init__(self, basis: SymbolBasis):
-        self.basis = basis
-        self.cols = _columns(basis)
-        self.rows: list[list[Fraction]] = []
-        self.exponents: list[Exponent] = []
-        self.rank = 0
-        self.history: list[tuple[int, int]] = []  # (count scanned, rank)
-
-    def add(self, e: Exponent) -> int:
-        self.basis.validate_exponent(e)
-        self.exponents.append(e)
-        self.rows.append(_exponent_row(e, self.cols))
-        new_rank = rational_rank(self.rows)
-        if new_rank != self.rank:
-            self.rank = new_rank
-            self.history.append((len(self.exponents), new_rank))
-        return self.rank
-
-    def finish(self) -> LatticeBasis:
-        return integer_basis(self.exponents, self.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .io import (
     parse_frac,
     series_to_obj,
 )
-from .lattice import RankScan, factorize, gap_ratios, integer_basis
+from .lattice import Lattice, factorize, gap_ratios, integer_basis
 from .numeric import workprec
 from .series import Exponent, FormalSeries, SymbolBasis
 
@@ -169,13 +169,12 @@ def finite_basis_certificate(exponents: Sequence[Exponent], rank_bound: int,
     assumption an exceeded bound is reported as ``rank_exceeded_unassumed``
     and refutes nothing.
     """
-    scan = RankScan(basis)
+    scan = Lattice(basis)
     exceeded_at = None
     for e in exponents:
         rank = scan.add(e)
         if rank > rank_bound and exceeded_at is None:
             exceeded_at = len(scan.exponents)
-    lattice = scan.finish()
     if exceeded_at is None:
         outcome = "rank_stabilized"
     elif basis.independence_assumed:
@@ -186,8 +185,8 @@ def finite_basis_certificate(exponents: Sequence[Exponent], rank_bound: int,
         "rank_bound": rank_bound,
         "exponents": [exponent_to_obj(e) for e in scan.exponents],
         "rank_history": [list(h) for h in scan.history],
-        "final_rank": lattice.rank,
-        "generators": [exponent_to_obj(g) for g in lattice.generators],
+        "final_rank": scan.rank,
+        "generators": [exponent_to_obj(g) for g in scan.generators()],
         "outcome": outcome,
         "exceeded_at": exceeded_at,
         "stable_since": scan.history[-1][0] if scan.history else 0,
@@ -386,7 +385,7 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
     rank_unbounded = gap_exceeded = False
     rank_history = []
     if symbolic:
-        scan = RankScan(basis)
+        scan = Lattice(basis)
         for e in exponents:
             scan.add(e)
         rank_history = [list(h) for h in scan.history]

@@ -187,7 +187,8 @@ class SymbolBasis:
     values: tuple[str, ...]
     precision: int = DEFAULT_PRECISION
     independence_assumed: bool = True
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _cache: dict = field(init=False, default_factory=dict, compare=False, repr=False,
+                         hash=False)
 
     def __post_init__(self):
         if len(self.symbols) != len(set(self.symbols)):

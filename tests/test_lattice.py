@@ -1,16 +1,20 @@
 """Integer lattices of exponents: HNF bases, membership, prime support,
 multi-index rewriting, gap statistics."""
 
+import hashlib
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from conftest import PREC
-from dforge.errors import FactorLimitExceeded
+from dforge.errors import FactorLimitExceeded, PrecisionTieWarning
+from dforge.io import canonical_json, exponent_to_obj
 from dforge.lattice import (
+    Lattice,
     RankScan,
     express,
     factorize,
@@ -24,6 +28,7 @@ from dforge.lattice import (
     reconstruct,
 )
 from dforge.linalg import rational_rank
+from dforge.obstruction import finite_basis_certificate
 from dforge.series import Exponent, SymbolBasis, make_series
 
 
@@ -226,3 +231,171 @@ class TestLogBasisForIndices:
     def test_limit_raises(self):
         with pytest.raises(FactorLimitExceeded):
             log_basis_for_indices([1000003 * 1000033], PREC, limit=100)
+
+
+def _golden_streams():
+    rng = random.Random(4017)
+    return {
+        "zeta100": list(range(1, 101)),
+        "zeta400": list(range(1, 401)),
+        "random": [rng.randint(1, 600) for _ in range(150)],
+        "sample": random.Random(4019).sample(range(1, 320), 120),
+    }
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+class TestGolden:
+    """Digests of the corpus outputs, recorded with the re-eliminating
+    (dense rational-rank and batch HNF) implementation."""
+
+    # stream: (finite_basis_certificate JSON, basis --corpus object)
+    DIGESTS = {
+        "zeta100": ("6dc5b39cff1cd928bc742be6", "4ec18c7c1c3d73f974440761"),
+        "zeta400": ("735ce51faa7002cfbdc13297", "fe5a4ceb1182173e4d2a0d35"),
+        "random": ("5f48928df91405a97fbdd7df", "67082d7d50e618d49bd929b3"),
+        "sample": ("8d11d45880ccb3c8187f3112", "a7eb2eedec95b0df7693e09b"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_corpus_outputs_unchanged(self, name):
+        indices = _golden_streams()[name]
+        basis, exps = log_basis_for_indices(indices, PREC)
+        stream = [exps[n] for n in indices]
+        cert = finite_basis_certificate(stream, 12, basis).to_json()
+        B = integer_basis(stream, basis)
+        obj = canonical_json({
+            "rank": B.rank,
+            "generators": [exponent_to_obj(g) for g in B.generators],
+            "change_of_basis": [list(r) for r in B.change_of_basis],
+            "input_subset": None if B.input_subset is None else list(B.input_subset),
+        })
+        assert (_digest(cert), _digest(obj)) == self.DIGESTS[name]
+
+
+_ORACLE_BASIS = SymbolBasis.from_pairs(
+    [("a", "1.1"), ("b", "2.3"), ("c", "3.7")], precision=PREC)
+
+
+def _random_family(rng):
+    """Rational exponents with mixed denominators and a constant part,
+    salted with zero and repeated rows."""
+    names = _ORACLE_BASIS.symbols
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if r < 0.1:
+            out.append(Exponent.zero())
+        elif r < 0.2 and out:
+            out.append(rng.choice(out))
+        else:
+            coords = {rng.choice(names): Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+                      for _ in range(rng.randint(1, 4))}
+            const = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) if rng.random() < 0.6 else 0
+            out.append(Exponent.make(coords, const))
+    return out
+
+
+def _dense(exps):
+    """Integer rows over (const, a, b, c) and their common denominator."""
+    rows = [[e.const, *(e.coord(n) for n in _ORACLE_BASIS.symbols)] for e in exps]
+    denom = math.lcm(1, *(q.denominator for row in rows for q in row))
+    return [[int(q * denom) for q in row] for row in rows], denom
+
+
+def _dense_hnf_generators(exps):
+    rows, denom = _dense(exps)
+    gens = []
+    for row in hermite_normal_form(rows):
+        g = Exponent.make({n: Fraction(v, denom) for n, v in zip(_ORACLE_BASIS.symbols, row[1:])},
+                          Fraction(row[0], denom))
+        gens.append(-g if _ORACLE_BASIS.exponent_value(g) < 0 else g)
+    return tuple(gens)
+
+
+def _member(e, exps):
+    """Exact membership: adding e leaves the HNF of the lattice unchanged."""
+    if any(n not in _ORACLE_BASIS.symbols for n in e.symbols()):
+        return False
+    return _dense_hnf_generators(exps + [e]) == _dense_hnf_generators(exps)
+
+
+def _greedy_subset(exps, rank):
+    """Rank-raising inputs, kept when their HNF equals the family's."""
+    picked = []
+    for i in range(len(exps)):
+        if len(picked) == rank:
+            break
+        if rational_rank(_dense([exps[j] for j in picked + [i]])[0]) > len(picked):
+            picked.append(i)
+    if _dense_hnf_generators([exps[j] for j in picked]) != _dense_hnf_generators(exps):
+        return None
+    return tuple(picked)
+
+
+class TestLatticeOracles:
+    FAMILIES = [_random_family(random.Random(seed)) for seed in range(120)]
+
+    def test_generators_are_dense_hnf(self):
+        for exps in self.FAMILIES:
+            assert integer_basis(exps, _ORACLE_BASIS).generators == _dense_hnf_generators(exps)
+
+    def test_change_of_basis_reconstructs(self):
+        for exps in self.FAMILIES:
+            B = integer_basis(exps, _ORACLE_BASIS)
+            assert len(B.change_of_basis) == len(exps)
+            for e, coords in zip(exps, B.change_of_basis):
+                assert len(coords) == B.rank and reconstruct(B, coords) == e
+
+    def test_history_prefix_ranks(self):
+        for exps in self.FAMILIES:
+            lattice = Lattice(_ORACLE_BASIS)
+            for k, e in enumerate(exps, 1):
+                rank = lattice.add(e)
+                assert rank == rational_rank(_dense(exps[:k])[0])
+            ranks = [rational_rank(_dense(exps[:k])[0]) for k in range(len(exps) + 1)]
+            assert lattice.history == [(k, ranks[k]) for k in range(1, len(ranks))
+                                       if ranks[k] > ranks[k - 1]]
+
+    def test_membership_and_express(self):
+        rng = random.Random(77)
+        for exps in self.FAMILIES:
+            lattice = Lattice(_ORACLE_BASIS)
+            for e in exps:
+                lattice.add(e)
+            B = integer_basis(exps, _ORACLE_BASIS)
+            combo = Exponent.zero()
+            for e in exps:
+                combo = combo + e * rng.randint(-2, 2)
+            probes = [combo, combo + Exponent.of("a", Fraction(1, 7)),
+                      combo + Exponent.constant(Fraction(1, 2)), Exponent.of("z"),
+                      combo + Exponent.of("z"), Exponent.make({"b": 2}, 3)]
+            probes += [g * Fraction(1, 2) for g in B.generators]
+            for p in probes:
+                member = _member(p, exps)
+                coords = express(p, B)
+                assert lattice.contains(p) == member == (coords is not None)
+                assert lattice.express(p) == coords
+                if member:
+                    assert reconstruct(B, coords) == p
+
+    def test_input_subset_is_greedy(self):
+        for exps in self.FAMILIES:
+            B = integer_basis(exps, _ORACLE_BASIS)
+            assert B.input_subset == _greedy_subset(exps, B.rank)
+        assert any(integer_basis(exps, _ORACLE_BASIS).input_subset is None
+                   for exps in self.FAMILIES)
+
+    def test_zero_valued_generator_warns(self):
+        basis = SymbolBasis.from_pairs([("a", "1.5")], precision=PREC)
+        # 2a - 3 vanishes numerically at a = 1.5
+        with pytest.warns(PrecisionTieWarning):
+            B = integer_basis([Exponent.make({"a": 2}, -3)], basis)
+        assert B.rank == 1
+        with pytest.warns(PrecisionTieWarning):
+            finite_basis_certificate([Exponent.make({"a": 2}, -3)], 3, basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionTieWarning)
+            integer_basis([Exponent.make({"a": 2}, -1)], basis)

@@ -265,6 +265,18 @@ class TestExponentOrder:
         a = Exponent.make({"L2": Fraction(3, 2)})
         assert log_basis.compare(a, Exponent.make({"L2": Fraction(3, 2)})) == 0
 
+    def test_replace_starts_with_empty_cache(self):
+        # a basis made by dataclasses.replace must not serve values that
+        # were cached at the old precision
+        from dataclasses import replace
+        third = "0.33333333333333333333333333333333333333333333333333333333333"
+        low = SymbolBasis.from_pairs([("a", third)], precision=64)
+        low.value_of("a")
+        high = replace(low, precision=256)
+        assert high._cache is not low._cache
+        fresh = SymbolBasis.from_pairs([("a", third)], precision=256)
+        assert high.value_of("a") == fresh.value_of("a") != low.value_of("a")
+
 
 class TestCoefficientNormalForm:
     def test_multiplier_group_law(self):
