@@ -31,36 +31,52 @@ def operator_ring(zero, one) -> Ring:
                 mul=operator.mul, is_zero=lambda a: a.is_zero)
 
 
-def determinant(matrix: Sequence[Sequence[object]], ring: Ring):
-    """Determinant by minor expansion with memoized column-suffix minors."""
+def determinant(matrix: Sequence[Sequence[object]], ring: Ring,
+                table: Optional[dict] = None, keys: Optional[Sequence] = None):
+    """Determinant by minor expansion with memoized column-suffix minors.
+
+    The expansion runs down the columns in order, so the minor on rows ``R``
+    from column ``c`` on depends only on those rows of columns ``c..n-1``.
+    Given a ``table`` and one hashable key per column, that minor is stored
+    under ``(R, keys[c:])``: determinants whose matrices agree column for
+    column wherever their keys agree share their minors, and each comes out
+    exactly as it would over a fresh table.
+    """
     n = len(matrix)
     if n == 0:
         return ring.one
     for row in matrix:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
-    memo: dict = {}
+    if table is None:
+        table, suffixes = {}, range(n)
+    else:
+        keys = tuple(keys)
+        suffixes = [keys[c:] for c in range(n)]
+    return _minor(matrix, ring, table, suffixes, tuple(range(n)), 0)
 
-    def minor(rows: tuple, col: int):
-        if not rows:
-            return ring.one
-        key = rows
-        if key in memo:
-            return memo[key]
-        total = ring.zero
-        for pos, r in enumerate(rows):
-            entry = matrix[r][col]
-            if ring.is_zero(entry):
-                continue
-            sub = minor(rows[:pos] + rows[pos + 1:], col + 1)
-            term = ring.mul(entry, sub)
-            if pos % 2:
-                term = ring.neg(term)
-            total = ring.add(total, term)
-        memo[key] = total
+
+def _minor(matrix, ring: Ring, table: dict, suffixes, rows: tuple, col: int):
+    # a module-level recursion: a recursive closure would be a reference
+    # cycle holding the table until the cyclic garbage collector ran
+    if not rows:
+        return ring.one
+    key = (rows, suffixes[col])
+    total = table.get(key)
+    if total is not None:
         return total
-
-    return minor(tuple(range(n)), 0)
+    total = ring.zero
+    for pos, r in enumerate(rows):
+        entry = matrix[r][col]
+        if ring.is_zero(entry):
+            continue
+        sub = _minor(matrix, ring, table, suffixes, rows[:pos] + rows[pos + 1:], col + 1)
+        term = ring.mul(entry, sub)
+        if pos % 2:
+            term = ring.neg(term)
+        total = ring.add(total, term)
+    table[key] = total
+    return total
 
 
 def determinant_leibniz(matrix: Sequence[Sequence[object]], ring: Ring):

@@ -139,6 +139,11 @@ class Exponent:
         return (self.const, self.coords)
 
     def __add__(self, other: "Exponent") -> "Exponent":
+        # zero is the commonest operand (undamped coefficient monomials)
+        if not self.coords and not self._key[1]:
+            return other
+        if not other.coords and not other._key[1]:
+            return self
         items = dict(self.coords)
         for n, q in other.coords:
             items[n] = items.get(n, Fraction(0)) + q
@@ -167,6 +172,26 @@ class Exponent:
         if self.const != 0 or not pieces:
             pieces.append(("-" if self.const < 0 else "+", str(abs(self.const))))
         return _join_signed(pieces)
+
+
+class _ExponentSums(dict):
+    """Memo ``sums[a, b] == a + b`` that hands out one object per distinct sum.
+
+    Products add the same exponent pairs over and over; a shared object per
+    value also turns later dict lookups into identity hits.
+    """
+
+    __slots__ = ("_canon",)
+
+    def __init__(self):
+        super().__init__()
+        self._canon: dict = {}
+
+    def __missing__(self, key):
+        a, b = key
+        e = a + b
+        e = self[key] = self._canon.setdefault(e, e)
+        return e
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +256,15 @@ class SymbolBasis:
 
     def exponent_value(self, e: Exponent):
         key = ("exp", e)
-        if key not in self._cache:
+        total = self._cache.get(key)
+        if total is None:
             from .numeric import workprec
             with workprec(self.precision):
                 total = fraction_to_mpf(e.const, self.precision)
                 for n, q in e.coords:
                     total += fraction_to_mpf(q, self.precision) * self.value_of(n)
             self._cache[key] = total
-        return self._cache[key]
+        return total
 
     def validate_exponent(self, e: Exponent) -> None:
         for n, _ in e.coords:
@@ -247,9 +273,10 @@ class SymbolBasis:
 
     def float_value(self, e: Exponent) -> float:
         key = ("flt", e)
-        if key not in self._cache:
-            self._cache[key] = float(self.exponent_value(e))
-        return self._cache[key]
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = float(self.exponent_value(e))
+        return value
 
     def compare(self, a: Exponent, b: Exponent) -> int:
         """Total order: numeric at precision P, exact lexicographic on ties.
@@ -259,7 +286,7 @@ class SymbolBasis:
         Comparisons far from a tie are decided on cached float shadows of
         the precision-P values; the margin dwarfs the double rounding.
         """
-        if a == b:
+        if a is b or (a._hash == b._hash and a._key == b._key):
             return 0
         fa, fb = self.float_value(a), self.float_value(b)
         margin = 1e-9 * max(1.0, abs(fa), abs(fb))
@@ -281,6 +308,13 @@ class SymbolBasis:
 
     def ordering_key(self, e: Exponent):
         return (self.exponent_value(e), e.sort_key())
+
+    def exponent_sums(self) -> "_ExponentSums":
+        """The table of exponent sums shared by every product over this basis."""
+        sums = self._cache.get(("esum",))
+        if sums is None:
+            sums = self._cache[("esum",)] = _ExponentSums()
+        return sums
 
 
 def compare_bounds(basis: SymbolBasis, a: Optional[Exponent], b: Optional[Exponent]) -> int:
@@ -660,23 +694,34 @@ def _effective_min(s: FormalSeries) -> Optional[Exponent]:
 
 
 def _sorted_terms(basis: SymbolBasis, accum: dict) -> tuple:
+    # Ordered as by ``ordering_key``: float shadows round monotonically, so
+    # they differ in order from the precision-P values only when equal, and
+    # then the values decide.  An adjacent float gap above ``compare``'s
+    # margin (and twice the tie window) is no tie; only near-ties are
+    # measured at precision P.
     keyed = []
     for e, p in accum.items():
         if p.is_zero:
             continue
-        keyed.append((basis.exponent_value(e), e.sort_key(), e, p))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    thr = tie_threshold(basis.precision)
-    from .numeric import workprec
-    for i in range(len(keyed) - 1):
+        keyed.append((basis.float_value(e), basis.exponent_value(e), e.sort_key(), e, p))
+    keyed.sort(key=lambda t: t[:3])
+    thr = None
+    floor = 2.0 * 2.0 ** -basis.precision
+    for (fa, va, _, ea, _), (fb, vb, _, eb, _) in zip(keyed, keyed[1:]):
+        gap = fb - fa
+        if gap > floor and gap > 1e-9 * max(1.0, abs(fa), abs(fb)):
+            continue
+        if thr is None:
+            from .numeric import workprec
+            thr = tie_threshold(basis.precision)
         with workprec(basis.precision):
-            gap = abs(keyed[i + 1][0] - keyed[i][0])
+            gap = abs(vb - va)
         if gap <= thr:
             warnings.warn(
                 f"adjacent exponents tie within 2^-{basis.precision}: "
-                f"({keyed[i][2]}) vs ({keyed[i + 1][2]}); order fixed lexicographically",
+                f"({ea}) vs ({eb}); order fixed lexicographically",
                 PrecisionTieWarning, stacklevel=3)
-    return tuple((e, p) for _, _, e, p in keyed)
+    return tuple((e, p) for _, _, _, e, p in keyed)
 
 
 def _group(accum: dict) -> dict:
@@ -779,7 +824,7 @@ def product_bound(basis: SymbolBasis, a_bound: Optional[Exponent], a_least: Opti
     bound: Optional[Exponent] = None
     for t, least in ((a_bound, b_least), (b_bound, a_least)):
         if t is not None and least is not None:
-            candidate = t + least
+            candidate = basis.exponent_sums()[t, least]
             bound = candidate if bound is None else meet_bounds(basis, bound, candidate)
     return bound
 
@@ -793,10 +838,11 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
         return zero_series(basis)
     bound = product_bound(basis, a.truncation, _effective_min(a),
                           b.truncation, _effective_min(b))
+    sums = basis.exponent_sums()
     accum: dict = {}
     for ea, pa in a.terms:
         for eb, pb in b.terms:
-            e = ea + eb
+            e = sums[ea, eb]
             if bound is not None and basis.compare(e, bound) > 0:
                 continue
             accum.setdefault(e, []).extend(

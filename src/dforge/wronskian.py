@@ -70,12 +70,26 @@ class PowerProduct:
     def weight(self) -> int:
         return sum((o + 1) * k for o, k in self.powers)
 
-    def evaluate(self, phi: FormalSeries) -> FormalSeries:
+    def evaluate(self, phi: FormalSeries, memo: Optional[dict] = None) -> FormalSeries:
+        """The product on ``phi``, multiplied out factor by factor.
+
+        A ``memo`` shared by products over the same ``phi`` keeps every
+        derivative (keyed by order) and every partial product (keyed by the
+        tuple of factor orders multiplied so far), so products reuse a
+        common prefix; the operations are the same as without one.
+        """
+        memo = {} if memo is None else memo
         out = None
+        done = ()
         for order, k in self.powers:
-            factor = differentiate_s(phi, order)
+            factor = memo.get(order)
+            if factor is None:
+                factor = memo[order] = differentiate_s(phi, order)
             for _ in range(k):
-                out = factor if out is None else series_mul(out, factor)
+                done += (order,)
+                prev, out = out, memo.get(done)
+                if out is None:
+                    out = memo[done] = factor if prev is None else series_mul(prev, factor)
         return out
 
     def as_diffpoly(self, coefficient=None) -> DiffPolynomial:
@@ -113,21 +127,22 @@ def _partitions_as_orders(w: int) -> list[tuple[tuple[int, int], ...]]:
 
     A part of size p stands for one factor of derivative order p-1.
     """
-    results = []
-
-    def rec(remaining: int, max_part: int, acc: dict):
-        if remaining == 0:
-            results.append(tuple(sorted((p - 1, k) for p, k in acc.items())))
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            acc[p] = acc.get(p, 0) + 1
-            rec(remaining - p, p, acc)
-            acc[p] -= 1
-            if not acc[p]:
-                del acc[p]
-
-    rec(w, w, {})
+    results: list = []
+    _extend_partitions(w, w, {}, results)
     return results
+
+
+def _extend_partitions(remaining: int, max_part: int, acc: dict, results: list) -> None:
+    # module-level, since a recursive closure is a reference cycle
+    if remaining == 0:
+        results.append(tuple(sorted((p - 1, k) for p, k in acc.items())))
+        return
+    for p in range(min(remaining, max_part), 0, -1):
+        acc[p] = acc.get(p, 0) + 1
+        _extend_partitions(remaining - p, p, acc, results)
+        acc[p] -= 1
+        if not acc[p]:
+            del acc[p]
 
 
 def _graded_lex_key(p: PowerProduct):
@@ -174,12 +189,25 @@ class _Column:
 
     A stage caps the evaluated series at its first m terms; derivative rows
     commute with that cap (derivatives keep exponents), so each stage's rows
-    are exact leading-window data.
+    are exact leading-window data.  The screen's dyadic form of each row,
+    and the exponents up to each common bound, are kept beside them, so a
+    search computes them once per column.
     """
 
     def __init__(self, evaluated: FormalSeries):
         self.evaluated = evaluated
         self._rows: dict = {}
+        self._dyadic: dict = {}
+        self._upto: dict = {}
+
+    def exponents_upto(self, bound: Optional[Exponent]) -> list[Exponent]:
+        """Exponents of the evaluated series up to ``bound`` (all if None)."""
+        kept = self._upto.get(bound)
+        if kept is None:
+            compare = self.evaluated.basis.compare
+            kept = self._upto[bound] = [e for e, _ in self.evaluated.terms
+                                        if bound is None or compare(e, bound) <= 0]
+        return kept
 
     def rows(self, stage: Optional[int], count: int) -> list[FormalSeries]:
         chain = self._rows.get(stage)
@@ -193,6 +221,12 @@ class _Column:
             chain.append(differentiate_s(chain[-1]))
         return chain[:count]
 
+    def dyadic_rows(self, stage: int, count: int) -> list["_NumSeries"]:
+        chain = self._dyadic.setdefault(stage, [])
+        if len(chain) < count:
+            chain.extend(_NumSeries.from_series(s) for s in self.rows(stage, count)[len(chain):])
+        return chain[:count]
+
 
 def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int],
                            basis) -> FormalSeries:
@@ -201,14 +235,31 @@ def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int],
     return determinant(matrix, _series_ring(basis))
 
 
+_UNKNOWN = object()
+
+
 class _NumSeries:
     """Leading-window series with exact dyadic coefficients, for the screen."""
 
-    __slots__ = ("terms", "bound")
+    __slots__ = ("terms", "bound", "_least")
 
     def __init__(self, terms: dict, bound: Optional[Exponent]):
         self.terms = terms  # Exponent -> Fraction (dyadic)
         self.bound = bound
+        self._least = _UNKNOWN
+
+    @staticmethod
+    def from_series(s: FormalSeries) -> "_NumSeries":
+        """Precision-P values of the coefficients, kept exactly as dyadics."""
+        terms = {e: _as_dyadic(p.constant().numeric(s.basis)) for e, p in s.terms}
+        return _NumSeries(terms, s.truncation)
+
+    def least(self, basis) -> Optional[Exponent]:
+        """Least stored exponent, or the bound when no term is stored."""
+        if self._least is _UNKNOWN:
+            self._least = (min(self.terms, key=basis.ordering_key) if self.terms
+                           else self.bound)
+        return self._least
 
 
 def _as_dyadic(x) -> Fraction:
@@ -220,7 +271,7 @@ def _as_dyadic(x) -> Fraction:
     return Fraction(man) * Fraction(2) ** exp if exp < 0 else Fraction(man * 2 ** exp)
 
 
-def _numeric_ring(basis) -> tuple[Ring, object]:
+def _numeric_ring(basis) -> Ring:
     """Exact arithmetic over precision-P coefficient evaluations.
 
     Coefficients are evaluated numerically once (precision P); after that
@@ -228,10 +279,6 @@ def _numeric_ring(basis) -> tuple[Ring, object]:
     values, so the determinant screen is deterministic and free of any
     global floating-point context.
     """
-
-    def from_series(s: FormalSeries) -> _NumSeries:
-        terms = {e: _as_dyadic(p.constant().numeric(basis)) for e, p in s.terms}
-        return _NumSeries(terms, s.truncation)
 
     def add(a: _NumSeries, b: _NumSeries) -> _NumSeries:
         bound = meet_bounds(basis, a.bound, b.bound)
@@ -245,23 +292,16 @@ def _numeric_ring(basis) -> tuple[Ring, object]:
     def neg(a: _NumSeries) -> _NumSeries:
         return _NumSeries({e: -c for e, c in a.terms.items()}, a.bound)
 
-    eadd = basis._cache.setdefault(("eadd",), {})
-
-    def least(s: _NumSeries) -> Optional[Exponent]:
-        return min(s.terms, key=basis.ordering_key) if s.terms else s.bound
+    sums = basis.exponent_sums()
 
     def mul(a: _NumSeries, b: _NumSeries) -> _NumSeries:
         if (not a.terms and a.bound is None) or (not b.terms and b.bound is None):
             return _NumSeries({}, None)
-        bound = product_bound(basis, a.bound, least(a), b.bound, least(b))
+        bound = product_bound(basis, a.bound, a.least(basis), b.bound, b.least(basis))
         out: dict = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                key = (ea, eb)
-                e = eadd.get(key)
-                if e is None:
-                    e = ea + eb
-                    eadd[key] = e
+                e = sums[ea, eb]
                 if bound is not None and basis.compare(e, bound) > 0:
                     continue
                 prod = ca * cb
@@ -271,10 +311,38 @@ def _numeric_ring(basis) -> tuple[Ring, object]:
     zero = _NumSeries({}, None)
     one = _NumSeries({Exponent.zero(): Fraction(1)}, None)
     return Ring(zero=zero, one=one, add=add, neg=neg, mul=mul,
-                is_zero=lambda s: not s.terms), from_series
+                is_zero=lambda s: not s.terms)
 
 
-def _numeric_determinant(columns: Sequence[_Column], stage: int, basis):
+class _Screen:
+    """State of the precision-P determinant screen for one search.
+
+    A search makes one and drops it when it returns, so nothing outlives
+    the search.  It holds the dyadic ring and one minor table per stage,
+    shared by the determinants of every subset: subsets with a common
+    column suffix share those minors.  The probe stage serves every subset
+    size; a window stage serves one size and its table is dropped when the
+    search moves to the next size.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.ring = _numeric_ring(basis)
+        self.tol = Fraction(1, 2 ** (basis.precision // 2))
+        self._tables: dict = {}
+
+    def table(self, stage: int) -> dict:
+        table = self._tables.get(stage)
+        if table is None:
+            # subsets come by increasing size, and a window stage serves one
+            # size: a new one means the previous window table is done with
+            for old in [s for s in self._tables if s != _PROBE_TERMS]:
+                del self._tables[old]
+            table = self._tables[stage] = {}
+        return table
+
+
+def _numeric_determinant(columns: Sequence[_Column], stage: int, screen: _Screen):
     """Precision-P screen of the window Wronskian determinant.
 
     Input coefficients are precision-P evaluations; all subsequent
@@ -283,23 +351,18 @@ def _numeric_determinant(columns: Sequence[_Column], stage: int, basis):
     otherwise.  The exact linear algebra downstream never relies on this
     screen.
     """
-    cached = basis._cache.get(("screen_ring",))
-    if cached is None:
-        cached = _numeric_ring(basis)
-        basis._cache[("screen_ring",)] = cached
-    ring, from_series = cached
     k = len(columns)
-    matrix = [[from_series(col.rows(stage, k)[i]) for col in columns]
-              for i in range(k)]
-    det = determinant(matrix, ring)
-    tol = Fraction(1, 2 ** (basis.precision // 2))
-    hits = [e for e, c in det.terms.items() if abs(c) > tol]
+    cols = [col.dyadic_rows(stage, k) for col in columns]
+    matrix = [[col[i] for col in cols] for i in range(k)]
+    det = determinant(matrix, screen.ring, screen.table(stage), columns)
+    hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
     if not hits:
         return None
-    return min(hits, key=basis.ordering_key), det.bound
+    return min(hits, key=screen.basis.ordering_key), det.bound
 
 
-def _decide(columns: Sequence[_Column], basis) -> Union[Independent, Dependent]:
+def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, Dependent]:
+    basis = screen.basis
     k = len(columns)
     evaluated = [col.evaluated for col in columns]
     common: Optional[Exponent] = None
@@ -310,10 +373,8 @@ def _decide(columns: Sequence[_Column], basis) -> Union[Independent, Dependent]:
             common = s.truncation if common is None else meet_bounds(basis, common, s.truncation)
 
     exponents: dict = {}
-    for s in evaluated:
-        for e, _ in s.terms:
-            if common is None or basis.compare(e, common) <= 0:
-                exponents[e] = None
+    for col in columns:
+        exponents.update(dict.fromkeys(col.exponents_upto(common)))
     ordered = sorted(exponents, key=basis.ordering_key)
 
     def matrix_for(rows_list):
@@ -345,7 +406,7 @@ def _decide(columns: Sequence[_Column], basis) -> Union[Independent, Dependent]:
     # precision P (the decision itself is the exact algebra below).
     witness = None
     for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
-        witness = _numeric_determinant(columns, stage, basis)
+        witness = _numeric_determinant(columns, stage, screen)
         if witness is not None:
             return Independent(witness[0], witness[1])
 
@@ -404,11 +465,12 @@ def wronskian_dependence(products: Sequence[PowerProduct], phi: FormalSeries,
     if len(products) < 2:
         raise ValueError("dependence testing needs at least two products")
     work = _working_series(phi, horizon)
-    evaluated = [p.evaluate(work) for p in products]
+    memo: dict = {}
+    evaluated = [p.evaluate(work, memo) for p in products]
     for s in evaluated:
         if any(p.degree not in (0, None) for _, p in s.terms):
             raise ValueError("dependence testing expects univariate series")
-    return _decide([_Column(s) for s in evaluated], phi.basis)
+    return _decide([_Column(s) for s in evaluated], _Screen(phi.basis))
 
 
 def _confident_full_rank(matrix: list[list[float]], k: int) -> bool:
@@ -523,7 +585,8 @@ def derive_ade(phi: FormalSeries, max_weight: int,
     products = enumerate_products(max_weight)
     top = len(products) if max_k is None else min(max_k, len(products))
     work = _working_series(phi, horizon)
-    columns = [_Column(p.evaluate(work)) for p in products]
+    memo: dict = {}
+    columns = [_Column(p.evaluate(work, memo)) for p in products]
     for col in columns:
         if any(p.degree not in (0, None) for _, p in col.evaluated.terms):
             raise ValueError("equation search expects univariate series")
@@ -532,15 +595,18 @@ def derive_ade(phi: FormalSeries, max_weight: int,
     refuted: list[str] = []
     skipped: list[str] = []
     inconclusive: list[str] = []
+    screen = _Screen(phi.basis)
+    names = [str(p) for p in products]
+    weights = [p.weight for p in products]
     for k in range(2, top + 1):
         combos = sorted(itertools.combinations(range(len(products)), k),
-                        key=lambda idx: (sum(products[i].weight for i in idx), idx))
+                        key=lambda idx: (sum(weights[i] for i in idx), idx))
         for idx in combos:
             subset = [products[i] for i in idx]
-            label = " , ".join(str(p) for p in subset)
+            label = " , ".join(names[i] for i in idx)
             searched += 1
             try:
-                verdict = _decide([columns[i] for i in idx], phi.basis)
+                verdict = _decide([columns[i] for i in idx], screen)
             except HorizonTooShort as exc:
                 if exc.details == "underdetermined":
                     skipped.append(label)

@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracle helpers."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -66,3 +68,11 @@ def rand_fraction(rng, lo=-4, hi=4, max_den=3):
     den = rng.randint(1, max_den)
     num = rng.randint(lo * den, hi * den)
     return Fraction(num, den)
+
+
+def not_found_digest(result) -> str:
+    """sha256 of a NotFoundWithinW's count and its three subset lists."""
+    text = json.dumps([result.subsets_searched, list(result.candidates_refuted),
+                       list(result.skipped_underdetermined),
+                       list(result.skipped_inconclusive)])
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import PREC, exact_exponential, geometric_series
+from conftest import PREC, exact_exponential, geometric_series, not_found_digest
 from dforge.diffpoly import (
     DiffIndeterminate,
     DiffPolynomial,
@@ -230,6 +230,9 @@ def test_06_zeta_obstruction_evidence():
     # every dependence candidate that reached the cross-check was refuted;
     # windows too thin to certify anything are reported, never guessed at
     assert result.subsets_searched == 2036
+    # the three subset lists, recorded with a fresh minor table per determinant
+    assert not_found_digest(result) == \
+        "23113f7364fa06feab8b26da2aa477a2a7c1aeacdd418fc37e6a2baf9308b646"
     _report(6, "rank 25 refutation certificate; no equation of weight <= 4 "
                f"survives ({len(result.candidates_refuted)} refuted, "
                f"{len(result.skipped_underdetermined)} windows honestly skipped)",

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import PREC, exact_exponential, geometric_series, rand_fraction
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial, partial_wrt
-from dforge.errors import HorizonTooShort, PartialVanishes
+from dforge import formal_eval
+from dforge.errors import HorizonTooShort, PartialVanishes, VerificationFailed
 from dforge.formal_eval import (
     ExpPolynomial,
     certify_root_bound,
@@ -19,11 +20,12 @@ from dforge.formal_eval import (
     substitute,
 )
 from dforge.grammar import parse_diffpoly
-from dforge.lattice import log_basis_for_indices
+from dforge.lattice import express, integer_basis, log_basis_for_indices
 from dforge.numeric import workprec
 from dforge.series import (
     Coefficient,
     Exponent,
+    SymbolBasis,
     differentiate_s,
     make_series,
     series_add,
@@ -264,6 +266,71 @@ class TestForcingThreshold:
                 res = substitute(partial_wrt(F, ind), sub)
                 e, p = res.leading
                 assert (e, p.constant()) == (lam, b)
+
+
+def _prefix_oracle(exponents, checked, basis):
+    """The per-index construction: a fresh lattice of ``exponents[:i]``."""
+    verified = []
+    for i, (e, check) in enumerate(zip(exponents, checked)):
+        if check:
+            if express(e, integer_basis(exponents[:i], basis)) is None:
+                raise VerificationFailed(i)
+            verified.append(i)
+    return verified
+
+
+def _outcome(fn, *args):
+    try:
+        return ("verified", fn(*args))
+    except VerificationFailed as exc:
+        return ("failed", exc.index)
+
+
+class TestIncrementalLatticeCheck:
+    """One lattice grown with the index against a fresh lattice per index."""
+
+    def test_matches_prefix_oracle_on_random_families(self):
+        basis = SymbolBasis.from_pairs([("a", "1.1"), ("b", "2.3")], precision=PREC)
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(300):
+            exps = []
+            for _ in range(rng.randint(0, 9)):
+                if exps and rng.random() < 0.6:
+                    # an integer combination of earlier exponents
+                    e = Exponent.zero()
+                    for g in rng.sample(exps, min(len(exps), 2)):
+                        e = e + g * rng.randint(-3, 3)
+                else:
+                    e = Exponent.make({"a": rand_fraction(rng, -3, 3, 3),
+                                       "b": rand_fraction(rng, -3, 3, 2)},
+                                      rand_fraction(rng, -2, 2, 2))
+                exps.append(e)
+            checked = [rng.random() < 0.5 for _ in exps]
+            got = _outcome(formal_eval._verify_in_earlier_lattice, exps, checked, basis)
+            assert got == _outcome(_prefix_oracle, exps, checked, basis)
+            seen.add(got[0])
+        assert seen == {"verified", "failed"}
+
+    def test_forcing_threshold_matches_prefix_oracle(self, monkeypatch):
+        rng = random.Random(4)
+        reports = []
+        for _ in range(12):
+            basis = SymbolBasis.from_pairs(
+                [("lam", str(Fraction(rng.randint(2, 19), 10)))], precision=PREC)
+            lam = Exponent.of("lam")
+            n = rng.randint(6, 16)
+            a, r = rand_fraction(rng, 1, 3, 2), rand_fraction(rng, -3, 3, 2) or Fraction(1)
+            phi = make_series([(lam * k, a * r ** (k - 1)) for k in range(1, n + 1)],
+                              basis, lam * n)
+            c = r / a
+            F = parse_diffpoly(f"f' + lam*f {'+' if c > 0 else '-'} {abs(c)}*lam*f^2", basis)
+            horizon = rng.choice((None, lam * rng.randint(2, n)))
+            reports.append((F, phi, horizon, forcing_threshold(F, phi, horizon)))
+        monkeypatch.setattr(formal_eval, "_verify_in_earlier_lattice", _prefix_oracle)
+        assert any(report.verified_indices for *_, report in reports)
+        for F, phi, horizon, report in reports:
+            assert forcing_threshold(F, phi, horizon) == report
 
 
 def _random_shiftfree_poly(rng, basis, max_order=2, max_terms=3):

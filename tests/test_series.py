@@ -10,11 +10,13 @@ import pytest
 from conftest import PREC, convolve_oracle, rand_fraction
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
+from dforge.numeric import tie_threshold, workprec
 from dforge.series import (
     Coefficient,
     Exponent,
     SymbolBasis,
     XPoly,
+    _sorted_terms,
     differentiate_s,
     leading_term,
     make_series,
@@ -276,6 +278,50 @@ class TestExponentOrder:
         assert high._cache is not low._cache
         fresh = SymbolBasis.from_pairs([("a", third)], precision=256)
         assert high.value_of("a") == fresh.value_of("a") != low.value_of("a")
+
+
+class TestCheapExponentArithmetic:
+    def test_zero_operand_returns_the_other(self):
+        e = Exponent.make({"L2": Fraction(3, 2)}, Fraction(-1, 3))
+        zero = Exponent.make({"L3": 0}, 0)
+        assert (zero + e) is e and (e + zero) is e
+        assert (zero + zero).is_zero
+
+    def test_sums_table(self, log_basis):
+        rng = random.Random(5)
+        sums = log_basis.exponent_sums()
+        assert log_basis.exponent_sums() is sums
+        exps = [Exponent.make({n: rand_fraction(rng, -2, 2) for n in ("L2", "L3")},
+                              rand_fraction(rng, -1, 1)) for _ in range(12)]
+        for a in exps:
+            for b in exps:
+                assert sums[a, b] == a + b
+                assert sums[a, b] is sums[b, a]  # one object per distinct sum
+
+    @pytest.mark.parametrize("pairs,precision", [
+        ([("a", "0.5"), ("b", "1.0")], PREC),             # exact ties
+        ([("a", "1"), ("b", "1.0000000000001")], PREC),  # gaps below the float margin
+        ([("a", "1"), ("b", "1.0000001")], 20),          # tie window above the margin
+        ([("a", "1.00000000000000000001"), ("b", "1")], PREC),  # equal float shadows
+        ([("a", "0.6931471805599453"), ("b", "1.0986122886681098")], PREC),
+    ])
+    def test_sorted_terms_matches_ordering_key_oracle(self, pairs, precision):
+        basis = SymbolBasis.from_pairs(pairs, precision=precision)
+        rng = random.Random(precision + len(pairs[1][1]))
+        one = XPoly.from_coefficient(Coefficient.one())
+        thr = tie_threshold(precision)
+        for _ in range(40):
+            accum = {Exponent.make({"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)},
+                                   rng.randint(-2, 2)): one for _ in range(rng.randint(1, 12))}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = _sorted_terms(basis, accum)
+            ordered = sorted(accum, key=basis.ordering_key)
+            assert [e for e, _ in got] == ordered
+            with workprec(precision):
+                ties = sum(abs(basis.exponent_value(b) - basis.exponent_value(a)) <= thr
+                           for a, b in zip(ordered, ordered[1:]))
+            assert len(caught) == ties
 
 
 class TestCoefficientNormalForm:
