@@ -26,6 +26,7 @@ from .formal_eval import (
     forcing_threshold,
     initial_terms_of_partials,
     substitute,
+    threshold_of,
 )
 from .grammar import parse_coefficient, parse_diffpoly, pretty
 from .lattice import (

@@ -2,9 +2,11 @@
 
 Subcommands: analyze, substitute, eliminate-x, basis, derive-ade, rescale,
 ode-to-pde, verify (with cert / hilbert / rescale forms).  Exit codes:
-0 analysis completed, 2 obstruction evidence found (greppable), 1 error.
+0 analysis completed, 2 obstruction evidence found (greppable), 1 error
+(``error[<code>]`` on stderr; ``error[usage]`` for a bad command line).
 Configuration is JSON (one format); the DFORGE_PRECISION environment
-variable overrides the precision everywhere.
+variable overrides the precision of the bases dforge builds itself (corpus
+pipelines and ``verify hilbert``); a series file carries its own.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional, Union, get_type_hints
 
 from . import diffpoly as dp
 from . import obstruction as ob
 from . import transforms as tf
-from .errors import ConfigError, DforgeError, FactorLimitExceeded, SchemaError
-from .formal_eval import forcing_threshold, substitute
+from .errors import ConfigError, DforgeError, FactorLimitExceeded, SchemaError, UsageError
+from .formal_eval import Residual, substitute, threshold_of
 from .grammar import parse_diffpoly, pretty
 from .io import (
     canonical_json,
@@ -36,7 +38,7 @@ from .io import (
 from .lattice import integer_basis, log_basis_for_indices, prime_support
 from .numeric import DEFAULT_PRECISION
 from .obstruction import Certificate, VerifyResult, recheck
-from .series import FormalSeries
+from .series import Exponent, FormalSeries
 from .wronskian import NotFoundWithinW, derive_ade
 
 EXIT_OK = 0
@@ -92,6 +94,10 @@ class AnalysisConfig:
     def to_file(self, path) -> None:
         Path(path).write_text(canonical_json(asdict(self)) + "\n", encoding="utf-8")
 
+    @property
+    def horizon_exponent(self) -> Optional[Exponent]:
+        return None if self.horizon is None else obj_to_exponent(self.horizon)
+
 
 @dataclass
 class AnalysisInputs:
@@ -141,25 +147,18 @@ def run_analysis(config: AnalysisConfig, inputs: AnalysisInputs
     if inputs.equation:
         if phi is None:
             raise DforgeError("--eq requires --series")
-        F = parse_diffpoly(inputs.equation, phi.basis)
-        horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
-        residual = substitute(F, phi, horizon)
-        report = None
-        if residual.is_zero:
-            report = forcing_threshold(F, phi, horizon)
-        certificates.append(ob.substitution_certificate(F, phi, horizon, report))
+        certificates.append(_formal_check(config, phi, inputs.equation, True)[1])
         summary["pipeline"].append("substitute")
 
     if inputs.derive:
         if phi is None:
             raise DforgeError("--derive requires --series")
-        horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
-        found = derive_ade(phi, config.max_weight, horizon)
-        if isinstance(found, NotFoundWithinW):
+        found, cert = _derive(config, phi)
+        if cert is None:
             summary["derive_ade"] = _not_found_obj(found)
         else:
             summary["derive_ade"] = {"found": pretty(found)}
-            certificates.append(ob.substitution_certificate(found, phi, horizon))
+            certificates.append(cert)
         summary["pipeline"].append("derive-ade")
 
     if config.output:
@@ -172,6 +171,27 @@ def run_analysis(config: AnalysisConfig, inputs: AnalysisInputs
 
     code = EXIT_REFUTATION if any(c.is_refutation for c in certificates) else EXIT_OK
     return code, certificates, summary
+
+
+def _formal_check(config: AnalysisConfig, phi: FormalSeries, equation: str,
+                  with_threshold: bool) -> tuple[Residual, Certificate]:
+    """One residual at the config's horizon, then the forcing-threshold
+    report made from it if asked and the residual is zero, then the
+    certificate."""
+    residual = substitute(parse_diffpoly(equation, phi.basis), phi, config.horizon_exponent)
+    report = threshold_of(residual) if with_threshold and residual.is_zero else None
+    return residual, ob.residual_certificate(residual, report)
+
+
+def _derive(config: AnalysisConfig, phi: FormalSeries, max_k: Optional[int] = None
+            ) -> tuple[Union[dp.DiffPolynomial, NotFoundWithinW], Optional[Certificate]]:
+    """The equation search at the config's weight and horizon, then the
+    certificate of the equation found (None when none is)."""
+    horizon = config.horizon_exponent
+    found = derive_ade(phi, config.max_weight, horizon, max_k)
+    if isinstance(found, NotFoundWithinW):
+        return found, None
+    return found, ob.substitution_certificate(found, phi, horizon)
 
 
 def _not_found_obj(found: NotFoundWithinW) -> dict:
@@ -194,20 +214,32 @@ def verify_certificate(path) -> VerifyResult:
 # argparse wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as :class:`UsageError`, exit 1: argparse's
+    own exit status 2 means obstruction evidence here."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dforge",
         description="Exact Dirichlet-series analysis: formal residuals, "
                     "exponent lattices, obstruction certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--precision", type=int, help="precision bits (default 128)")
-        p.add_argument("--out", help="output directory or file")
+    def common(p, config=True, precision=False):
+        if config:
+            p.add_argument("--config", help="JSON config file")
+        if precision:
+            p.add_argument("--precision", type=int, dest="precision_bits", metavar="BITS",
+                           help="precision bits of the basis built here (default 128)")
+        p.add_argument("--out", dest="output", metavar="PATH",
+                       help="output directory or file")
 
     p = sub.add_parser("analyze", help="corpus / series pipeline with certificates")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--corpus", help="newline-delimited 'n a_n' file (gzip ok)")
     p.add_argument("--series", help="series specification JSON")
     p.add_argument("--eq", help="equation text to substitute")
@@ -227,20 +259,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="attach the forcing-threshold report on zero residuals")
 
     p = sub.add_parser("eliminate-x", help="remove explicit x by resultants")
-    common(p)
+    common(p, config=False)
     p.add_argument("--eq", required=True)
     p.add_argument("--split-x-content", action="store_true",
                    help="factor out monomial x-content before eliminating")
 
     p = sub.add_parser("basis", help="integer lattice basis of exponents")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--corpus")
     p.add_argument("--series")
 
     p = sub.add_parser("derive-ade", help="search power products for an equation")
     common(p)
     p.add_argument("--series", required=True)
-    p.add_argument("--max-weight", type=int, default=3)
+    p.add_argument("--max-weight", type=int, help="default: the config's max_weight (3)")
     p.add_argument("--horizon", help="exponent object JSON text")
     p.add_argument("--max-k", type=int)
 
@@ -250,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="comma-separated rationals, e.g. 1/2,3")
 
     p = sub.add_parser("ode-to-pde", help="expand an ODE at s=0 into a PDE")
-    common(p)
+    common(p, config=False)
     p.add_argument("--eq", required=True)
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--lambda-names", help="comma-separated rate symbol names")
@@ -262,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = vsub.add_parser("hilbert", help="functional-equation checks on the zeta prefix")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-mu", type=int, default=3)
     p.add_argument("--max-nu", type=int, default=3)
@@ -280,12 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> AnalysisConfig:
     """The config file, overridden by flags, overridden by DFORGE_PRECISION."""
-    config = AnalysisConfig.from_file(args.config) if getattr(args, "config", None) \
-        else AnalysisConfig()
-    overrides = {key: getattr(args, key, None) for key in
-                 ("rank_bound", "ratio_threshold", "factor_limit", "max_weight")}
-    overrides["precision_bits"] = getattr(args, "precision", None)
-    overrides["output"] = getattr(args, "out", None)
+    config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(AnalysisConfig)
+                 if f.name != "horizon"}   # flags are named after the fields
     if getattr(args, "horizon", None):
         try:
             overrides["horizon"] = json.loads(args.horizon)
@@ -300,11 +329,11 @@ def _load_config(args) -> AnalysisConfig:
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _emit(cert: Certificate, out: Optional[str]) -> None:
+def _write_or_print(text: str, out: Optional[str]) -> None:
     if out:
-        cert.save(out)
+        Path(out).write_text(text + "\n", encoding="utf-8")
     else:
-        print(cert.to_json())
+        print(text)
 
 
 def _scalars(text: str) -> list[Fraction]:
@@ -312,15 +341,15 @@ def _scalars(text: str) -> list[Fraction]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except DforgeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except ValueError as exc:
+        print(f"error[bad-input]: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def _dispatch(args) -> int:
@@ -336,15 +365,9 @@ def _dispatch(args) -> int:
 
     if args.command == "substitute":
         config = _load_config(args)
-        phi = load_series(args.series)
-        F = parse_diffpoly(args.eq, phi.basis)
-        horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
-        residual = substitute(F, phi, horizon)
-        report = None
-        if args.with_threshold and residual.is_zero:
-            report = forcing_threshold(F, phi, horizon)
-        cert = ob.substitution_certificate(F, phi, horizon, report)
-        _emit(cert, config.output)
+        residual, cert = _formal_check(config, load_series(args.series), args.eq,
+                                       args.with_threshold)
+        _write_or_print(cert.to_json(), config.output)
         print(f"residual: {residual.describe()}", file=sys.stderr)
         return EXIT_OK
 
@@ -354,12 +377,7 @@ def _dispatch(args) -> int:
             shed, F = dp.split_x_monomial_content(F)
             if shed:
                 print(f"removed x^{shed} monomial content", file=sys.stderr)
-        result = dp.eliminate_x(F)
-        text = pretty(result)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
+        _write_or_print(pretty(dp.eliminate_x(F)), args.output)
         return EXIT_OK
 
     if args.command == "basis":
@@ -383,20 +401,14 @@ def _dispatch(args) -> int:
             "change_of_basis": [list(r) for r in B.change_of_basis],
             "input_subset": None if B.input_subset is None else list(B.input_subset),
         }
-        print(canonical_json(obj))
+        _write_or_print(canonical_json(obj), config.output)
         return EXIT_OK
 
     if args.command == "derive-ade":
         config = _load_config(args)
-        phi = load_series(args.series)
-        horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
-        found = derive_ade(phi, args.max_weight, horizon, args.max_k)
-        if isinstance(found, NotFoundWithinW):
-            print(canonical_json(_not_found_obj(found)))
-            return EXIT_OK
-        print(pretty(found))
-        cert = ob.substitution_certificate(found, phi, horizon)
-        if config.output:
+        found, cert = _derive(config, load_series(args.series), args.max_k)
+        print(canonical_json(_not_found_obj(found)) if cert is None else pretty(found))
+        if cert is not None and config.output:
             cert.save(config.output)
         return EXIT_OK
 
@@ -405,24 +417,16 @@ def _dispatch(args) -> int:
         phi = load_series(args.series)
         B = integer_basis([e for e, _ in phi.terms], phi.basis)
         psi = tf.rescale(phi, B, _scalars(args.c))
-        text = canonical_json(series_to_obj(psi))
-        if config.output:
-            Path(config.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
+        _write_or_print(canonical_json(series_to_obj(psi)), config.output)
         return EXIT_OK
 
     if args.command == "ode-to-pde":
         F = parse_diffpoly(args.eq)
         names = args.lambda_names.split(",") if args.lambda_names else None
-        result = tf.ode_to_pde(F, args.mu, names)
-        print(result)
+        _write_or_print(str(tf.ode_to_pde(F, args.mu, names)), args.output)
         return EXIT_OK
 
-    if args.command == "verify":
-        return _dispatch_verify(args)
-
-    raise DforgeError(f"unknown command {args.command!r}")
+    return _dispatch_verify(args)
 
 
 def _dispatch_verify(args) -> int:
@@ -441,20 +445,16 @@ def _dispatch_verify(args) -> int:
         cert = tf.verify_hilbert_zeta(args.n, args.max_nu, args.max_mu,
                                       ds_max=args.max_ds,
                                       precision=config.precision_bits)
-        _emit(cert, config.output)
+        _write_or_print(cert.to_json(), config.output)
         return EXIT_OK
 
-    if args.verify_command == "rescale":
-        config = _load_config(args)
-        phi = load_series(args.series)
-        F = parse_diffpoly(args.eq, phi.basis)
-        B = integer_basis([e for e, _ in phi.terms], phi.basis)
-        horizon = None if config.horizon is None else obj_to_exponent(config.horizon)
-        cert = tf.verify_rescale_invariance(F, phi, B, _scalars(args.c), horizon)
-        _emit(cert, config.output)
-        return EXIT_OK
-
-    raise DforgeError(f"unknown verify command {args.verify_command!r}")
+    config = _load_config(args)   # verify rescale
+    phi = load_series(args.series)
+    F = parse_diffpoly(args.eq, phi.basis)
+    B = integer_basis([e for e, _ in phi.terms], phi.basis)
+    cert = tf.verify_rescale_invariance(F, phi, B, _scalars(args.c), config.horizon_exponent)
+    _write_or_print(cert.to_json(), config.output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -173,6 +173,12 @@ class SchemaError(DforgeError):
     code = "schema-error"
 
 
+class UsageError(DforgeError):
+    """The command line does not parse: an unknown flag or a bad flag value."""
+
+    code = "usage"
+
+
 class ConfigError(DforgeError, ValueError):
     """A config file, flag or environment value is malformed or out of range."""
 

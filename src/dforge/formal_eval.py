@@ -10,8 +10,9 @@ an integer combination of its predecessors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Union
 
 import mpmath
@@ -47,12 +48,15 @@ NONZERO = "NonzeroWithLeading"
 
 @dataclass(frozen=True)
 class Residual:
-    """Outcome of substituting a series into a polynomial."""
+    """Outcome of substituting a series into a polynomial: the residual
+    series valid up to ``horizon``, for the ``requested`` horizon (None: as
+    far as the argument supports)."""
 
     series: FormalSeries
     polynomial: DiffPolynomial
     argument: FormalSeries
     horizon: Optional[Exponent]
+    requested: Optional[Exponent] = None
 
     @property
     def is_zero(self) -> bool:
@@ -61,10 +65,6 @@ class Residual:
     @property
     def leading(self):
         return leading_term(self.series)
-
-    @property
-    def verdict(self) -> str:
-        return ZERO_UP_TO if self.is_zero else NONZERO
 
     def describe(self) -> str:
         if self.is_zero:
@@ -128,7 +128,7 @@ def substitute(F: DiffPolynomial, phi: FormalSeries,
         raise HorizonTooShort(
             f"requested horizon ({horizon}) exceeds the safe bound ({raw.truncation})",
             max_safe=raw.truncation)
-    return Residual(truncate(raw, horizon), F, phi, horizon)
+    return Residual(truncate(raw, horizon), F, phi, horizon, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,6 @@ def initial_terms_of_partials(F: DiffPolynomial, phi: FormalSeries,
     the working horizon; the caller should restart with that lower-degree
     polynomial, mirroring the minimal-degree assumption of the argument.
     """
-    basis = phi.basis
     entries = []
     for ind in F.indeterminates():
         Fz = partial_wrt(F, ind)
@@ -168,10 +167,7 @@ def initial_terms_of_partials(F: DiffPolynomial, phi: FormalSeries,
         entries.append((ind, p.constant(), e))
     if not entries:
         raise ValueError("polynomial has no f-indeterminates")
-    lam_min = entries[0][2]
-    for _, _, lam in entries[1:]:
-        if basis.compare(lam, lam_min) < 0:
-            lam_min = lam
+    lam_min = min((lam for _, _, lam in entries), key=cmp_to_key(phi.basis.compare))
     argmin = tuple(ind for ind, _, lam in entries if lam == lam_min)
     return PartialLeadingTerms(tuple(entries), lam_min, argmin)
 
@@ -201,14 +197,8 @@ class ExpPolynomial:
             if not isinstance(c, Coefficient):
                 c = Coefficient.from_fraction(c)
             key = (t, isinstance(k, Exponent), k)
-            if key in merged:
-                merged[key] = (k, merged[key][1] + c)
-            else:
-                merged[key] = (k, c)
-        out = []
-        for (t, _, _), (k, c) in merged.items():
-            if not c.is_zero:
-                out.append((t, k, c))
+            merged[key] = (k, merged[key][1] + c) if key in merged else (k, c)
+        out = [(t, k, c) for (t, _, _), (k, c) in merged.items() if not c.is_zero]
         out.sort(key=lambda item: (item[0], _rate_sort_key(item[1])))
         return ExpPolynomial(tuple(out), basis)
 
@@ -257,33 +247,38 @@ class RootBound:
 _SUM_LIMIT = Fraction(1, 2)
 
 
+def _dominant(L: ExpPolynomial):
+    """The dominant term of a nonzero L (maximal rate, then maximal power)
+    as (rate value, power, rate, |coefficient|), and the other terms as
+    (rate value, power, rate, coefficient).  Call under L's precision;
+    raises :class:`PrecisionTie` when the choice is not certain there."""
+    basis = L.basis
+    tiny = mpmath.mpf(2) ** (-basis.precision // 2)
+    rates = [(L.rate_value(k), t, k, c) for t, k, c in L.terms]
+    best = rates[0]
+    for kv, t, k, c in rates[1:]:
+        if kv > best[0] + tiny or (abs(kv - best[0]) <= tiny and
+                                   _same_rate(k, best[2]) and t > best[1]):
+            best = (kv, t, k, c)
+        elif abs(kv - best[0]) <= tiny and not _same_rate(k, best[2]):
+            raise PrecisionTie(f"exponential rates ({k}) and ({best[2]}) tie "
+                               f"at precision {basis.precision}")
+    kv_star, t_star, k_star, c_star = best
+    c_star_abs = abs(c_star.numeric(basis))
+    if c_star_abs <= tiny:
+        raise PrecisionTie("dominant coefficient is numerically indistinct from zero")
+    others = [(kv, t, k, c) for kv, t, k, c in rates
+              if not (t == t_star and _same_rate(k, k_star))]
+    return (kv_star, t_star, k_star, c_star_abs), others
+
+
 def exp_poly_root_bound(L: ExpPolynomial) -> RootBound:
     """Dominance-certified B with no real root of L above B."""
     if L.is_zero:
         raise ValueError("the zero exponential polynomial has no root bound")
-    basis = L.basis
-    prec = basis.precision
+    prec = L.basis.precision
     with workprec(prec):
-        tiny = mpmath.mpf(2) ** (-prec // 2)
-        rates = [(L.rate_value(k), t, k, c) for t, k, c in L.terms]
-        # dominant term: maximal rate, then maximal power
-        best = None
-        for kv, t, k, c in rates:
-            if best is None:
-                best = (kv, t, k, c)
-                continue
-            if kv > best[0] + tiny or (abs(kv - best[0]) <= tiny and
-                                       _same_rate(k, best[2]) and t > best[1]):
-                best = (kv, t, k, c)
-            elif abs(kv - best[0]) <= tiny and not _same_rate(k, best[2]):
-                raise PrecisionTie(
-                    f"exponential rates ({k}) and ({best[2]}) tie at precision {prec}")
-        kv_star, t_star, k_star, c_star = best
-        c_star_abs = abs(c_star.numeric(basis))
-        if c_star_abs <= tiny:
-            raise PrecisionTie("dominant coefficient is numerically indistinct from zero")
-        others = [(kv, t, k, c) for kv, t, k, c in rates
-                  if not (t == t_star and _same_rate(k, k_star))]
+        (kv_star, t_star, k_star, c_star_abs), others = _dominant(L)
         if not others:
             return RootBound(Fraction(0), (t_star, k_star), "0", _SUM_LIMIT, prec)
         B = Fraction(1)
@@ -336,23 +331,13 @@ def certify_root_bound(L: ExpPolynomial, bound: Fraction) -> bool:
     """Re-check the dominance inequality chain at a claimed bound."""
     if L.is_zero:
         return False
-    basis = L.basis
-    prec = basis.precision
-    with workprec(prec):
-        tiny = mpmath.mpf(2) ** (-prec // 2)
-        rates = [(L.rate_value(k), t, k, c) for t, k, c in L.terms]
-        best = max(rates, key=lambda item: (item[0], item[1]))
-        kv_star, t_star, k_star, c_star = best
-        c_star_abs = abs(c_star.numeric(basis))
-        if c_star_abs <= tiny:
+    with workprec(L.basis.precision):
+        try:
+            (kv_star, t_star, _, c_star_abs), others = _dominant(L)
+        except PrecisionTie:
             return False
-        others = [(kv, t, k, c) for kv, t, k, c in rates
-                  if not (t == t_star and _same_rate(k, k_star))]
-        if not others:
-            return True
-        if bound <= 0:
-            return False
-        return _dominance_holds(L, others, kv_star, t_star, c_star_abs, bound)
+        return not others or (bound > 0 and _dominance_holds(
+            L, others, kv_star, t_star, c_star_abs, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +368,17 @@ class ThresholdReport:
     partials: PartialLeadingTerms
     exp_polynomial: ExpPolynomial
     horizon: Optional[Exponent]
+    residual: Residual = field(compare=False, repr=False)   # the zero residual checked
+
+    def residual_for(self, F: DiffPolynomial, phi: FormalSeries,
+                     horizon: Optional[Exponent]) -> Residual:
+        """The residual this report checked, which must be the one
+        ``substitute(F, phi, horizon)`` gives; another raises ValueError."""
+        r = self.residual
+        if (r.polynomial, r.argument, r.requested) != (F, phi, horizon):
+            raise ValueError("the threshold report was made for a different "
+                             "(equation, series, horizon)")
+        return r
 
 
 def _abs_numeric(basis: SymbolBasis, value) -> mpmath.mpf:
@@ -410,18 +406,24 @@ def _verify_in_earlier_lattice(exponents: list[Exponent], checked: list[bool],
 
 def forcing_threshold(F: DiffPolynomial, phi: FormalSeries,
                       horizon: Optional[Exponent] = None) -> ThresholdReport:
-    """Certified threshold above which each exponent of phi must lie in the
-    integer lattice of the earlier ones, plus the verification that it does.
+    """:func:`threshold_of` the residual of F under phi."""
+    return threshold_of(substitute(F, phi, horizon))
 
-    Requires that phi formally satisfies F up to the working horizon; every
-    exponent in (threshold, horizon] is checked and a failure raises
-    :class:`VerificationFailed` (it would contradict the leading-term
-    argument underpinning the construction).
+
+def threshold_of(residual: Residual) -> ThresholdReport:
+    """Certified threshold above which each exponent of the residual's
+    argument phi must lie in the integer lattice of the earlier ones, plus
+    the verification that it does.
+
+    Requires a zero residual (phi formally satisfies F up to the working
+    horizon); every exponent in (threshold, horizon] is checked and a
+    failure raises :class:`VerificationFailed` (it would contradict the
+    leading-term argument underpinning the construction).
     """
+    F, phi = residual.polynomial, residual.argument
     basis = phi.basis
     if phi.is_zero:
         raise ValueError("threshold analysis needs a nonzero series")
-    residual = substitute(F, phi, horizon)
     if not residual.is_zero:
         raise ValueError("series does not formally satisfy the equation "
                          f"up to the horizon: {residual.describe()}")
@@ -433,24 +435,15 @@ def forcing_threshold(F: DiffPolynomial, phi: FormalSeries,
     partials = initial_terms_of_partials(F, phi)
     n = F.total_degree
     lam0 = phi.min_exponent()
+    exponents = [e for e, _ in phi.terms]
 
-    # stability: smallest doubled prefix reproducing all partial leading terms
-    reference = {ind: (b, lam) for ind, b, lam in partials.entries}
-    stability_prefix = len(phi.terms)
-    m = 1
-    while m <= len(phi.terms):
-        sub = prefix(phi, m)
-        if _partials_match(F, sub, reference):
-            stability_prefix = m
-            break
-        if m == len(phi.terms):
-            break
-        m = min(2 * m, len(phi.terms))
-    stable_exp = phi.terms[stability_prefix - 1][0]
-    with workprec(basis.precision):
-        stability_value = basis.exponent_value(stable_exp)
-        if stability_value < 0:
-            stability_value = mpmath.mpf(0)
+    # stability: smallest doubled prefix reproducing all partial leading
+    # terms; the whole series when no shorter one does
+    stability_prefix = 1
+    while stability_prefix < len(exponents) and \
+            not _partials_match(F, prefix(phi, stability_prefix), partials):
+        stability_prefix = min(2 * stability_prefix, len(exponents))
+    stable_exp = exponents[stability_prefix - 1]
 
     exp_poly = ExpPolynomial.make(
         [(ind.order, -ind.shift, b.scale(Fraction((-1) ** ind.order)))
@@ -459,19 +452,14 @@ def forcing_threshold(F: DiffPolynomial, phi: FormalSeries,
     bound = exp_poly_root_bound(exp_poly)
 
     with workprec(basis.precision):
-        threshold_value = (stability_value
+        threshold_value = (max(basis.exponent_value(stable_exp), mpmath.mpf(0))
                            + _abs_numeric(basis, partials.min_exponent)
                            + _abs_numeric(basis, bound.bound)
                            + n * _abs_numeric(basis, lam0))
         threshold_str = mpmath.nstr(threshold_value, 12)
-
-    exponents = [e for e, _ in phi.terms]
-    checked = []
-    for e in exponents:
-        with workprec(basis.precision):
-            above = basis.exponent_value(e) > threshold_value
-        checked.append(above and (horizon_eff is None
-                                  or basis.compare(e, horizon_eff) <= 0))
+        above = [basis.exponent_value(e) > threshold_value for e in exponents]
+    checked = [a and (horizon_eff is None or basis.compare(e, horizon_eff) <= 0)
+               for a, e in zip(above, exponents)]
     verified = _verify_in_earlier_lattice(exponents, checked, basis)
 
     return ThresholdReport(
@@ -486,11 +474,13 @@ def forcing_threshold(F: DiffPolynomial, phi: FormalSeries,
         partials=partials,
         exp_polynomial=exp_poly,
         horizon=horizon_eff,
+        residual=residual,
     )
 
 
-def _partials_match(F: DiffPolynomial, sub: FormalSeries, reference: dict) -> bool:
-    for ind, (b, lam) in reference.items():
+def _partials_match(F: DiffPolynomial, sub: FormalSeries,
+                    partials: PartialLeadingTerms) -> bool:
+    for ind, b, lam in partials.entries:
         try:
             res = substitute(partial_wrt(F, ind), sub)
         except HorizonTooShort:

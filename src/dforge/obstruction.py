@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import mpmath
 
 from .errors import DforgeError, InsufficientNonzeroTerms, SchemaError, UnknownFamily
-from .formal_eval import forcing_threshold, substitute
+from .formal_eval import Residual, forcing_threshold, substitute
 from .grammar import parse_diffpoly, pretty
 from .io import (
     TOOL_VERSION,
@@ -499,37 +499,42 @@ def _signflip_from_payload(cert: Certificate) -> Callable[[], Certificate]:
 
 def substitution_certificate(F, phi: FormalSeries, horizon=None,
                              threshold_report=None) -> Certificate:
-    """FormalSatisfaction / FormalRefutation evidence for one substitution."""
-    residual = substitute(F, phi, horizon)
+    """:func:`residual_certificate` of F under phi; a threshold report made
+    for another (F, phi, horizon) raises ValueError."""
+    if threshold_report is None:
+        return residual_certificate(substitute(F, phi, horizon))
+    return residual_certificate(threshold_report.residual_for(F, phi, horizon),
+                                threshold_report)
+
+
+def residual_certificate(residual: Residual, report=None) -> Certificate:
+    """FormalSatisfaction / FormalRefutation evidence for one substitution
+    residual, with the forcing-threshold report made from it if given."""
+    phi = residual.argument
     evidence = {
         "check": "substitute",
         "series": series_to_obj(phi),
-        "equation": pretty(F),
+        "equation": pretty(residual.polynomial),
         "horizon": None if residual.horizon is None else exponent_to_obj(residual.horizon),
         "residual": "zero" if residual.is_zero else "nonzero",
     }
     if not residual.is_zero:
         e, p = residual.leading
         evidence["leading"] = {"exponent": exponent_to_obj(e), "coeff": str(p.constant())}
-    if threshold_report is not None:
-        evidence["threshold_report"] = threshold_report_obj(threshold_report)
+    if report is not None:
+        evidence["threshold_report"] = {
+            "stability_exponent": exponent_to_obj(report.stability_exponent),
+            "stability_prefix": report.stability_prefix,
+            "min_partial_exponent": exponent_to_obj(report.min_partial_exponent),
+            "root_bound": frac_str(report.root_bound),
+            "total_degree": report.total_degree,
+            "first_exponent": exponent_to_obj(report.first_exponent),
+            "threshold": report.threshold,
+            "verified_indices": list(report.verified_indices),
+            "horizon": None if report.horizon is None else exponent_to_obj(report.horizon),
+        }
     kind = FORMAL_SATISFACTION if residual.is_zero else FORMAL_REFUTATION
     return Certificate(kind, len(phi.terms), evidence, basis_to_obj(phi.basis))
-
-
-def threshold_report_obj(report) -> dict:
-    """Exact JSON form of a forcing-threshold report."""
-    return {
-        "stability_exponent": exponent_to_obj(report.stability_exponent),
-        "stability_prefix": report.stability_prefix,
-        "min_partial_exponent": exponent_to_obj(report.min_partial_exponent),
-        "root_bound": frac_str(report.root_bound),
-        "total_degree": report.total_degree,
-        "first_exponent": exponent_to_obj(report.first_exponent),
-        "threshold": report.threshold,
-        "verified_indices": list(report.verified_indices),
-        "horizon": None if report.horizon is None else exponent_to_obj(report.horizon),
-    }
 
 
 # ---------------------------------------------------------------------------

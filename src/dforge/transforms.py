@@ -11,7 +11,7 @@ through the multivariate chain rule and reads the result at s = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,10 +24,9 @@ from .errors import (
     ZeroScalar,
 )
 from .formal_eval import substitute
-from .grammar import pretty
-from .io import basis_to_obj, exponent_to_obj, frac_str, series_to_obj
+from .io import basis_to_obj, exponent_to_obj, frac_str
 from .lattice import LatticeBasis, express, log_basis_for_indices
-from .obstruction import FORMAL_SATISFACTION, Certificate
+from .obstruction import FORMAL_SATISFACTION, Certificate, residual_certificate
 from .series import (
     Coefficient,
     Exponent,
@@ -103,18 +102,10 @@ def verify_rescale_invariance(F: DiffPolynomial, phi: FormalSeries, B: LatticeBa
                 f"homogeneity mechanism mismatch on the partial wrt "
                 f"f^({ind.order})(s+{ind.shift})")
         mechanism_checks += 1
-    evidence = {
-        "check": "rescale",
-        "series": series_to_obj(phi),
-        "equation": pretty(F),
-        "scalars": [frac_str(c) for c in scalars],
-        "horizon": None if base.horizon is None else exponent_to_obj(base.horizon),
-        "residual": "zero",
-        "rescaled_residual": "zero",
-        "mechanism_checks": mechanism_checks,
-    }
-    return Certificate(FORMAL_SATISFACTION, len(phi.terms), evidence,
-                       basis_to_obj(phi.basis))
+    cert = residual_certificate(base)
+    return replace(cert, evidence=dict(
+        cert.evidence, check="rescale", scalars=[frac_str(c) for c in scalars],
+        rescaled_residual="zero", mechanism_checks=mechanism_checks))
 
 
 # ---------------------------------------------------------------------------

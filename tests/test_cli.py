@@ -156,6 +156,25 @@ class TestMain:
         out = capsys.readouterr().out
         assert "G_x1" in out and "lam" in out
 
+    def test_derive_ade_reads_config_max_weight(self, geometric_file, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_weight": 1}))
+        args = ["derive-ade", "--series", str(geometric_file), "--config", str(config)]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[bad-input]: max weight")
+        assert main(args + ["--max-weight", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "lam*f + lam*f^2 + f'"
+
+    def test_ode_to_pde_out_writes_the_file(self, tmp_path, capsys):
+        args = ["ode-to-pde", "--eq", "f' + lam*f + lam*f^2", "--mu", "1",
+                "--lambda-names", "lam"]
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "pde.txt"
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     def test_verify_hilbert_cli(self, tmp_path, capsys):
         out = tmp_path / "hilbert.cert.json"
         assert main(["verify", "hilbert", "--n", "8", "--max-mu", "2",
@@ -233,3 +252,32 @@ class TestConfig:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error[config]:") and "Traceback" not in err
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize("argv", [["substitute", "--bogus"],
+                                      ["derive-ade", "--series", "s.json", "--max-weight", "x"],
+                                      ["frobnicate"],
+                                      ["eliminate-x", "--eq", "f", "--config", "c.json"]])
+    def test_bad_command_line_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]: ") and err.count("\n") == 1
+
+    def test_rescaled_residual_precondition_is_bad_input(self, geometric_file, capsys):
+        assert main(["verify", "rescale", "--series", str(geometric_file),
+                     "--eq", "f' + lam*f", "--c", "1/2"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[bad-input]: precondition")
+
+    def test_zero_mu_is_bad_input(self, capsys):
+        assert main(["ode-to-pde", "--eq", "f' + lam*f", "--mu", "0"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[bad-input]:")
+
+    def test_scalar_count_is_bad_input(self, geometric_file, capsys):
+        assert main(["rescale", "--series", str(geometric_file), "--c", "1/2,3"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error[bad-input]: expected 1 scalars, got 2\n"
+
+    def test_missing_file_stays_io(self, tmp_path, capsys):
+        assert main(["substitute", "--series", str(tmp_path / "none.json"),
+                     "--eq", "f"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error[io]: ")
