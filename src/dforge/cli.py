@@ -24,7 +24,7 @@ from . import diffpoly as dp
 from . import obstruction as ob
 from . import transforms as tf
 from .errors import ConfigError, DforgeError, FactorLimitExceeded, SchemaError, UsageError
-from .formal_eval import Residual, substitute, threshold_of
+from .formal_eval import Residual, at_horizon, substitute, threshold_of
 from .grammar import parse_diffpoly, pretty
 from .io import (
     canonical_json,
@@ -39,7 +39,7 @@ from .lattice import integer_basis, log_basis_for_indices, prime_support
 from .numeric import DEFAULT_PRECISION
 from .obstruction import Certificate, VerifyResult, recheck
 from .series import Exponent, FormalSeries
-from .wronskian import NotFoundWithinW, derive_ade
+from .wronskian import NotFoundWithinW, search_ade
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -186,12 +186,13 @@ def _formal_check(config: AnalysisConfig, phi: FormalSeries, equation: str,
 def _derive(config: AnalysisConfig, phi: FormalSeries, max_k: Optional[int] = None
             ) -> tuple[Union[dp.DiffPolynomial, NotFoundWithinW], Optional[Certificate]]:
     """The equation search at the config's weight and horizon, then the
-    certificate of the equation found (None when none is)."""
-    horizon = config.horizon_exponent
-    found = derive_ade(phi, config.max_weight, horizon, max_k)
+    certificate of the search's own zero residual restricted to that
+    horizon (None when no equation is found)."""
+    found = search_ade(phi, config.max_weight, config.horizon_exponent, max_k)
     if isinstance(found, NotFoundWithinW):
         return found, None
-    return found, ob.substitution_certificate(found, phi, horizon)
+    return found.polynomial, ob.residual_certificate(
+        at_horizon(found, config.horizon_exponent))
 
 
 def _not_found_obj(found: NotFoundWithinW) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Union
 
 import mpmath
@@ -122,13 +121,21 @@ def substitute(F: DiffPolynomial, phi: FormalSeries,
     the requested horizon exceeds what the argument's truncation supports.
     """
     raw = _evaluate_monomials(F, phi)
+    return at_horizon(Residual(raw, F, phi, raw.truncation), horizon)
+
+
+def at_horizon(residual: Residual, horizon: Optional[Exponent]) -> Residual:
+    """The residual restricted to ``horizon`` (None: as it is); raises
+    :class:`HorizonTooShort` beyond the residual's validity."""
     if horizon is None:
-        return Residual(raw, F, phi, raw.truncation)
-    if raw.truncation is not None and phi.basis.compare(horizon, raw.truncation) > 0:
+        return residual
+    raw = residual.series
+    if raw.truncation is not None and raw.basis.compare(horizon, raw.truncation) > 0:
         raise HorizonTooShort(
             f"requested horizon ({horizon}) exceeds the safe bound ({raw.truncation})",
             max_safe=raw.truncation)
-    return Residual(truncate(raw, horizon), F, phi, horizon, horizon)
+    return Residual(truncate(raw, horizon), residual.polynomial, residual.argument,
+                    horizon, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,7 @@ def initial_terms_of_partials(F: DiffPolynomial, phi: FormalSeries,
         entries.append((ind, p.constant(), e))
     if not entries:
         raise ValueError("polynomial has no f-indeterminates")
-    lam_min = min((lam for _, _, lam in entries), key=cmp_to_key(phi.basis.compare))
+    lam_min = min((lam for _, _, lam in entries), key=phi.basis.ordering_key)
     argmin = tuple(ind for ind, _, lam in entries if lam == lam_min)
     return PartialLeadingTerms(tuple(entries), lam_min, argmin)
 

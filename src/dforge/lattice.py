@@ -10,13 +10,12 @@ rank and support exact membership tests.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import FactorLimitExceeded, NotInLatticeError, PrecisionTieWarning
+from .errors import FactorLimitExceeded, NotInLatticeError
 from .series import (
     Coefficient,
     Exponent,
@@ -215,15 +214,9 @@ class Lattice:
             g = Exponent.make({c: Fraction(v, self._denom)
                                for c, v in zip(self.cols[1:], row[1:]) if v},
                               Fraction(row[0], self._denom))
-            val = self.basis.exponent_value(g)
-            if val < 0:
-                g = -g
-            elif val == 0 and not g.is_zero:
-                warnings.warn(
-                    f"lattice generator ({g}) evaluates to zero; "
-                    "numeric independence of the basis is in doubt",
-                    PrecisionTieWarning, stacklevel=2)
-            gens.append(g)
+            # a value within 2^-P of zero puts the basis's independence in doubt
+            self.basis.check_tie(g, Exponent.zero())
+            gens.append(-g if self.basis.exponent_value(g) < 0 else g)
         return tuple(gens)
 
     def finish(self) -> LatticeBasis:

@@ -30,6 +30,7 @@ from .numeric import (
     decimal_str_to_mpf,
     fraction_to_mpf,
     tie_threshold,
+    workprec,
 )
 
 RationalLike = Union[int, Fraction]
@@ -206,14 +207,18 @@ class SymbolBasis:
     values are linearly independent over the rationals together with 1.
     The reserved unit symbol ``ONE`` is always available implicitly through
     an exponent's constant part and may not be declared.
+
+    It keeps write-once memo tables, fresh per instance: the symbol values
+    at precision P, each exponent's ``ordering_key`` and the exponent sums.
     """
 
     symbols: tuple[str, ...]
     values: tuple[str, ...]
     precision: int = DEFAULT_PRECISION
     independence_assumed: bool = True
-    _cache: dict = field(init=False, default_factory=dict, compare=False, repr=False,
-                         hash=False)
+    _symbol_values: dict = field(init=False, compare=False, repr=False)
+    _sums: _ExponentSums = field(init=False, compare=False, repr=False)
+    _cache: dict = field(init=False, compare=False, repr=False)   # Exponent -> key
 
     def __post_init__(self):
         if len(self.symbols) != len(set(self.symbols)):
@@ -224,9 +229,14 @@ class SymbolBasis:
             raise BadBasis("one numeric value per symbol required")
         if self.precision <= 0:
             raise BadBasis("precision must be positive")
-        for name in self.symbols:
-            if self.value_of(name) <= 0:
+        values = {n: decimal_str_to_mpf(v, self.precision)
+                  for n, v in zip(self.symbols, self.values)}
+        for name, value in values.items():
+            if value <= 0:
                 raise BadBasis(f"symbol {name!r} must have a strictly positive value")
+        object.__setattr__(self, "_symbol_values", values)
+        object.__setattr__(self, "_sums", _ExponentSums())
+        object.__setattr__(self, "_cache", {})
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]],
@@ -242,79 +252,67 @@ class SymbolBasis:
         return SymbolBasis((), (), precision)
 
     def value_of(self, name: str):
-        key = ("sym", name)
-        if key not in self._cache:
-            try:
-                idx = self.symbols.index(name)
-            except ValueError:
-                raise BadBasis(f"unknown symbol {name!r}") from None
-            self._cache[key] = decimal_str_to_mpf(self.values[idx], self.precision)
-        return self._cache[key]
+        try:
+            return self._symbol_values[name]
+        except KeyError:
+            raise BadBasis(f"unknown symbol {name!r}") from None
 
     def has_symbol(self, name: str) -> bool:
         return name in self.symbols
 
-    def exponent_value(self, e: Exponent):
-        key = ("exp", e)
-        total = self._cache.get(key)
-        if total is None:
-            from .numeric import workprec
+    def ordering_key(self, e: Exponent) -> tuple:
+        """The one exponent order: ``(float shadow, value at P, exact key)``;
+        float shadows round monotonically, so they never contradict values."""
+        key = self._cache.get(e)
+        if key is None:
             with workprec(self.precision):
                 total = fraction_to_mpf(e.const, self.precision)
                 for n, q in e.coords:
                     total += fraction_to_mpf(q, self.precision) * self.value_of(n)
-            self._cache[key] = total
-        return total
+            key = self._cache[e] = (float(total), total, e.sort_key())
+        return key
+
+    def exponent_value(self, e: Exponent):
+        return self.ordering_key(e)[1]
 
     def validate_exponent(self, e: Exponent) -> None:
         for n, _ in e.coords:
             if n not in self.symbols:
                 raise BadBasis(f"exponent references unknown symbol {n!r}")
 
-    def float_value(self, e: Exponent) -> float:
-        key = ("flt", e)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = float(self.exponent_value(e))
-        return value
+    def _apart(self, fa: float, fb: float) -> bool:
+        """Shadows this far apart order their values with no tie: the margin
+        dwarfs the double rounding and is at least twice 2^-P."""
+        return abs(fa - fb) > max(1e-9 * max(1.0, abs(fa), abs(fb)), 2.0 ** (1 - self.precision))
+
+    def check_tie(self, a: Exponent, b: Exponent) -> None:
+        """Warn when distinct ``a`` and ``b`` have values within 2^-P: the one
+        source of :class:`PrecisionTieWarning` for exponent order."""
+        (fa, va, _), (fb, vb, _) = self.ordering_key(a), self.ordering_key(b)
+        if self._apart(fa, fb):
+            return
+        with workprec(self.precision):
+            near = abs(va - vb) <= tie_threshold(self.precision)
+        if near:
+            warnings.warn(
+                f"exponent order tie within 2^-{self.precision}: ({a}) vs ({b}); "
+                "ordered by the value, then the exact key",
+                PrecisionTieWarning, stacklevel=3)
 
     def compare(self, a: Exponent, b: Exponent) -> int:
-        """Total order: numeric at precision P, exact lexicographic on ties.
-
-        A tie between structurally distinct exponents raises a
-        :class:`PrecisionTieWarning` diagnostic before falling back.
-        Comparisons far from a tie are decided on cached float shadows of
-        the precision-P values; the margin dwarfs the double rounding.
-        """
+        """The sign of ``ordering_key(a)`` against ``ordering_key(b)``; pairs
+        whose shadows are not ``_apart`` go through :meth:`check_tie`."""
         if a is b or (a._hash == b._hash and a._key == b._key):
             return 0
-        fa, fb = self.float_value(a), self.float_value(b)
-        margin = 1e-9 * max(1.0, abs(fa), abs(fb))
-        if fa - fb > margin:
-            return 1
-        if fb - fa > margin:
-            return -1
-        from .numeric import workprec
-        with workprec(self.precision):
-            d = self.exponent_value(a) - self.exponent_value(b)
-        if abs(d) <= tie_threshold(self.precision):
-            warnings.warn(
-                f"exponent comparison tie within 2^-{self.precision}: "
-                f"({a}) vs ({b}); using exact lexicographic fallback",
-                PrecisionTieWarning, stacklevel=2)
-            ka, kb = a.sort_key(), b.sort_key()
-            return -1 if ka < kb else (1 if ka > kb else 0)
-        return -1 if d < 0 else 1
+        ka, kb = self.ordering_key(a), self.ordering_key(b)
+        if self._apart(ka[0], kb[0]):
+            return 1 if ka[0] > kb[0] else -1
+        self.check_tie(a, b)
+        return 1 if ka > kb else -1
 
-    def ordering_key(self, e: Exponent):
-        return (self.exponent_value(e), e.sort_key())
-
-    def exponent_sums(self) -> "_ExponentSums":
+    def exponent_sums(self) -> _ExponentSums:
         """The table of exponent sums shared by every product over this basis."""
-        sums = self._cache.get(("esum",))
-        if sums is None:
-            sums = self._cache[("esum",)] = _ExponentSums()
-        return sums
+        return self._sums
 
 
 def compare_bounds(basis: SymbolBasis, a: Optional[Exponent], b: Optional[Exponent]) -> int:
@@ -552,7 +550,6 @@ class Coefficient(SparsePoly):
         """Explicitly lossy evaluation at the basis values, precision P."""
         import mpmath
 
-        from .numeric import workprec
         with workprec(basis.precision):
             total = mpmath.mpf(0)
             for (syms, damp), q in self.terms:
@@ -694,34 +691,12 @@ def _effective_min(s: FormalSeries) -> Optional[Exponent]:
 
 
 def _sorted_terms(basis: SymbolBasis, accum: dict) -> tuple:
-    # Ordered as by ``ordering_key``: float shadows round monotonically, so
-    # they differ in order from the precision-P values only when equal, and
-    # then the values decide.  An adjacent float gap above ``compare``'s
-    # margin (and twice the tie window) is no tie; only near-ties are
-    # measured at precision P.
-    keyed = []
-    for e, p in accum.items():
-        if p.is_zero:
-            continue
-        keyed.append((basis.float_value(e), basis.exponent_value(e), e.sort_key(), e, p))
-    keyed.sort(key=lambda t: t[:3])
-    thr = None
-    floor = 2.0 * 2.0 ** -basis.precision
-    for (fa, va, _, ea, _), (fb, vb, _, eb, _) in zip(keyed, keyed[1:]):
-        gap = fb - fa
-        if gap > floor and gap > 1e-9 * max(1.0, abs(fa), abs(fb)):
-            continue
-        if thr is None:
-            from .numeric import workprec
-            thr = tie_threshold(basis.precision)
-        with workprec(basis.precision):
-            gap = abs(vb - va)
-        if gap <= thr:
-            warnings.warn(
-                f"adjacent exponents tie within 2^-{basis.precision}: "
-                f"({ea}) vs ({eb}); order fixed lexicographically",
-                PrecisionTieWarning, stacklevel=3)
-    return tuple((e, p) for _, _, _, e, p in keyed)
+    key = basis.ordering_key
+    terms = sorted(((e, p) for e, p in accum.items() if not p.is_zero),
+                   key=lambda t: key(t[0]))
+    for (a, _), (b, _) in zip(terms, terms[1:]):
+        basis.check_tie(a, b)
+    return tuple(terms)
 
 
 def _group(accum: dict) -> dict:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import HorizonTooShort
-from .formal_eval import substitute
+from .formal_eval import Residual, substitute
 from .linalg import Ring, determinant, operator_ring, ring_nullspace_vector
 from .series import (
     Coefficient,
@@ -571,6 +571,14 @@ class NotFoundWithinW:
 def derive_ade(phi: FormalSeries, max_weight: int,
                horizon: Optional[Exponent] = None,
                max_k: Optional[int] = None) -> Union[DiffPolynomial, NotFoundWithinW]:
+    """The equation :func:`search_ade` finds, or its NotFoundWithinW."""
+    found = search_ade(phi, max_weight, horizon, max_k)
+    return found.polynomial if isinstance(found, Residual) else found
+
+
+def search_ade(phi: FormalSeries, max_weight: int,
+               horizon: Optional[Exponent] = None,
+               max_k: Optional[int] = None) -> Union[Residual, NotFoundWithinW]:
     """Search power-product subsets for a differential equation phi satisfies.
 
     Subsets are visited by increasing size, then total weight, then the
@@ -578,7 +586,8 @@ def derive_ade(phi: FormalSeries, max_weight: int,
     window only; every detected relation is cross-checked by substitution
     against the argument's full validity, so a relation that merely
     interpolates the window is refuted by the data beyond it.  Refuted
-    candidates are recorded, not returned.
+    candidates are recorded, not returned; the equation found comes with
+    its zero residual at the argument's full validity.
     """
     if max_weight < 2:
         raise ValueError("max weight must be at least 2")
@@ -621,7 +630,7 @@ def derive_ade(phi: FormalSeries, max_weight: int,
                 candidate = candidate + p.as_diffpoly(c)
             residual = substitute(candidate, phi)
             if residual.is_zero:
-                return candidate
+                return residual
             refuted.append(label)
     if decided == 0 and (skipped or inconclusive):
         raise HorizonTooShort(

@@ -80,6 +80,22 @@ class TestCertificateGoldens:
                      "--out", str(outdir)]) == EXIT_REFUTATION
         assert _digest(outdir / "00_FormalRefutation.cert.json") == _digest(out)
 
+    @pytest.mark.parametrize("horizon,digest", [
+        ([], "d4b19e08ce03fe357d293c4837bd7e423d4d1e944e0ac1eee3a4635541ecd2a1"),
+        (["--horizon", '{"lam": "10"}'],
+         "b3226a7a1832a4f366fa2923d052dcece2391fd40fe2ff592226d23f60baebc3"),
+    ])
+    def test_derive(self, horizon, digest, geometric_file, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        assert main(["derive-ade", "--series", str(geometric_file), "--out", str(out),
+                     *horizon]) == EXIT_OK
+        assert capsys.readouterr().out == "lam*f + lam*f^2 + f'\n"
+        assert _digest(out) == digest
+        outdir = tmp_path / "certs"
+        assert main(["analyze", "--series", str(geometric_file), "--derive",
+                     "--out", str(outdir), *horizon]) == EXIT_OK
+        assert _digest(outdir / "00_FormalSatisfaction.cert.json") == digest
+
 
 @pytest.fixture()
 def full_equation_calls(monkeypatch, lam_basis):
@@ -118,6 +134,18 @@ class TestOneSubstitutionPerCertificate:
         assert main(["analyze", "--series", str(geometric_file), "--eq", EQ,
                      "--out", str(tmp_path / "certs")]) == EXIT_OK
         assert len(full_equation_calls) == 1
+
+    @pytest.mark.parametrize("horizon", [[], ["--horizon", '{"lam": "10"}']])
+    def test_derive(self, horizon, geometric_file, tmp_path, full_equation_calls, capsys):
+        # the search's own residual at full validity serves the certificate
+        out = tmp_path / "d.json"
+        assert main(["derive-ade", "--series", str(geometric_file), "--out", str(out),
+                     *horizon]) == EXIT_OK
+        assert full_equation_calls == [None]
+        full_equation_calls.clear()
+        assert main(["analyze", "--series", str(geometric_file), "--derive",
+                     "--out", str(tmp_path / "certs"), *horizon]) == EXIT_OK
+        assert full_equation_calls == [None]
 
     def test_refutation(self, perturbed_file, tmp_path, full_equation_calls, capsys):
         out = tmp_path / "c.json"

@@ -9,7 +9,12 @@ import pytest
 from conftest import PREC, exact_exponential, geometric_series, rand_fraction
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial, partial_wrt
 from dforge import formal_eval
-from dforge.errors import HorizonTooShort, PartialVanishes, VerificationFailed
+from dforge.errors import (
+    HorizonTooShort,
+    PartialVanishes,
+    PrecisionTieWarning,
+    VerificationFailed,
+)
 from dforge.formal_eval import (
     ExpPolynomial,
     certify_root_bound,
@@ -293,23 +298,25 @@ class TestIncrementalLatticeCheck:
         basis = SymbolBasis.from_pairs([("a", "1.1"), ("b", "2.3")], precision=PREC)
         rng = random.Random(20261018)
         seen = set()
-        for _ in range(300):
-            exps = []
-            for _ in range(rng.randint(0, 9)):
-                if exps and rng.random() < 0.6:
-                    # an integer combination of earlier exponents
-                    e = Exponent.zero()
-                    for g in rng.sample(exps, min(len(exps), 2)):
-                        e = e + g * rng.randint(-3, 3)
-                else:
-                    e = Exponent.make({"a": rand_fraction(rng, -3, 3, 3),
-                                       "b": rand_fraction(rng, -3, 3, 2)},
-                                      rand_fraction(rng, -2, 2, 2))
-                exps.append(e)
-            checked = [rng.random() < 0.5 for _ in exps]
-            got = _outcome(formal_eval._verify_in_earlier_lattice, exps, checked, basis)
-            assert got == _outcome(_prefix_oracle, exps, checked, basis)
-            seen.add(got[0])
+        # 3a - b - 1 = 0: a lattice generator within 2^-P of zero warns
+        with pytest.warns(PrecisionTieWarning, match=r"\(-3\*a \+ b \+ 1\) vs \(0\)"):
+            for _ in range(300):
+                exps = []
+                for _ in range(rng.randint(0, 9)):
+                    if exps and rng.random() < 0.6:
+                        # an integer combination of earlier exponents
+                        e = Exponent.zero()
+                        for g in rng.sample(exps, min(len(exps), 2)):
+                            e = e + g * rng.randint(-3, 3)
+                    else:
+                        e = Exponent.make({"a": rand_fraction(rng, -3, 3, 3),
+                                           "b": rand_fraction(rng, -3, 3, 2)},
+                                          rand_fraction(rng, -2, 2, 2))
+                    exps.append(e)
+                checked = [rng.random() < 0.5 for _ in exps]
+                got = _outcome(formal_eval._verify_in_earlier_lattice, exps, checked, basis)
+                assert got == _outcome(_prefix_oracle, exps, checked, basis)
+                seen.add(got[0])
         assert seen == {"verified", "failed"}
 
     def test_forcing_threshold_matches_prefix_oracle(self, monkeypatch):

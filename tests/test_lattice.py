@@ -399,3 +399,8 @@ class TestLatticeOracles:
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionTieWarning)
             integer_basis([Exponent.make({"a": 2}, -1)], basis)
+        # within 2^-P of zero but not zero: a = 1.5 + 10^-39 gives 2.0e-39 < 2^-128
+        near = SymbolBasis.from_pairs([("a", "1.5" + "0" * 37 + "1")], precision=128)
+        with pytest.warns(PrecisionTieWarning):
+            B = integer_basis([Exponent.make({"a": 2}, -3)], near)
+        assert B.generators == (Exponent.make({"a": 2}, -3),)

@@ -1,8 +1,10 @@
 """Series arithmetic: construction, products, derivatives, shifts, order."""
 
+import itertools
 import random
 import warnings
 from fractions import Fraction
+from functools import cmp_to_key
 
 import mpmath
 import pytest
@@ -322,6 +324,54 @@ class TestCheapExponentArithmetic:
                 ties = sum(abs(basis.exponent_value(b) - basis.exponent_value(a)) <= thr
                            for a, b in zip(ordered, ordered[1:]))
             assert len(caught) == ties
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert all(basis.compare(a, b) == -1 and basis.compare(b, a) == 1
+                           for a, b in zip(ordered, ordered[1:]))
+            assert len(caught) == 2 * ties
+
+
+class TestOneExponentOrder:
+    """compare, sorting and truncation agree inside the tie window."""
+
+    @pytest.mark.parametrize("value,precision", [
+        ("1.0000000001", 20),
+        ("1." + "0" * 40 + "1", 128),   # 1 + 10^-41
+    ])
+    def test_bound_inside_the_tie_window(self, value, precision):
+        basis = SymbolBasis.from_pairs([("a", value)], precision=precision)
+        a, b = Exponent.of("a"), Exponent.constant(1)
+        with pytest.warns(PrecisionTieWarning):
+            assert basis.compare(a, b) == 1
+        with pytest.warns(PrecisionTieWarning), pytest.raises(BadBound):
+            make_series([(a, 1), (b, 1)], basis, b)
+        with pytest.warns(PrecisionTieWarning):
+            s = make_series([(a, 1), (b, 1)], basis, None)
+            assert [e for e, _ in s.terms] == [b, a]
+            assert [e for e, _ in truncate(s, a).terms] == [b, a]
+
+    def test_compare_is_transitive(self):
+        basis = SymbolBasis.from_pairs([("x", "1.0000000012"), ("y", "1.0000000006")],
+                                       precision=20)
+        x, y, z = Exponent.of("x"), Exponent.of("y"), Exponent.constant(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionTieWarning)
+            assert (basis.compare(z, y), basis.compare(y, x), basis.compare(z, x)) \
+                == (-1, -1, -1)
+            ordered = sorted([x, y, z], key=basis.ordering_key)
+            assert ordered == [z, y, x]
+            for perm in itertools.permutations([x, y, z]):
+                assert sorted(perm, key=cmp_to_key(basis.compare)) == ordered
+
+    def test_one_warning_per_tie(self):
+        basis = SymbolBasis.from_pairs([("a", "1.0000001")], precision=20)
+        a, b = Exponent.of("a"), Exponent.constant(1)
+        for check in (lambda: basis.compare(a, b),
+                      lambda: make_series([(a, 1), (b, 1)], basis, None)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                check()
+            assert [w.category for w in caught] == [PrecisionTieWarning]
 
 
 class TestCoefficientNormalForm:
