@@ -77,7 +77,9 @@ class AnalysisConfig:
                 raise ConfigError(f"config value {name!r}: {exc}") from None
 
     @staticmethod
-    def from_file(path) -> "AnalysisConfig":
+    def from_file(path, command: str = "analyze") -> "AnalysisConfig":
+        """The config in ``path``; a key that ``command`` never reads is an
+        error rather than a silent no-op."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
@@ -89,6 +91,9 @@ class AnalysisConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(AnalysisConfig)})
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {unknown}")
+        unread = sorted(set(obj) - CONFIG_READS[command])
+        if unread:
+            raise ConfigError(f"{path}: {command} does not read config keys {unread}")
         return AnalysisConfig(**obj)
 
     def to_file(self, path) -> None:
@@ -97,6 +102,18 @@ class AnalysisConfig:
     @property
     def horizon_exponent(self) -> Optional[Exponent]:
         return None if self.horizon is None else obj_to_exponent(self.horizon)
+
+
+# The config fields each command that takes ``--config`` reads.
+CONFIG_READS = {
+    "analyze": {f.name for f in fields(AnalysisConfig)},
+    "substitute": {"horizon", "output"},
+    "basis": {"precision_bits", "factor_limit", "output"},
+    "derive-ade": {"max_weight", "horizon", "output"},
+    "rescale": {"output"},
+    "verify hilbert": {"precision_bits", "output"},
+    "verify rescale": {"horizon", "output"},
+}
 
 
 @dataclass
@@ -313,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> AnalysisConfig:
     """The config file, overridden by flags, overridden by DFORGE_PRECISION."""
-    config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
+    command = args.command if args.command != "verify" else f"verify {args.verify_command}"
+    config = AnalysisConfig.from_file(args.config, command) if args.config else AnalysisConfig()
     overrides = {f.name: getattr(args, f.name, None) for f in fields(AnalysisConfig)
                  if f.name != "horizon"}   # flags are named after the fields
     if getattr(args, "horizon", None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DegenerateInput, ResultantVanished
-from .linalg import determinant, operator_ring
+from .linalg import determinant
 from .series import (
     Coefficient,
     SparsePoly,
@@ -112,8 +112,6 @@ class DiffPolynomial(SparsePoly):
         return pretty(self)
 
 
-_DP_RING = operator_ring(DiffPolynomial.zero(), DiffPolynomial.one())
-
 
 def partial_wrt(F: DiffPolynomial, z: DiffIndeterminate) -> DiffPolynomial:
     """Formal partial derivative with respect to one indeterminate."""
@@ -182,7 +180,7 @@ def sylvester_resultant(A: DiffPolynomial, B: DiffPolynomial) -> DiffPolynomial:
         raise DegenerateInput("both inputs are constant in x")
     if A.is_zero or B.is_zero:
         raise DegenerateInput("resultant of the zero polynomial is degenerate")
-    return determinant(sylvester_matrix(A, B), _DP_RING)
+    return determinant(sylvester_matrix(A, B))
 
 
 def split_x_monomial_content(F: DiffPolynomial) -> tuple[int, DiffPolynomial]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import mpmath
 
@@ -183,40 +183,31 @@ def initial_terms_of_partials(F: DiffPolynomial, phi: FormalSeries,
 # Exponential polynomials and certified root bounds
 # ---------------------------------------------------------------------------
 
-RateLike = Union[Fraction, Exponent]
-
-
 @dataclass(frozen=True)
 class ExpPolynomial:
-    """L(lam) = sum c * lam^t * e^(lam*k) with exact (t, k, c) data."""
+    """L(lam) = sum c * lam^t * e^(lam*k) with exact (t, k, c) data and
+    rational rates k, sorted by (t, k)."""
 
-    terms: tuple[tuple[int, RateLike, Coefficient], ...]
+    terms: tuple[tuple[int, Fraction, Coefficient], ...]
     basis: SymbolBasis
 
     @staticmethod
     def make(terms, basis: SymbolBasis) -> "ExpPolynomial":
         merged: dict = {}
         for t, k, c in terms:
-            if isinstance(k, int):
-                k = Fraction(k)
-            if isinstance(k, Exponent) and not k.coords:
-                k = k.const
+            key = (t, Fraction(k))
             if not isinstance(c, Coefficient):
                 c = Coefficient.from_fraction(c)
-            key = (t, isinstance(k, Exponent), k)
-            merged[key] = (k, merged[key][1] + c) if key in merged else (k, c)
-        out = [(t, k, c) for (t, _, _), (k, c) in merged.items() if not c.is_zero]
-        out.sort(key=lambda item: (item[0], _rate_sort_key(item[1])))
-        return ExpPolynomial(tuple(out), basis)
+            merged[key] = merged[key] + c if key in merged else c
+        return ExpPolynomial(tuple((t, k, c) for (t, k), c in sorted(merged.items())
+                                   if not c.is_zero), basis)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def rate_value(self, k: RateLike):
-        if isinstance(k, Fraction):
-            return fraction_to_mpf(k, self.basis.precision)
-        return self.basis.exponent_value(k)
+    def rate_value(self, k: Fraction):
+        return fraction_to_mpf(k, self.basis.precision)
 
     def evaluate(self, lam) -> mpmath.mpf:
         with workprec(self.basis.precision):
@@ -229,12 +220,6 @@ class ExpPolynomial:
             return total
 
 
-def _rate_sort_key(k: RateLike):
-    if isinstance(k, Fraction):
-        return (0, k, ())
-    return (1, k.const, k.coords)
-
-
 @dataclass(frozen=True)
 class RootBound:
     """Certified upper bound on the real roots of an exponential polynomial.
@@ -245,7 +230,7 @@ class RootBound:
     """
 
     bound: Fraction
-    dominant: tuple[int, RateLike]
+    dominant: tuple[int, Fraction]
     ratio_sum_at_bound: str
     sum_limit: Fraction
     precision: int
@@ -265,9 +250,9 @@ def _dominant(L: ExpPolynomial):
     best = rates[0]
     for kv, t, k, c in rates[1:]:
         if kv > best[0] + tiny or (abs(kv - best[0]) <= tiny and
-                                   _same_rate(k, best[2]) and t > best[1]):
+                                   k == best[2] and t > best[1]):
             best = (kv, t, k, c)
-        elif abs(kv - best[0]) <= tiny and not _same_rate(k, best[2]):
+        elif abs(kv - best[0]) <= tiny and k != best[2]:
             raise PrecisionTie(f"exponential rates ({k}) and ({best[2]}) tie "
                                f"at precision {basis.precision}")
     kv_star, t_star, k_star, c_star = best
@@ -275,7 +260,7 @@ def _dominant(L: ExpPolynomial):
     if c_star_abs <= tiny:
         raise PrecisionTie("dominant coefficient is numerically indistinct from zero")
     others = [(kv, t, k, c) for kv, t, k, c in rates
-              if not (t == t_star and _same_rate(k, k_star))]
+              if not (t == t_star and k == k_star)]
     return (kv_star, t_star, k_star, c_star_abs), others
 
 
@@ -296,10 +281,6 @@ def exp_poly_root_bound(L: ExpPolynomial) -> RootBound:
                                  _SUM_LIMIT, prec)
             B *= 2
         raise PrecisionTie("dominance could not be certified within 512 doublings")
-
-
-def _same_rate(a: RateLike, b: RateLike) -> bool:
-    return type(a) is type(b) and a == b
 
 
 def _ratio_sum(L: ExpPolynomial, others, kv_star, t_star, c_star_abs, B: Fraction):

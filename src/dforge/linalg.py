@@ -1,7 +1,10 @@
 """Small exact linear-algebra kernels shared across modules.
 
+Matrix entries bring their own arithmetic: ``+``, unary ``-``, ``*``, and
+truthiness that is False only for an exact zero.  A series that is zero
+only up to a finite bound is truthy, so its bound reaches the result.
 Determinants use memoized minor expansion (matrices here are tiny, and the
-entry rings — difference-differential polynomials, formal series — have no
+entries — difference-differential polynomials, formal series — have no
 cheap division).  Nullspaces over a polynomial ring use cross-multiplication
 elimination, which never divides and therefore stays exact in any integral
 domain.
@@ -9,30 +12,13 @@ domain.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Ring:
-    zero: object
-    one: object
-    add: Callable
-    neg: Callable
-    mul: Callable
-    is_zero: Callable
-
-
-def operator_ring(zero, one) -> Ring:
-    """Ring of values with ``+``, unary ``-``, ``*`` and an ``is_zero`` property."""
-    return Ring(zero=zero, one=one, add=operator.add, neg=operator.neg,
-                mul=operator.mul, is_zero=lambda a: a.is_zero)
-
-
-def determinant(matrix: Sequence[Sequence[object]], ring: Ring,
-                table: Optional[dict] = None, keys: Optional[Sequence] = None):
+def determinant(matrix: Sequence[Sequence[object]], table: Optional[dict] = None,
+                keys: Optional[Sequence] = None):
     """Determinant by minor expansion with memoized column-suffix minors.
 
     The expansion runs down the columns in order, so the minor on rows ``R``
@@ -44,7 +30,7 @@ def determinant(matrix: Sequence[Sequence[object]], ring: Ring,
     """
     n = len(matrix)
     if n == 0:
-        return ring.one
+        raise ValueError("determinant requires a non-empty matrix")
     for row in matrix:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
@@ -53,53 +39,53 @@ def determinant(matrix: Sequence[Sequence[object]], ring: Ring,
     else:
         keys = tuple(keys)
         suffixes = [keys[c:] for c in range(n)]
-    return _minor(matrix, ring, table, suffixes, tuple(range(n)), 0)
+    return _minor(matrix, table, suffixes, tuple(range(n)), 0)
 
 
-def _minor(matrix, ring: Ring, table: dict, suffixes, rows: tuple, col: int):
+def _minor(matrix, table: dict, suffixes, rows: tuple, col: int):
     # a module-level recursion: a recursive closure would be a reference
     # cycle holding the table until the cyclic garbage collector ran
-    if not rows:
-        return ring.one
+    if len(rows) == 1:
+        return matrix[rows[0]][col]
     key = (rows, suffixes[col])
     total = table.get(key)
     if total is not None:
         return total
-    total = ring.zero
     for pos, r in enumerate(rows):
         entry = matrix[r][col]
-        if ring.is_zero(entry):
+        if not entry:
             continue
-        sub = _minor(matrix, ring, table, suffixes, rows[:pos] + rows[pos + 1:], col + 1)
-        term = ring.mul(entry, sub)
+        term = entry * _minor(matrix, table, suffixes, rows[:pos] + rows[pos + 1:], col + 1)
         if pos % 2:
-            term = ring.neg(term)
-        total = ring.add(total, term)
+            term = -term
+        total = term if total is None else total + term
+    if total is None:  # the column is exactly zero on these rows
+        total = matrix[rows[0]][col]
     table[key] = total
     return total
 
 
-def determinant_leibniz(matrix: Sequence[Sequence[object]], ring: Ring):
+def determinant_leibniz(matrix: Sequence[Sequence[object]]):
     """Plain permutation-sum determinant (independent oracle path)."""
-    import itertools
-
     n = len(matrix)
-    total = ring.zero
+    if n == 0:
+        raise ValueError("determinant requires a non-empty matrix")
+    total = None
     for perm in itertools.permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n)
                          if perm[i] > perm[j])
-        prod = ring.one
-        for i in range(n):
-            prod = ring.mul(prod, matrix[i][perm[i]])
-            if ring.is_zero(prod):
+        prod = matrix[0][perm[0]]
+        for i in range(1, n):
+            if not prod:
                 break
+            prod = prod * matrix[i][perm[i]]
         if inversions % 2:
-            prod = ring.neg(prod)
-        total = ring.add(total, prod)
+            prod = -prod
+        total = prod if total is None else total + prod
     return total
 
 
-def ring_echelon(matrix: list[list[object]], ring: Ring) -> tuple[list[list[object]], list[int]]:
+def ring_echelon(matrix: list[list[object]]) -> tuple[list[list[object]], list[int]]:
     """Cross-multiplication row echelon form; returns (rows, pivot columns).
 
     Row operations are ``row_i <- p*row_i - a*row_r`` with the pivot p, so no
@@ -110,21 +96,15 @@ def ring_echelon(matrix: list[list[object]], ring: Ring) -> tuple[list[list[obje
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not ring.is_zero(rows[i][c]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         p = rows[r][c]
         for i in range(r + 1, len(rows)):
             a = rows[i][c]
-            if ring.is_zero(a):
-                continue
-            rows[i] = [ring.add(ring.mul(p, rows[i][j]), ring.neg(ring.mul(a, rows[r][j])))
-                       for j in range(ncols)]
+            if a:
+                rows[i] = [p * rows[i][j] + -(a * rows[r][j]) for j in range(ncols)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -132,52 +112,45 @@ def ring_echelon(matrix: list[list[object]], ring: Ring) -> tuple[list[list[obje
     return rows, pivots
 
 
-def ring_nullspace_vector(matrix: Sequence[Sequence[object]], ring: Ring) -> Optional[list]:
+def ring_nullspace_vector(matrix: Sequence[Sequence[object]]) -> Optional[list]:
     """One nonzero kernel vector of the column map, or None if full column rank.
 
-    Entries of the returned vector live in the ring (denominators cleared).
+    Entries are of one type with ``zero()`` and ``one()``; the returned
+    vector has entries of that type (denominators cleared).
     """
     if not matrix:
         return None
     ncols = len(matrix[0])
-    rows, pivots = ring_echelon([list(r) for r in matrix], ring)
+    kind = type(matrix[0][0])
+    zero, one = kind.zero(), kind.one()
+    rows, pivots = ring_echelon(matrix)
     if len(pivots) == ncols:
         return None
     pivot_set = set(pivots)
     free = next(c for c in range(ncols) if c not in pivot_set)
     # Back-substitute with (numerator, denominator) pairs; v[free] = 1.
-    sol: dict[int, tuple] = {free: (ring.one, ring.one)}
-    for c in range(ncols):
-        if c not in pivot_set and c != free:
-            sol[c] = (ring.zero, ring.one)
+    sol: dict[int, tuple] = {c: (zero, one) for c in range(ncols) if c not in pivot_set}
+    sol[free] = (one, one)
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
-        p = rows[r][pc]
-        num, den = ring.zero, ring.one
+        num, den = zero, one
         for c in range(pc + 1, ncols):
             a = rows[r][c]
-            if ring.is_zero(a):
-                continue
-            cn, cd = sol[c]
-            num = ring.add(ring.mul(num, cd), ring.mul(den, ring.mul(a, cn)))
-            den = ring.mul(den, cd)
+            if a:
+                cn, cd = sol[c]
+                num = num * cd + den * (a * cn)
+                den = den * cd
         # p * v[pc] = -num/den
-        sol[pc] = (ring.neg(num), ring.mul(p, den))
+        sol[pc] = (-num, rows[r][pc] * den)
     # Clear denominators across all coordinates.
-    common = ring.one
-    for c in range(ncols):
-        common = ring.mul(common, sol[c][1])
     out = []
     for c in range(ncols):
-        n, d = sol[c]
-        scale = ring.one
+        scale = one
         for c2 in range(ncols):
             if c2 != c:
-                scale = ring.mul(scale, sol[c2][1])
-        out.append(ring.mul(n, scale))
-    if all(ring.is_zero(v) for v in out):
-        return None
-    return out
+                scale = scale * sol[c2][1]
+        out.append(sol[c][0] * scale)
+    return out if any(out) else None
 
 
 def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:

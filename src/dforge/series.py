@@ -660,6 +660,19 @@ class FormalSeries:
         """True when no term is stored (zero up to the truncation bound)."""
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False only for the exact zero: no term and no truncation bound."""
+        return bool(self.terms) or self.truncation is not None
+
+    def __add__(self, other: "FormalSeries") -> "FormalSeries":
+        return series_add(self, other)
+
+    def __neg__(self) -> "FormalSeries":
+        return series_neg(self)
+
+    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
+        return series_mul(self, other)
+
     @property
     def is_exact(self) -> bool:
         return self.truncation is None

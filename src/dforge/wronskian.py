@@ -20,30 +20,18 @@ from typing import Optional, Sequence, Union
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import HorizonTooShort
 from .formal_eval import Residual, substitute
-from .linalg import Ring, determinant, operator_ring, ring_nullspace_vector
+from .linalg import determinant, ring_nullspace_vector
 from .series import (
     Coefficient,
     Exponent,
     FormalSeries,
-    constant_series,
     differentiate_s,
     meet_bounds,
     prefix,
     product_bound,
-    series_add,
     series_mul,
-    series_neg,
     truncate,
-    zero_series,
 )
-
-_COEFF_RING = operator_ring(Coefficient.zero(), Coefficient.one())
-
-
-def _series_ring(basis) -> Ring:
-    return Ring(zero=zero_series(basis), one=constant_series(basis, 1),
-                add=series_add, neg=series_neg, mul=series_mul,
-                is_zero=lambda s: s.is_zero)
 
 
 @dataclass(frozen=True)
@@ -228,38 +216,77 @@ class _Column:
         return chain[:count]
 
 
-def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int],
-                           basis) -> FormalSeries:
+def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int]) -> FormalSeries:
     k = len(columns)
     matrix = [[col.rows(stage, k)[i] for col in columns] for i in range(k)]
-    return determinant(matrix, _series_ring(basis))
+    return determinant(matrix)
 
 
 _UNKNOWN = object()
 
 
 class _NumSeries:
-    """Leading-window series with exact dyadic coefficients, for the screen."""
+    """Leading-window series with exact dyadic coefficients, for the screen.
 
-    __slots__ = ("terms", "bound", "_least")
+    Coefficients are evaluated numerically once (precision P); after that
+    every operation is exact rational arithmetic on those dyadic values, so
+    the determinant screen is deterministic and free of any global
+    floating-point context.
+    """
 
-    def __init__(self, terms: dict, bound: Optional[Exponent]):
+    __slots__ = ("terms", "bound", "basis", "_least")
+
+    def __init__(self, terms: dict, bound: Optional[Exponent], basis):
         self.terms = terms  # Exponent -> Fraction (dyadic)
         self.bound = bound
+        self.basis = basis
         self._least = _UNKNOWN
 
     @staticmethod
     def from_series(s: FormalSeries) -> "_NumSeries":
         """Precision-P values of the coefficients, kept exactly as dyadics."""
         terms = {e: _as_dyadic(p.constant().numeric(s.basis)) for e, p in s.terms}
-        return _NumSeries(terms, s.truncation)
+        return _NumSeries(terms, s.truncation, s.basis)
 
-    def least(self, basis) -> Optional[Exponent]:
+    def least(self) -> Optional[Exponent]:
         """Least stored exponent, or the bound when no term is stored."""
         if self._least is _UNKNOWN:
-            self._least = (min(self.terms, key=basis.ordering_key) if self.terms
+            self._least = (min(self.terms, key=self.basis.ordering_key) if self.terms
                            else self.bound)
         return self._least
+
+    def __bool__(self) -> bool:
+        """False only for the exact zero: no term and no bound."""
+        return bool(self.terms) or self.bound is not None
+
+    def __add__(self, other: "_NumSeries") -> "_NumSeries":
+        basis = self.basis
+        bound = meet_bounds(basis, self.bound, other.bound)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        if bound is not None:
+            out = {e: c for e, c in out.items() if basis.compare(e, bound) <= 0}
+        return _NumSeries(out, bound, basis)
+
+    def __neg__(self) -> "_NumSeries":
+        return _NumSeries({e: -c for e, c in self.terms.items()}, self.bound, self.basis)
+
+    def __mul__(self, other: "_NumSeries") -> "_NumSeries":
+        basis = self.basis
+        if not self or not other:
+            return _NumSeries({}, None, basis)
+        bound = product_bound(basis, self.bound, self.least(), other.bound, other.least())
+        sums = basis.exponent_sums()
+        out: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = sums[ea, eb]
+                if bound is not None and basis.compare(e, bound) > 0:
+                    continue
+                prod = ca * cb
+                out[e] = out[e] + prod if e in out else prod
+        return _NumSeries(out, bound, basis)
 
 
 def _as_dyadic(x) -> Fraction:
@@ -271,63 +298,19 @@ def _as_dyadic(x) -> Fraction:
     return Fraction(man) * Fraction(2) ** exp if exp < 0 else Fraction(man * 2 ** exp)
 
 
-def _numeric_ring(basis) -> Ring:
-    """Exact arithmetic over precision-P coefficient evaluations.
-
-    Coefficients are evaluated numerically once (precision P); after that
-    every ring operation is exact rational arithmetic on those dyadic
-    values, so the determinant screen is deterministic and free of any
-    global floating-point context.
-    """
-
-    def add(a: _NumSeries, b: _NumSeries) -> _NumSeries:
-        bound = meet_bounds(basis, a.bound, b.bound)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            out[e] = out[e] + c if e in out else c
-        if bound is not None:
-            out = {e: c for e, c in out.items() if basis.compare(e, bound) <= 0}
-        return _NumSeries(out, bound)
-
-    def neg(a: _NumSeries) -> _NumSeries:
-        return _NumSeries({e: -c for e, c in a.terms.items()}, a.bound)
-
-    sums = basis.exponent_sums()
-
-    def mul(a: _NumSeries, b: _NumSeries) -> _NumSeries:
-        if (not a.terms and a.bound is None) or (not b.terms and b.bound is None):
-            return _NumSeries({}, None)
-        bound = product_bound(basis, a.bound, a.least(basis), b.bound, b.least(basis))
-        out: dict = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = sums[ea, eb]
-                if bound is not None and basis.compare(e, bound) > 0:
-                    continue
-                prod = ca * cb
-                out[e] = out[e] + prod if e in out else prod
-        return _NumSeries(out, bound)
-
-    zero = _NumSeries({}, None)
-    one = _NumSeries({Exponent.zero(): Fraction(1)}, None)
-    return Ring(zero=zero, one=one, add=add, neg=neg, mul=mul,
-                is_zero=lambda s: not s.terms)
-
-
 class _Screen:
     """State of the precision-P determinant screen for one search.
 
     A search makes one and drops it when it returns, so nothing outlives
-    the search.  It holds the dyadic ring and one minor table per stage,
-    shared by the determinants of every subset: subsets with a common
-    column suffix share those minors.  The probe stage serves every subset
-    size; a window stage serves one size and its table is dropped when the
-    search moves to the next size.
+    the search.  It holds one minor table per stage, shared by the
+    determinants of every subset: subsets with a common column suffix share
+    those minors.  The probe stage serves every subset size; a window stage
+    serves one size and its table is dropped when the search moves to the
+    next size.
     """
 
     def __init__(self, basis):
         self.basis = basis
-        self.ring = _numeric_ring(basis)
         self.tol = Fraction(1, 2 ** (basis.precision // 2))
         self._tables: dict = {}
 
@@ -354,7 +337,7 @@ def _numeric_determinant(columns: Sequence[_Column], stage: int, screen: _Screen
     k = len(columns)
     cols = [col.dyadic_rows(stage, k) for col in columns]
     matrix = [[col[i] for col in cols] for i in range(k)]
-    det = determinant(matrix, screen.ring, screen.table(stage), columns)
+    det = determinant(matrix, screen.table(stage), columns)
     hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
     if not hits:
         return None
@@ -382,11 +365,11 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
 
     if exact:
         # complete data: the exact determinant is small and authoritative
-        det = _wronskian_determinant(columns, None, basis)
+        det = _wronskian_determinant(columns, None)
         if not det.is_zero:
             e, _ = det.terms[0]
             return Independent(e, det.truncation)
-        vec = ring_nullspace_vector(matrix_for(ordered), _COEFF_RING) if ordered else None
+        vec = ring_nullspace_vector(matrix_for(ordered)) if ordered else None
         if vec is None:
             raise HorizonTooShort(
                 "determinant vanished identically but the exact term matrix has "
@@ -430,12 +413,12 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
             "full column rank; extend the series", max_safe=common,
             details="determinant-vanished")
 
-    vec = ring_nullspace_vector(matrix_for(window), _COEFF_RING)
+    vec = ring_nullspace_vector(matrix_for(window))
     if vec is not None:
         coeffs = _normalize(vec)
         if _relation_holds(matrix_for(ordered), coeffs):
             return Dependent(tuple(coeffs), common, len(ordered), False)
-        vec = ring_nullspace_vector(matrix_for(ordered), _COEFF_RING)
+        vec = ring_nullspace_vector(matrix_for(ordered))
         if vec is not None:
             coeffs = _normalize(vec)
             _check_relation(matrix_for(ordered), coeffs)

@@ -165,6 +165,15 @@ class TestMain:
         assert main(args + ["--max-weight", "3"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "lam*f + lam*f^2 + f'"
 
+    def test_config_key_the_command_does_not_read(self, geometric_file, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rank_bound": 5}))
+        assert main(["substitute", "--series", str(geometric_file), "--eq", "f",
+                     "--config", str(config)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]:")
+        assert "rank_bound" in err and "substitute" in err
+
     def test_ode_to_pde_out_writes_the_file(self, tmp_path, capsys):
         args = ["ode-to-pde", "--eq", "f' + lam*f + lam*f^2", "--mu", "1",
                 "--lambda-names", "lam"]

@@ -12,6 +12,7 @@ import pytest
 from conftest import PREC, convolve_oracle, rand_fraction
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
+from dforge.linalg import determinant, determinant_leibniz
 from dforge.numeric import tie_threshold, workprec
 from dforge.series import (
     Coefficient,
@@ -24,6 +25,7 @@ from dforge.series import (
     make_series,
     series_add,
     series_mul,
+    series_neg,
     shift_s,
     truncate,
     zero_series,
@@ -239,6 +241,20 @@ class TestRingLaws:
             lhs = series_mul(a, series_add(b, c))
             rhs = series_add(series_mul(a, b), series_mul(a, c))
             assert lhs == rhs
+            assert a + b == series_add(a, b) and a * b == series_mul(a, b)
+            assert a + -a == series_add(a, series_neg(a))
+
+    def test_only_the_exact_zero_is_falsy(self, log_basis):
+        # a series with no term but a finite bound is zero only up to that
+        # bound: truthy, though is_zero (no stored term) holds
+        bounded = zero_series(log_basis, Exponent.of("L2"))
+        assert bounded.is_zero and bounded
+        assert not zero_series(log_basis)
+        one = make_series([(Exponent.zero(), 1)], log_basis, None)
+        matrix = [[bounded, one], [one, one]]
+        for det in (determinant(matrix), determinant_leibniz(matrix)):
+            assert det == series_neg(make_series([(Exponent.zero(), 1)], log_basis,
+                                                 Exponent.of("L2")))
 
 
 class TestExponentOrder:

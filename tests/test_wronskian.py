@@ -10,7 +10,7 @@ from dforge.errors import HorizonTooShort
 from dforge.formal_eval import substitute
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.lattice import log_basis_for_indices
-from dforge.linalg import determinant, determinant_leibniz, operator_ring
+from dforge.linalg import determinant, determinant_leibniz
 from dforge.series import Coefficient, Exponent, SymbolBasis, make_series, series_neg
 from dforge.wronskian import (
     _PROBE_TERMS,
@@ -108,8 +108,8 @@ class TestDependence:
         phi = geometric_series(lam_basis, 6)
         c1 = _Column(PowerProduct.make({0: 1}).evaluate(phi))
         c2 = _Column(PowerProduct.make({0: 2}).evaluate(phi))
-        assert _wronskian_determinant([c1, c2], None, lam_basis) == \
-            series_neg(_wronskian_determinant([c2, c1], None, lam_basis))
+        assert _wronskian_determinant([c1, c2], None) == \
+            series_neg(_wronskian_determinant([c2, c1], None))
 
 
 class TestDeriveAde:
@@ -199,23 +199,35 @@ class TestSharedScreen:
         for _ in range(40):
             k = rng.randint(2, 5)
             cols = [columns[i] for i in sorted(rng.sample(range(len(columns)), k))]
-            # from stage 2 on no entry is a zero series with a finite bound:
-            # minor expansion skips such an entry and the Leibniz sum keeps
-            # its bound, so the two bounds would differ there
-            stage = rng.choice((_PROBE_TERMS, k + _ROW_MARGIN, rng.randint(2, 9)))
+            stage = rng.choice((_PROBE_TERMS, k + _ROW_MARGIN, rng.randint(1, 9)))
             rows = [col.dyadic_rows(stage, k) for col in cols]
             for col, converted in zip(cols, rows):
                 fresh_rows = [_NumSeries.from_series(s) for s in col.rows(stage, k)]
                 assert [r.terms for r in converted] == [r.terms for r in fresh_rows]
                 assert [r.bound for r in converted] == [r.bound for r in fresh_rows]
             matrix = [[r[i] for r in rows] for i in range(k)]
-            shared = determinant(matrix, screen.ring, screen.table(stage), cols)
-            for other in (determinant(matrix, screen.ring),
-                          determinant_leibniz(matrix, screen.ring)):
+            shared = determinant(matrix, screen.table(stage), cols)
+            for other in (determinant(matrix), determinant_leibniz(matrix)):
                 assert shared.terms == other.terms
                 assert shared.bound == other.bound
             nonzero += bool(shared.terms)
         assert nonzero > 10
+
+    def test_entry_zero_up_to_a_bound_keeps_its_bound(self):
+        # at stage 1 some entries have no term but a finite bound; they are
+        # not exact zeros, so both expansions carry their bounds through
+        basis, _, phi = _zeta(40)
+        memo = {}
+        products = enumerate_products(4)
+        cols = [_Column(products[i].evaluate(phi, memo)) for i in (2, 3, 8, 9, 10)]
+        rows = [col.dyadic_rows(1, len(cols)) for col in cols]
+        matrix = [[r[i] for r in rows] for i in range(len(cols))]
+        assert any(not entry.terms and entry for row in matrix for entry in row)
+        screen = _Screen(basis)
+        for det in (determinant(matrix, screen.table(1), cols), determinant(matrix),
+                    determinant_leibniz(matrix)):
+            assert det.bound == Exponent.of("L2", 5)
+            assert len(det.terms) == 1
 
     @pytest.mark.parametrize("family", ["zeta", "geometric"])
     def test_verdicts_match_wronskian_dependence(self, family):
@@ -266,11 +278,10 @@ class TestSharedScreen:
             basis, vecs, phi = _zeta(12)
             derive_ade(phi, 3, horizon=vecs[8])
             wronskian_dependence(enumerate_products(3)[:3], phi, vecs[8])
-            ring = operator_ring(Coefficient.zero(), Coefficient.one())
             m = [[Coefficient.from_fraction(i * 3 + j + (i == j)) for j in range(3)]
                  for i in range(3)]
-            assert determinant(m, ring) == determinant_leibniz(m, ring)
-            del basis, vecs, phi, ring, m
+            assert determinant(m) == determinant_leibniz(m)
+            del basis, vecs, phi, m
             assert gc.collect() == 0
         finally:
             gc.enable()
