@@ -21,6 +21,7 @@ from .series import (
     _as_fraction,
     drop_power,
     merge_powers,
+    power_product,
 )
 
 
@@ -235,22 +236,16 @@ def xpoly_shift(p: XPoly, h: Fraction) -> XPoly:
 
 def evaluate_on_xpolynomial(F: DiffPolynomial, phi: XPoly) -> XPoly:
     """Substitute the concrete polynomial phi(x) for f, x staying explicit."""
-    cache: dict[DiffIndeterminate, XPoly] = {}
-
     def value(ind: DiffIndeterminate) -> XPoly:
-        if ind not in cache:
-            p = phi
-            for _ in range(ind.order):
-                p = xpoly_derivative(p)
-            cache[ind] = xpoly_shift(p, ind.shift)
-        return cache[ind]
+        p = phi
+        for _ in range(ind.order):
+            p = xpoly_derivative(p)
+        return xpoly_shift(p, ind.shift)
 
+    memo: dict = {}
     total = XPoly.zero()
     for (xdeg, powers), c in F.terms:
         part = XPoly.monomial(xdeg, c)
-        for ind, k in powers:
-            v = value(ind)
-            for _ in range(k):
-                part = part * v
-        total = total + part
+        product = power_product(powers, value, memo)
+        total = total + (part if product is None else part * product)
     return total

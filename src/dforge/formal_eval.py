@@ -31,9 +31,9 @@ from .series import (
     constant_series,
     differentiate_s,
     leading_term,
+    power_product,
     prefix,
     series_add,
-    series_mul,
     series_scale,
     series_scale_xpoly,
     shift_s,
@@ -74,31 +74,14 @@ class Residual:
 
 
 def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries) -> FormalSeries:
+    def argument(ind: DiffIndeterminate) -> FormalSeries:
+        return shift_s(differentiate_s(phi, ind.order), ind.shift)
+
     basis = phi.basis
-    cache: dict[DiffIndeterminate, FormalSeries] = {}
-    power_cache: dict[tuple[DiffIndeterminate, int], FormalSeries] = {}
-
-    def argument_series(ind: DiffIndeterminate) -> FormalSeries:
-        if ind not in cache:
-            cache[ind] = shift_s(differentiate_s(phi, ind.order), ind.shift)
-        return cache[ind]
-
-    def argument_power(ind: DiffIndeterminate, k: int) -> FormalSeries:
-        key = (ind, k)
-        if key not in power_cache:
-            if k == 1:
-                power_cache[key] = argument_series(ind)
-            else:
-                power_cache[key] = series_mul(argument_power(ind, k - 1),
-                                              argument_series(ind))
-        return power_cache[key]
-
+    memo: dict = {}
     total = zero_series(basis)
     for (xdeg, powers), coeff in F.terms:
-        part: Optional[FormalSeries] = None
-        for ind, k in powers:
-            factor = argument_power(ind, k)
-            part = factor if part is None else series_mul(part, factor)
+        part = power_product(powers, argument, memo)
         if part is None:
             part = constant_series(basis, 1)
         part = series_scale(part, coeff)

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import FactorLimitExceeded, NotInLatticeError
+from .numeric import workprec
 from .series import (
     Coefficient,
     Exponent,
@@ -442,16 +443,16 @@ def gap_ratios(exponents: Sequence[Exponent], basis: SymbolBasis) -> GapRatios:
     exact = []
     envelope = []
     best = None
-    from .numeric import workprec
-    for i in range(1, len(tail)):
-        prev, cur = tail[i - 1], tail[i]
-        q = _exact_ratio(cur, prev)
-        with workprec(basis.precision):
+    with workprec(basis.precision):
+        for i in range(1, len(tail)):
+            if not tail_values[i - 1]:
+                raise ValueError(f"exponent {start + i - 1} ({tail[i - 1]}) is zero inside "
+                                 "the positive tail: the gap ratio after it is undefined")
             num = tail_values[i] / tail_values[i - 1]
-        ratios.append(num)
-        exact.append(q)
-        best = num if best is None else max(best, num)
-        envelope.append(best)
+            ratios.append(num)
+            exact.append(_exact_ratio(tail[i], tail[i - 1]))
+            best = num if best is None else max(best, num)
+            envelope.append(best)
     return GapRatios(tuple(ratios), tuple(exact), tuple(envelope), start)
 
 

@@ -232,8 +232,8 @@ class SymbolBasis:
         values = {n: decimal_str_to_mpf(v, self.precision)
                   for n, v in zip(self.symbols, self.values)}
         for name, value in values.items():
-            if value <= 0:
-                raise BadBasis(f"symbol {name!r} must have a strictly positive value")
+            if not 0 < value < float("inf"):
+                raise BadBasis(f"symbol {name!r} must have a finite, strictly positive value")
         object.__setattr__(self, "_symbol_values", values)
         object.__setattr__(self, "_sums", _ExponentSums())
         object.__setattr__(self, "_cache", {})
@@ -355,6 +355,25 @@ def drop_power(powers: tuple, idx: int) -> tuple:
     if k == 1:
         return powers[:idx] + powers[idx + 1:]
     return powers[:idx] + ((n, k - 1),) + powers[idx + 1:]
+
+
+def power_product(powers: tuple, value, memo: dict):
+    """Product of ``value(n) ** k`` over ``((n, k), ...)``, one factor at a
+    time (None for no factor).  ``memo`` keeps each value, keyed by ``n``, and
+    each partial product, keyed by the tuple of factors so far, so products
+    sharing a memo compute each value once and reuse a common prefix."""
+    out = None
+    done = ()
+    for n, k in powers:
+        factor = memo.get(n)
+        if factor is None:
+            factor = memo[n] = value(n)
+        for _ in range(k):
+            done += (n,)
+            prev, out = out, memo.get(done)
+            if out is None:
+                out = memo[done] = factor if prev is None else prev * factor
+    return out
 
 
 class SparsePoly:

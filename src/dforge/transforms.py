@@ -39,6 +39,7 @@ from .series import (
     drop_power,
     make_series,
     merge_powers,
+    power_product,
     series_sub,
     x_log_derivative,
 )
@@ -221,12 +222,11 @@ def ode_to_pde(F: DiffPolynomial, mu: int,
     derivs = [PdePolynomial.g_value(mu)]
     for _ in range(order):
         derivs.append(_chain_derivative(derivs[-1], names))
+    memo: dict = {}
     total = PdePolynomial.zero(mu)
     for (xdeg, powers), c in F.terms:
-        part = PdePolynomial.one(mu)
-        for ind, k in powers:
-            part = part * derivs[ind.order] ** k
-        total = total + part.scale(c)
+        part = power_product(powers, lambda ind: derivs[ind.order], memo)
+        total = total + (PdePolynomial.one(mu) if part is None else part).scale(c)
     return PdeResult(total, mu, names, order)
 
 

@@ -27,9 +27,9 @@ from .series import (
     FormalSeries,
     differentiate_s,
     meet_bounds,
+    power_product,
     prefix,
     product_bound,
-    series_mul,
     truncate,
 )
 
@@ -66,19 +66,8 @@ class PowerProduct:
         tuple of factor orders multiplied so far), so products reuse a
         common prefix; the operations are the same as without one.
         """
-        memo = {} if memo is None else memo
-        out = None
-        done = ()
-        for order, k in self.powers:
-            factor = memo.get(order)
-            if factor is None:
-                factor = memo[order] = differentiate_s(phi, order)
-            for _ in range(k):
-                done += (order,)
-                prev, out = out, memo.get(done)
-                if out is None:
-                    out = memo[done] = factor if prev is None else series_mul(prev, factor)
-        return out
+        return power_product(self.powers, lambda order: differentiate_s(phi, order),
+                             {} if memo is None else memo)
 
     def as_diffpoly(self, coefficient=None) -> DiffPolynomial:
         mono = (0, tuple((DiffIndeterminate(Fraction(0), o), k) for o, k in self.powers))

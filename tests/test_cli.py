@@ -290,3 +290,24 @@ class TestErrorCodes:
         assert main(["substitute", "--series", str(tmp_path / "none.json"),
                      "--eq", "f"]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error[io]: ")
+
+    def test_zero_gap_in_corpus_is_bad_input(self, tmp_path, capsys):
+        # log 1 = 0 after log 2 > 0: the gap ratio log 3 / log 1 is undefined
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("2\n1\n3\n")
+        assert main(["analyze", "--corpus", str(corpus)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad-input]: exponent 1 ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["substitute", "--eq", "f' + lam*f + lam*f^2"],
+                                         ["derive-ade"]])
+    def test_nan_symbol_value_is_bad_basis(self, command, lam_basis, tmp_path, capsys):
+        obj = series_to_obj(geometric_series(lam_basis, 8))
+        obj["basis"]["symbols"][0]["value_decimal_string"] = "nan"
+        path = tmp_path / "nan.series.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "c.json"
+        assert main([*command, "--series", str(path), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad-basis]: ") and err.count("\n") == 1
+        assert not out.exists()

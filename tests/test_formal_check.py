@@ -1,8 +1,10 @@
 """The formal check end to end: certificate bytes pinned by digest, and one
 full-equation substitution per CLI path and per `verify cert`."""
 
+import gc
 import hashlib
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +13,10 @@ from dforge import formal_eval
 from dforge.cli import EXIT_OK, EXIT_REFUTATION, main
 from dforge.grammar import parse_diffpoly
 from dforge.io import dump_series, load_series
-from dforge.obstruction import residual_certificate, substitution_certificate
+from dforge.lattice import integer_basis
+from dforge.obstruction import recheck, residual_certificate, substitution_certificate
 from dforge.series import Exponent, make_series, prefix
+from dforge.transforms import verify_rescale_invariance
 
 EQ = "f' + lam*f + lam*f^2"
 
@@ -180,3 +184,28 @@ class TestReportKeepsItsResidual:
             substitution_certificate(F, phi, None, at_12)
         assert substitution_certificate(F, phi, lam * 12, at_12).evidence["horizon"] \
             == {"lam": "12"}
+
+
+class TestNoReferenceCycles:
+    def test_formal_check_frees_by_reference_counting(self, lam_basis):
+        # each call's series and residuals must be freed as soon as it
+        # returns, not at the next full collection
+        phi = geometric_series(lam_basis, 12)
+        F = parse_diffpoly(EQ, lam_basis)
+        B = integer_basis([e for e, _ in phi.terms], lam_basis)
+        cert = substitution_certificate(F, phi, None, formal_eval.forcing_threshold(F, phi))
+        calls = {
+            "substitute": lambda: formal_eval.substitute(F, phi),
+            "forcing_threshold": lambda: formal_eval.forcing_threshold(F, phi),
+            "verify_rescale_invariance": lambda: verify_rescale_invariance(
+                F, phi, B, [Fraction(1, 2)]),
+            "recheck": lambda: recheck(cert),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                call()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()

@@ -31,11 +31,16 @@ from dforge.series import (
     Coefficient,
     Exponent,
     SymbolBasis,
+    XPoly,
+    constant_series,
     differentiate_s,
     make_series,
     series_add,
     series_mul,
+    series_scale,
+    series_scale_xpoly,
     shift_s,
+    zero_series,
 )
 
 
@@ -82,6 +87,15 @@ class TestSubstitute:
             substitute(F, phi, Exponent.of("lam") * 7)
         assert err.value.max_safe == Exponent.of("lam") * 5
         assert max_safe_horizon(F, phi) == Exponent.of("lam") * 5
+
+    def test_matches_plain_product_oracle(self, lam_basis):
+        rng = random.Random(909)
+        lam = Exponent.of("lam")
+        for _ in range(12):
+            phi = make_series([(lam * n, rand_fraction(rng) or 1) for n in range(1, 8)],
+                              lam_basis, lam * 8)
+            F = _random_poly(rng)
+            assert substitute(F, phi).series == _substitute_oracle(F, phi)
 
     def test_linearity(self, lam_basis):
         rng = random.Random(6021)
@@ -356,3 +370,33 @@ def _random_shiftfree_poly(rng, basis, max_order=2, max_terms=3):
     F = DiffPolynomial._from_dict(d)
     return F if not F.is_zero else DiffPolynomial.from_indeterminate(
         DiffIndeterminate.make(0))
+
+
+def _random_poly(rng):
+    """Terms with shifts, x-degree 0..2, repeated factors and, at times, a
+    constant term."""
+    d = {}
+    for _ in range(rng.randint(1, 4)):
+        powers = {}
+        for _k in range(rng.randint(0, 3)):
+            ind = DiffIndeterminate.make(rng.randint(0, 2), rng.choice((0, 0, 1, Fraction(1, 2))))
+            powers[ind] = powers.get(ind, 0) + rng.randint(1, 2)
+        mono = (rng.randint(0, 2), tuple(sorted(powers.items())))
+        c = Coefficient.from_fraction(rand_fraction(rng))
+        if rng.random() < 0.5:
+            c = c * Coefficient.from_symbol("lam")
+        d[mono] = d.get(mono, Coefficient.zero()) + c
+    return DiffPolynomial._from_dict({m: c for m, c in d.items() if not c.is_zero})
+
+
+def _substitute_oracle(F, phi):
+    """Each monomial multiplied out factor by factor, with no memo."""
+    total = zero_series(phi.basis)
+    for (xdeg, powers), c in F.terms:
+        part = constant_series(phi.basis, 1)
+        for ind, k in powers:
+            for _ in range(k):
+                part = series_mul(part, shift_s(differentiate_s(phi, ind.order), ind.shift))
+        part = series_scale_xpoly(series_scale(part, c), XPoly.monomial(xdeg, 1))
+        total = series_add(total, part)
+    return total

@@ -210,6 +210,11 @@ class TestGapRatios:
         g = gap_ratios(exps, unit_basis)
         assert g.dropped_prefix == 2 and len(g.ratios) == 2
 
+    def test_zero_after_positive_prefix_raises(self, unit_basis):
+        exps = [Exponent.constant(q) for q in (1, 0, 2)]
+        with pytest.raises(ValueError, match="exponent 1 "):
+            gap_ratios(exps, unit_basis)
+
 
 class TestRankScan:
     def test_history_matches_batch(self, log_basis):

@@ -23,6 +23,7 @@ from dforge.series import (
     differentiate_s,
     leading_term,
     make_series,
+    power_product,
     series_add,
     series_mul,
     series_neg,
@@ -491,3 +492,41 @@ class TestSparseKernel:
             assert a ** 0 == one
             assert a ** 3 == a * a * a
             assert a * one == a
+
+
+class TestSymbolValues:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(BadBasis, match="finite"):
+            SymbolBasis.from_pairs([("lam", value)], precision=PREC)
+
+
+class _Logged:
+    """An integer whose products are appended to a shared log."""
+
+    def __init__(self, n, log):
+        self.n, self.log = n, log
+
+    def __mul__(self, other):
+        self.log.append((self.n, other.n))
+        return _Logged(self.n * other.n, self.log)
+
+
+class TestPowerProduct:
+    def test_each_value_and_each_prefix_once(self):
+        values, products = [], []
+
+        def value(n):
+            values.append(n)
+            return _Logged(n, products)
+
+        memo = {}
+        cases = [((2, 1),), ((2, 2), (3, 1)), ((2, 2), (3, 2)), ((2, 1), (5, 1)),
+                 ((3, 3),), ((2, 2), (3, 1))]
+        assert [power_product(p, value, memo).n for p in cases] == [2, 12, 36, 10, 27, 12]
+        assert values == [2, 3, 5]
+        # one product per distinct prefix of two or more factors, in prefix order
+        assert products == [(2, 2), (4, 3), (12, 3), (2, 5), (3, 3), (9, 3)]
+        assert power_product((), value, memo) is None
+        assert power_product(((3, 2),), value, {}).n == 9
+        assert values == [2, 3, 5, 3] and products[-1] == (3, 3)

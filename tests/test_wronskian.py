@@ -278,10 +278,13 @@ class TestSharedScreen:
             basis, vecs, phi = _zeta(12)
             derive_ade(phi, 3, horizon=vecs[8])
             wronskian_dependence(enumerate_products(3)[:3], phi, vecs[8])
+            lam = SymbolBasis.from_pairs([("lam", "0.7")], precision=PREC)
+            found = derive_ade(geometric_series(lam, 12), 3)
+            assert found == parse_diffpoly("lam*f + lam*f^2 + f'", lam)
             m = [[Coefficient.from_fraction(i * 3 + j + (i == j)) for j in range(3)]
                  for i in range(3)]
             assert determinant(m) == determinant_leibniz(m)
-            del basis, vecs, phi, m
+            del basis, vecs, phi, m, lam, found
             assert gc.collect() == 0
         finally:
             gc.enable()
