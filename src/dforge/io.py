@@ -37,6 +37,13 @@ def parse_frac(text: str) -> Fraction:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when it has the JSON type ``kind`` (a bool is no int)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(f"{what} must be {kind.__name__}, not {value!r}")
+    return value
+
+
 def exponent_to_obj(e: Exponent) -> dict:
     out = {n: frac_str(q) for n, q in e.coords}
     if e.const != 0:
@@ -61,11 +68,13 @@ def basis_to_obj(basis: SymbolBasis) -> dict:
 
 def obj_to_basis(obj: dict) -> SymbolBasis:
     try:
-        pairs = [(s["name"], s["value_decimal_string"]) for s in obj["symbols"]]
+        pairs = [(s["name"], _typed(s["value_decimal_string"], str, "value_decimal_string"))
+                 for s in obj["symbols"]]
         return SymbolBasis.from_pairs(
             pairs,
-            precision=int(obj.get("precision_bits", 128)),
-            independence_assumed=bool(obj.get("independence_assumed", True)))
+            precision=_typed(obj.get("precision_bits", 128), int, "precision_bits"),
+            independence_assumed=_typed(obj.get("independence_assumed", True), bool,
+                                        "independence_assumed"))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad basis block: {exc}") from None
 
@@ -92,7 +101,7 @@ def obj_to_series(obj: dict) -> FormalSeries:
         for entry in obj["terms"]:
             e = obj_to_exponent(entry["exponent"])
             c = parse_coefficient(entry["coeff"], basis)
-            spec.append((e, c, int(entry.get("xdegree", 0))))
+            spec.append((e, c, _typed(entry.get("xdegree", 0), int, "xdegree")))
         trunc = obj.get("truncation")
         bound = None if trunc is None else obj_to_exponent(trunc)
         return make_series(spec, basis, bound)

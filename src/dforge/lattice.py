@@ -10,9 +10,8 @@ rank and support exact membership tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import FactorLimitExceeded, NotInLatticeError
@@ -33,7 +32,8 @@ def _columns(basis: SymbolBasis) -> tuple:
 
 
 def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row-style HNF: echelon, positive pivots, entries above reduced mod pivot."""
+    """Row-style HNF: echelon, positive pivots, entries above reduced mod pivot.
+    A dense batch oracle for the tests; no program path calls it."""
     m = [list(map(int, row)) for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -146,8 +146,8 @@ class Lattice:
     column.  ``add`` reduces each new row into the echelon by unimodular
     Euclid steps, so nothing is ever re-eliminated; ``history`` holds
     ``(count added, rank)`` at every rank increase.  ``contains`` decides
-    membership exactly, ``generators`` gives the canonical (Hermite normal
-    form) generators and ``finish`` the full :class:`LatticeBasis`.
+    membership exactly; ``generators`` reduces the echelon to HNF in place
+    and reads the generators off it, ``finish`` the :class:`LatticeBasis`.
     """
 
     def __init__(self, basis: SymbolBasis):
@@ -187,16 +187,8 @@ class Lattice:
 
     def contains(self, e: Exponent) -> bool:
         """Exact membership of ``e`` in the lattice."""
-        return self._coordinates(e) is not None
-
-    def _coordinates(self, e: Exponent) -> Optional[tuple[int, ...]]:
-        """Integer coefficients of ``e`` over the pivot rows in insertion
-        order, or None."""
         row = _int_row(e, self._index, self._denom)
-        quotients = None if row is None else _divide_out(self._pivots, row)
-        if quotients is None:
-            return None
-        return tuple(quotients.get(c, 0) for c in self._pivots)
+        return row is not None and _divide_out(self._pivots, row) is not None
 
     def express(self, e: Exponent) -> Optional[tuple[int, ...]]:
         """Integer coordinates of ``e`` over ``generators()``, or None."""
@@ -205,16 +197,29 @@ class Lattice:
     def generators(self) -> tuple[Exponent, ...]:
         """Hermite-normal-form generators, each signed to a positive value.
 
-        The HNF of a lattice is unique for a fixed column order, so these do
-        not depend on the order in which exponents were added.
+        The pivot rows are triangular, so reducing them to HNF in place
+        (Kannan & Bachem 1979) only makes each pivot positive and reduces the
+        entries above it by floor division: from the last pivot up, each row
+        takes one pass over its entries against the reduced rows below.  The
+        HNF is unique for a fixed column order, so the generators do not
+        depend on the order in which exponents were added.
         """
-        n = len(self.cols)
-        rows = [[self._pivots[c].get(j, 0) for j in range(n)] for c in sorted(self._pivots)]
+        hnf: dict[int, dict[int, int]] = {}
+        for c in sorted(self._pivots, reverse=True):
+            row = self._pivots[c]
+            if row[c] < 0:
+                row = {j: -x for j, x in row.items()}
+            j = c
+            while (j := min((k for k in row if k > j and k in hnf), default=None)) is not None:
+                q = row[j] // hnf[j][j]
+                if q:
+                    row = _minus(row, q, hnf[j])
+            hnf[c] = row
+        self._pivots = dict(sorted(hnf.items()))
         gens = []
-        for row in hermite_normal_form(rows):
-            g = Exponent.make({c: Fraction(v, self._denom)
-                               for c, v in zip(self.cols[1:], row[1:]) if v},
-                              Fraction(row[0], self._denom))
+        for row in self._pivots.values():
+            g = Exponent.make({self.cols[j]: Fraction(v, self._denom) for j, v in row.items() if j},
+                              Fraction(row.get(0, 0), self._denom))
             # a value within 2^-P of zero puts the basis's independence in doubt
             self.basis.check_tie(g, Exponent.zero())
             gens.append(-g if self.basis.exponent_value(g) < 0 else g)
@@ -224,12 +229,13 @@ class Lattice:
         """Generators, every input over them, and a generating input subset."""
         if self._finished is None:
             gens = self.generators()
-            echelon = _lattice_of(gens, self.basis)
-            change = tuple(echelon._coordinates(e) for e in self.exponents)
+            rows = {min(r): r for r in (_int_row(g, self._index, self._denom) for g in gens)}
+            B = LatticeBasis(self.basis, gens, (), self.rank, self._input_subset(),
+                             _rows=rows, _index=self._index, _denom=self._denom)
+            change = tuple(express(e, B) for e in self.exponents)
             if None in change:
                 raise AssertionError("input exponent not expressible over its own HNF basis")
-            self._finished = LatticeBasis(self.basis, gens, change, self.rank,
-                                          self._input_subset())
+            self._finished = replace(B, change_of_basis=change)
         return self._finished
 
     def _input_subset(self) -> Optional[tuple[int, ...]]:
@@ -261,19 +267,11 @@ class LatticeBasis:
     change_of_basis: tuple[tuple[int, ...], ...]
     rank: int
     input_subset: Optional[tuple[int, ...]] = None
-
-    @cached_property
-    def _echelon(self) -> Lattice:
-        # HNF generators are in echelon order with distinct leading columns,
-        # so each becomes its own pivot row, in generator order.
-        return _lattice_of(self.generators, self.basis)
-
-
-def _lattice_of(exponents: Sequence[Exponent], basis: SymbolBasis) -> Lattice:
-    lattice = Lattice(basis)
-    for e in exponents:
-        lattice.add(e)
-    return lattice
+    # ``express`` reads coordinates off the generators' integer rows over
+    # the columns ``_index``, scaled by ``_denom``, keyed by pivot column
+    _rows: dict = field(kw_only=True, repr=False, compare=False)
+    _index: dict = field(kw_only=True, repr=False, compare=False)
+    _denom: int = field(kw_only=True, repr=False, compare=False)
 
 
 def integer_basis(exponents: Sequence[Exponent], basis: SymbolBasis) -> LatticeBasis:
@@ -282,12 +280,19 @@ def integer_basis(exponents: Sequence[Exponent], basis: SymbolBasis) -> LatticeB
     Generators are returned in the symbol space with positive numeric
     values; empty input gives rank 0.
     """
-    return _lattice_of(exponents, basis).finish()
+    lattice = Lattice(basis)
+    for e in exponents:
+        lattice.add(e)
+    return lattice.finish()
 
 
 def express(e: Exponent, B: LatticeBasis) -> Optional[tuple[int, ...]]:
     """Exact integer coordinates of ``e`` over the generators, or None."""
-    return B._echelon._coordinates(e)
+    row = _int_row(e, B._index, B._denom)
+    quotients = None if row is None else _divide_out(B._rows, row)
+    if quotients is None:
+        return None
+    return tuple(quotients.get(c, 0) for c in B._rows)
 
 
 def reconstruct(B: LatticeBasis, coeffs: Sequence[int]) -> Exponent:

@@ -205,10 +205,14 @@ class _Column:
         return chain[:count]
 
 
-def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int]) -> FormalSeries:
+def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int], screen: "_Screen"):
+    """The Wronskian determinant over the search's minor table for ``stage``:
+    of the exact rows for stage None, of the screen's dyadic rows otherwise."""
     k = len(columns)
-    matrix = [[col.rows(stage, k)[i] for col in columns] for i in range(k)]
-    return determinant(matrix)
+    rows = [col.rows(stage, k) if stage is None else col.dyadic_rows(stage, k)
+            for col in columns]
+    matrix = [[col_rows[i] for col_rows in rows] for i in range(k)]
+    return determinant(matrix, screen.table(stage), columns)
 
 
 _UNKNOWN = object()
@@ -293,9 +297,9 @@ class _Screen:
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
     determinants of every subset: subsets with a common column suffix share
-    those minors.  The probe stage serves every subset size; a window stage
-    serves one size and its table is dropped when the search moves to the
-    next size.
+    those minors.  The exact stage None and the probe stage serve every
+    subset size; a window stage serves one size and its table is dropped
+    when the search moves to the next size.
     """
 
     def __init__(self, basis):
@@ -303,34 +307,15 @@ class _Screen:
         self.tol = Fraction(1, 2 ** (basis.precision // 2))
         self._tables: dict = {}
 
-    def table(self, stage: int) -> dict:
+    def table(self, stage: Optional[int]) -> dict:
         table = self._tables.get(stage)
         if table is None:
             # subsets come by increasing size, and a window stage serves one
             # size: a new one means the previous window table is done with
-            for old in [s for s in self._tables if s != _PROBE_TERMS]:
+            for old in [s for s in self._tables if s not in (None, _PROBE_TERMS)]:
                 del self._tables[old]
             table = self._tables[stage] = {}
         return table
-
-
-def _numeric_determinant(columns: Sequence[_Column], stage: int, screen: _Screen):
-    """Precision-P screen of the window Wronskian determinant.
-
-    Input coefficients are precision-P evaluations; all subsequent
-    arithmetic is exact.  Returns (witness exponent, validity bound) when
-    some coefficient clears the 2^(-P/2) decision threshold, None
-    otherwise.  The exact linear algebra downstream never relies on this
-    screen.
-    """
-    k = len(columns)
-    cols = [col.dyadic_rows(stage, k) for col in columns]
-    matrix = [[col[i] for col in cols] for i in range(k)]
-    det = determinant(matrix, screen.table(stage), columns)
-    hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
-    if not hits:
-        return None
-    return min(hits, key=screen.basis.ordering_key), det.bound
 
 
 def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, Dependent]:
@@ -354,7 +339,7 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
 
     if exact:
         # complete data: the exact determinant is small and authoritative
-        det = _wronskian_determinant(columns, None)
+        det = _wronskian_determinant(columns, None, screen)
         if not det.is_zero:
             e, _ = det.terms[0]
             return Independent(e, det.truncation)
@@ -374,13 +359,14 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
             f"{k} products cannot be tested", max_safe=common,
             details="underdetermined")
 
-    # Corroborating determinant on the leading window, evaluated at
-    # precision P (the decision itself is the exact algebra below).
-    witness = None
+    # Precision-P screen of the window determinant: the entries are
+    # precision-P evaluations, all arithmetic on them is exact, and the
+    # least exponent whose coefficient clears 2^(-P/2) is the witness.
     for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
-        witness = _numeric_determinant(columns, stage, screen)
-        if witness is not None:
-            return Independent(witness[0], witness[1])
+        det = _wronskian_determinant(columns, stage, screen)
+        hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
+        if hits:
+            return Independent(min(hits, key=basis.ordering_key), det.bound)
 
     if len(window) < k + _ROW_MARGIN:
         # A relation certified by barely more constraints than unknowns is

@@ -299,6 +299,30 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[bad-input]: exponent 1 ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("basis", "precision_bits", True),
+        ("basis", "independence_assumed", "false"),
+        ("basis", "independence_assumed", 0),
+        ("symbol", "value_decimal_string", 0.69314718055994530941723212145818),
+        ("term", "xdegree", True),
+        ("term", "xdegree", "2"),
+        ("term", "xdegree", 2.7),
+    ])
+    def test_mistyped_series_field_is_schema_error(self, block, key, value, lam_basis,
+                                                   tmp_path, capsys):
+        obj = series_to_obj(geometric_series(lam_basis, 8))
+        target = {"basis": obj["basis"], "symbol": obj["basis"]["symbols"][0],
+                  "term": obj["terms"][0]}[block]
+        target[key] = value
+        path = tmp_path / "typed.series.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "c.json"
+        assert main(["substitute", "--series", str(path), "--eq", "f' + lam*f + lam*f^2",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema-error]: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["substitute", "--eq", "f' + lam*f + lam*f^2"],
                                          ["derive-ade"]])
     def test_nan_symbol_value_is_bad_basis(self, command, lam_basis, tmp_path, capsys):

@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from conftest import PREC
+import dforge.lattice
 from dforge.errors import FactorLimitExceeded, PrecisionTieWarning
 from dforge.io import canonical_json, exponent_to_obj
 from dforge.lattice import (
@@ -28,7 +29,7 @@ from dforge.lattice import (
     reconstruct,
 )
 from dforge.linalg import rational_rank
-from dforge.obstruction import finite_basis_certificate
+from dforge.obstruction import bivariate_certificate, finite_basis_certificate
 from dforge.series import Exponent, SymbolBasis, make_series
 
 
@@ -340,12 +341,28 @@ def _greedy_subset(exps, rank):
     return tuple(picked)
 
 
+def _unreduced_above(pivots):
+    """Entries of echelon rows, at another row's pivot column, that the
+    Hermite reduction must change: those outside [0, |pivot|)."""
+    return sum(1 for c, row in pivots.items() for j, x in row.items()
+               if j != c and j in pivots and not 0 <= x < abs(pivots[j][j]))
+
+
 class TestLatticeOracles:
     FAMILIES = [_random_family(random.Random(seed)) for seed in range(120)]
 
     def test_generators_are_dense_hnf(self):
+        unreduced = 0
         for exps in self.FAMILIES:
+            lattice = Lattice(_ORACLE_BASIS)
+            for e in exps:
+                lattice.add(e)
+            unreduced += _unreduced_above(lattice._pivots) > 0
+            assert lattice.generators() == _dense_hnf_generators(exps)
             assert integer_basis(exps, _ORACLE_BASIS).generators == _dense_hnf_generators(exps)
+        # the Euclid echelon is often not reduced yet, so the comparison
+        # with the dense oracle exercises the reduction
+        assert unreduced > len(self.FAMILIES) // 4
 
     def test_change_of_basis_reconstructs(self):
         for exps in self.FAMILIES:
@@ -409,3 +426,45 @@ class TestLatticeOracles:
         with pytest.warns(PrecisionTieWarning):
             B = integer_basis([Exponent.make({"a": 2}, -3)], near)
         assert B.generators == (Exponent.make({"a": 2}, -3),)
+
+
+# products p*q of distinct primes below 60: an echelon with entries above its pivots
+_PQ = sorted(p * q for p in primes_up_to(59) for q in primes_up_to(59) if p < q)
+
+
+class TestOneEchelon:
+    """The lattice's own echelon, reduced in place, answers everything."""
+
+    def test_one_add_per_input(self, monkeypatch):
+        calls = []
+        add = Lattice.add
+
+        def counted(self, e):
+            calls.append(e)
+            return add(self, e)
+
+        monkeypatch.setattr(Lattice, "add", counted)
+        pq_basis, vecs = log_basis_for_indices(_PQ, PREC)
+        families = [(exps, _ORACLE_BASIS) for exps in TestLatticeOracles.FAMILIES]
+        for exps, basis in families + [([vecs[n] for n in _PQ], pq_basis)]:
+            calls.clear()
+            B = integer_basis(exps, basis)
+            assert [express(e, B) for e in exps] == list(B.change_of_basis)
+            assert len(calls) == len(exps)
+
+    def test_dense_hnf_never_reached(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("the dense HNF is a test oracle only")
+
+        monkeypatch.setattr(dforge.lattice, "hermite_normal_form", refuse)
+        basis, vecs = log_basis_for_indices(_PQ, PREC)
+        stream = [vecs[n] for n in _PQ]
+        lattice = Lattice(basis)
+        for e in stream:
+            lattice.add(e)
+        assert _unreduced_above(lattice._pivots) > 0
+        assert len(lattice.generators()) == lattice.finish().rank == 17
+        B = integer_basis(stream, basis)
+        assert all(express(e, B) is not None for e in stream)
+        finite_basis_certificate(stream, 3, basis)
+        bivariate_certificate(list(range(1, len(stream) + 1)), stream, basis)

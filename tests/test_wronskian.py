@@ -108,8 +108,9 @@ class TestDependence:
         phi = geometric_series(lam_basis, 6)
         c1 = _Column(PowerProduct.make({0: 1}).evaluate(phi))
         c2 = _Column(PowerProduct.make({0: 2}).evaluate(phi))
-        assert _wronskian_determinant([c1, c2], None) == \
-            series_neg(_wronskian_determinant([c2, c1], None))
+        screen = _Screen(lam_basis)
+        assert _wronskian_determinant([c1, c2], None, screen) == \
+            series_neg(_wronskian_determinant([c2, c1], None, screen))
 
 
 class TestDeriveAde:
