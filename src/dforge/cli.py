@@ -36,7 +36,7 @@ from .io import (
     series_to_obj,
 )
 from .lattice import integer_basis, log_basis_for_indices, prime_support
-from .numeric import DEFAULT_PRECISION
+from .numeric import DEFAULT_PRECISION, MAX_PRECISION
 from .obstruction import Certificate, VerifyResult, recheck
 from .series import Exponent, FormalSeries
 from .wronskian import NotFoundWithinW, search_ade
@@ -68,6 +68,8 @@ class AnalysisConfig:
         if self.precision_bits <= 0 or self.rank_bound <= 0 or \
                 self.max_weight <= 0 or self.factor_limit <= 0:
             raise ConfigError("all bounds must be positive")
+        if self.precision_bits > MAX_PRECISION:
+            raise ConfigError(f"precision_bits must be at most {MAX_PRECISION}")
         for name, parse in (("ratio_threshold", parse_frac), ("horizon", obj_to_exponent)):
             value = getattr(self, name)
             try:

@@ -68,7 +68,8 @@ def basis_to_obj(basis: SymbolBasis) -> dict:
 
 def obj_to_basis(obj: dict) -> SymbolBasis:
     try:
-        pairs = [(s["name"], _typed(s["value_decimal_string"], str, "value_decimal_string"))
+        pairs = [(_typed(s["name"], str, "basis symbol name"),
+                  _typed(s["value_decimal_string"], str, "value_decimal_string"))
                  for s in obj["symbols"]]
         return SymbolBasis.from_pairs(
             pairs,

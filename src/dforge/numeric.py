@@ -13,6 +13,10 @@ import mpmath
 
 DEFAULT_PRECISION = 128
 
+# The largest precision a basis may ask for: far above any decision's needs,
+# and low enough that evaluations at it stay quick.
+MAX_PRECISION = 4096
+
 # Extra working bits so that P-bit decisions are not corrupted by the last
 # few rounding steps of an evaluation chain.
 GUARD_BITS = 16

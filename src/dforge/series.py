@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
 from .numeric import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     decimal_str_to_mpf,
     fraction_to_mpf,
     tie_threshold,
@@ -227,8 +228,8 @@ class SymbolBasis:
             raise BadBasis(f"{ONE!r} is reserved for the constant coordinate")
         if len(self.values) != len(self.symbols):
             raise BadBasis("one numeric value per symbol required")
-        if self.precision <= 0:
-            raise BadBasis("precision must be positive")
+        if not 0 < self.precision <= MAX_PRECISION:
+            raise BadBasis(f"precision must be positive and at most {MAX_PRECISION}")
         values = {n: decimal_str_to_mpf(v, self.precision)
                   for n, v in zip(self.symbols, self.values)}
         for name, value in values.items():
@@ -579,6 +580,20 @@ class Coefficient(SparsePoly):
                     v *= mpmath.exp(-basis.exponent_value(damp))
                 total += v
             return total
+
+    def residue(self, point: Mapping[str, int], p: int) -> Optional[int]:
+        """The value mod the prime ``p`` with each symbol at ``point[name]``;
+        None when a damping factor, a symbol not in ``point`` or a
+        denominator that ``p`` divides leaves it without one."""
+        total = 0
+        for (syms, damp), q in self.terms:
+            if not damp.is_zero or q.denominator % p == 0 or any(n not in point for n, _ in syms):
+                return None
+            v = q.numerator * pow(q.denominator, -1, p)
+            for n, k in syms:
+                v = v * pow(point[n], k, p) % p
+            total += v
+        return total % p
 
     def __str__(self) -> str:
         if self.is_zero:

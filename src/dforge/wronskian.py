@@ -2,11 +2,10 @@
 testing over formal series, and derivation of a differential equation from a
 detected dependence.
 
-Dependence over truncated series is decided by exact linear algebra on the
-coefficient matrix of the leading exponents; the Wronskian determinant of
-the evaluated products is computed as corroborating evidence, since finite
-data alone cannot certify that a determinant vanishes identically.  Both
-artifacts appear in the verdict.
+The Wronskian determinant of a subset's leading window, at precision P,
+screens for independence.  Past it, the decision is exact: a full-rank image
+of the term matrix mod a prime proves there is no relation, and otherwise
+exact elimination finds one or proves there is none.
 """
 
 from __future__ import annotations
@@ -14,13 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd
 from typing import Optional, Sequence, Union
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import HorizonTooShort
 from .formal_eval import Residual, substitute
-from .linalg import determinant, ring_nullspace_vector
+from .linalg import determinant, ring_echelon, ring_nullspace_vector
 from .series import (
     Coefficient,
     Exponent,
@@ -291,8 +291,28 @@ def _as_dyadic(x) -> Fraction:
     return Fraction(man) * Fraction(2) ** exp if exp < 0 else Fraction(man * 2 ** exp)
 
 
+_MODULUS = 2 ** 61 - 1  # a Mersenne prime
+
+
+class _ModP(int):
+    """An integer mod ``_MODULUS`` with the arithmetic ``ring_echelon`` uses;
+    like any int, it is false only at 0."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _ModP(int.__add__(self, other) % _MODULUS)
+
+    def __neg__(self):
+        return _ModP(-int(self) % _MODULUS)
+
+    def __mul__(self, other):
+        return _ModP(int.__mul__(self, other) % _MODULUS)
+
+
 class _Screen:
-    """State of the precision-P determinant screen for one search.
+    """State of the screens for one search: the precision-P determinant, and
+    the image mod ``_MODULUS`` with each symbol at the sha256 of its name.
 
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
@@ -305,6 +325,8 @@ class _Screen:
     def __init__(self, basis):
         self.basis = basis
         self.tol = Fraction(1, 2 ** (basis.precision // 2))
+        self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
+                      for n in basis.symbols}
         self._tables: dict = {}
 
     def table(self, stage: Optional[int]) -> dict:
@@ -316,6 +338,18 @@ class _Screen:
                 del self._tables[old]
             table = self._tables[stage] = {}
         return table
+
+    def full_rank_image(self, matrix) -> bool:
+        """Whether the image of ``matrix`` mod ``_MODULUS`` has full column
+        rank.  Specializing the symbols can only lower the rank, and so can
+        leaving out the rows with an entry that has no image: True proves
+        full column rank over the fraction field."""
+        image = []
+        for row in matrix:
+            residues = [entry.residue(self.point, _MODULUS) for entry in row]
+            if None not in residues:
+                image.append([_ModP(v) for v in residues])
+        return len(ring_echelon(image)[1]) == len(matrix[0])
 
 
 def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, Dependent]:
@@ -334,74 +368,53 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
         exponents.update(dict.fromkeys(col.exponents_upto(common)))
     ordered = sorted(exponents, key=basis.ordering_key)
 
-    def matrix_for(rows_list):
-        return [[_coeff_at(s, e) for s in evaluated] for e in rows_list]
-
     if exact:
         # complete data: the exact determinant is small and authoritative
         det = _wronskian_determinant(columns, None, screen)
         if not det.is_zero:
             e, _ = det.terms[0]
             return Independent(e, det.truncation)
-        vec = ring_nullspace_vector(matrix_for(ordered)) if ordered else None
-        if vec is None:
+        window = ordered
+    else:
+        window = ordered[: k + _ROW_MARGIN]
+        if len(window) < k:
             raise HorizonTooShort(
-                "determinant vanished identically but the exact term matrix has "
-                "full column rank", max_safe=None)
-        coeffs = _normalize(vec)
-        _check_relation(matrix_for(ordered), coeffs)
-        return Dependent(tuple(coeffs), None, len(ordered), True)
+                f"only {len(window)} exponents available below the common bound; "
+                f"{k} products cannot be tested", max_safe=common,
+                details="underdetermined")
 
-    window = ordered[: k + _ROW_MARGIN]
-    if len(window) < k:
+        # Precision-P screen of the window determinant: the entries are
+        # precision-P evaluations, all arithmetic on them is exact, and the
+        # least exponent whose coefficient clears 2^(-P/2) is the witness.
+        for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
+            det = _wronskian_determinant(columns, stage, screen)
+            hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
+            if hits:
+                return Independent(min(hits, key=basis.ordering_key), det.bound)
+
+        if len(window) < k + _ROW_MARGIN:
+            # A relation certified by barely more constraints than unknowns is
+            # interpolation, not evidence; the margin is not negotiable.
+            raise HorizonTooShort(
+                f"only {len(window)} exponents below the common bound; "
+                f"certifying a relation among {k} products needs "
+                f"{k + _ROW_MARGIN}", max_safe=common,
+                details="underdetermined")
+
+    # every returned relation holds on all rows: a window relation that
+    # fails beyond the window is replaced by one solved on every row
+    full = [[_coeff_at(s, e) for s in evaluated] for e in ordered]
+    coeffs = _relation(full[: len(window)], screen) if window else None
+    if coeffs is not None and not _relation_holds(full, coeffs):
+        coeffs = _relation(full, screen)
+        if coeffs is not None and not _relation_holds(full, coeffs):
+            raise AssertionError("null vector failed exact re-verification")
+    if coeffs is None:
+        where = "identically" if exact else "up to the horizon"
         raise HorizonTooShort(
-            f"only {len(window)} exponents available below the common bound; "
-            f"{k} products cannot be tested", max_safe=common,
-            details="underdetermined")
-
-    # Precision-P screen of the window determinant: the entries are
-    # precision-P evaluations, all arithmetic on them is exact, and the
-    # least exponent whose coefficient clears 2^(-P/2) is the witness.
-    for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
-        det = _wronskian_determinant(columns, stage, screen)
-        hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
-        if hits:
-            return Independent(min(hits, key=basis.ordering_key), det.bound)
-
-    if len(window) < k + _ROW_MARGIN:
-        # A relation certified by barely more constraints than unknowns is
-        # interpolation, not evidence; the margin is not negotiable.
-        raise HorizonTooShort(
-            f"only {len(window)} exponents below the common bound; "
-            f"certifying a relation among {k} products needs "
-            f"{k + _ROW_MARGIN}", max_safe=common,
-            details="underdetermined")
-
-    # Numeric screen: confidently full column rank means no relation exists
-    # on this window, so the exact nullspace runs only when a relation is
-    # numerically present (or the pivots are ambiguous).
-    floats = [[float(entry.numeric(basis)) for entry in row]
-              for row in matrix_for(window)]
-    if _confident_full_rank(floats, k):
-        raise HorizonTooShort(
-            "determinant vanished up to the horizon but the term matrix has "
-            "full column rank; extend the series", max_safe=common,
-            details="determinant-vanished")
-
-    vec = ring_nullspace_vector(matrix_for(window))
-    if vec is not None:
-        coeffs = _normalize(vec)
-        if _relation_holds(matrix_for(ordered), coeffs):
-            return Dependent(tuple(coeffs), common, len(ordered), False)
-        vec = ring_nullspace_vector(matrix_for(ordered))
-        if vec is not None:
-            coeffs = _normalize(vec)
-            _check_relation(matrix_for(ordered), coeffs)
-            return Dependent(tuple(coeffs), common, len(ordered), False)
-    raise HorizonTooShort(
-        "determinant vanished up to the horizon but the term matrix has full "
-        "column rank; extend the series", max_safe=common,
-        details="determinant-vanished")
+            f"determinant vanished {where} but the term matrix has full column "
+            "rank", max_safe=common, details="determinant-vanished")
+    return Dependent(tuple(coeffs), common, len(ordered), exact)
 
 
 def _working_series(phi: FormalSeries, horizon: Optional[Exponent]) -> FormalSeries:
@@ -431,40 +444,6 @@ def wronskian_dependence(products: Sequence[PowerProduct], phi: FormalSeries,
     return _decide([_Column(s) for s in evaluated], _Screen(phi.basis))
 
 
-def _confident_full_rank(matrix: list[list[float]], k: int) -> bool:
-    """Float Gaussian elimination with a wide ambiguity band.
-
-    Returns True only when every column produces a pivot comfortably above
-    the noise floor, so a true exact relation (whose float residue is
-    essentially zero) can never be screened away; anything ambiguous falls
-    back to the exact algebra.
-    """
-    rows = [row[:] for row in matrix]
-    scale = max((abs(v) for row in rows for v in row), default=0.0)
-    if scale == 0.0:
-        return False
-    confident = 1e-6 * scale
-    r = 0
-    for c in range(k):
-        pivot, best = None, 0.0
-        for i in range(r, len(rows)):
-            if abs(rows[i][c]) > best:
-                pivot, best = i, abs(rows[i][c])
-        if best <= confident:
-            # vanished or ambiguous pivot: not confidently full rank
-            return False
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c] / pv
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r == k
-
-
 def _coeff_at(s: FormalSeries, e: Exponent) -> Coefficient:
     for ee, p in s.terms:
         if ee == e:
@@ -482,9 +461,14 @@ def _relation_holds(matrix, coeffs) -> bool:
     return True
 
 
-def _check_relation(matrix, coeffs) -> None:
-    if not _relation_holds(matrix, coeffs):
-        raise AssertionError("null vector failed exact re-verification")
+def _relation(matrix, screen: _Screen) -> Optional[list[Coefficient]]:
+    """A normalized kernel vector of ``matrix``, or None at full column rank.
+    A full-rank image settles None without exact elimination; a deficient
+    one, from a relation or an unlucky point, is left to the elimination."""
+    if screen.full_rank_image(matrix):
+        return None
+    vec = ring_nullspace_vector(matrix)
+    return None if vec is None else _normalize(vec)
 
 
 def _normalize(vec: list[Coefficient]) -> list[Coefficient]:

@@ -76,3 +76,23 @@ def not_found_digest(result) -> str:
                        list(result.skipped_underdetermined),
                        list(result.skipped_inconclusive)])
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def planted_rank_matrix(rng, rows, cols, rank, entry, zero):
+    """A rows x cols matrix of rank at most ``rank``: the product of a
+    rows x rank and a rank x cols matrix of ``entry(rng)`` values."""
+    left = [[entry(rng) for _ in range(rank)] for _ in range(rows)]
+    right = [[entry(rng) for _ in range(cols)] for _ in range(rank)]
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), zero)
+             for j in range(cols)] for i in range(rows)]
+
+
+def coefficient_at(c, point) -> Fraction:
+    """The value of an undamped Coefficient with each symbol at ``point``."""
+    total = Fraction(0)
+    for (syms, damp), q in c.terms:
+        assert damp.is_zero
+        for n, k in syms:
+            q = q * Fraction(point[n]) ** k
+        total += q
+    return total

@@ -16,6 +16,7 @@ from dforge.cli import (
     verify_certificate,
 )
 from dforge.io import dump_series, load_series, series_to_obj
+from dforge.numeric import MAX_PRECISION
 
 
 @pytest.fixture()
@@ -335,3 +336,37 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[bad-basis]: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_non_string_symbol_name_is_schema_error(self, lam_basis, tmp_path, capsys):
+        obj = series_to_obj(geometric_series(lam_basis, 8))
+        obj["basis"]["symbols"][0]["name"] = 5
+        path = tmp_path / "named.series.json"
+        path.write_text(json.dumps(obj))
+        assert main(["derive-ade", "--series", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error[schema-error]: basis symbol name must be str, not 5\n"
+
+    def test_series_precision_above_the_cap_is_bad_basis(self, lam_basis, tmp_path, capsys):
+        obj = series_to_obj(geometric_series(lam_basis, 8))
+        obj["basis"]["precision_bits"] = MAX_PRECISION + 1
+        path = tmp_path / "fine.series.json"
+        path.write_text(json.dumps(obj))
+        assert main(["substitute", "--series", str(path), "--eq", "f' + lam*f"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad-basis]: precision ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_precision_above_the_cap_is_config_error(self, via, monkeypatch, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("2\n3\n")
+        argv = ["basis", "--corpus", str(corpus)]
+        if via == "flag":
+            argv += ["--precision", str(MAX_PRECISION + 1)]
+        else:
+            monkeypatch.setenv("DFORGE_PRECISION", str(MAX_PRECISION + 1))
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error[config]: precision_bits must be at most {MAX_PRECISION}\n"
+        monkeypatch.delenv("DFORGE_PRECISION", raising=False)
+        assert main(["basis", "--corpus", str(corpus), "--precision",
+                     str(MAX_PRECISION)]) == EXIT_OK

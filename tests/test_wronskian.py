@@ -2,26 +2,38 @@
 
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import PREC, exact_exponential, geometric_series, not_found_digest
+from conftest import (
+    PREC,
+    exact_exponential,
+    geometric_series,
+    not_found_digest,
+    planted_rank_matrix,
+    rand_fraction,
+)
+from dforge import wronskian
 from dforge.errors import HorizonTooShort
 from dforge.formal_eval import substitute
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.lattice import log_basis_for_indices
-from dforge.linalg import determinant, determinant_leibniz
+from dforge.linalg import determinant, determinant_leibniz, ring_nullspace_vector
 from dforge.series import Coefficient, Exponent, SymbolBasis, make_series, series_neg
 from dforge.wronskian import (
+    _MODULUS,
     _PROBE_TERMS,
     _ROW_MARGIN,
     Dependent,
     Independent,
     NotFoundWithinW,
     PowerProduct,
+    _coeff_at,
     _Column,
     _decide,
     _NumSeries,
+    _relation,
     _Screen,
     _working_series,
     _wronskian_determinant,
@@ -289,6 +301,133 @@ class TestSharedScreen:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _symbolic_entry(rng):
+    """A random polynomial of degree at most 1 in lam and L2, now and then
+    with a damping factor, which has no image mod p."""
+    c = Coefficient.from_fraction(rand_fraction(rng))
+    for name in ("lam", "L2"):
+        c = c + Coefficient.from_symbol(name).scale(rand_fraction(rng))
+    if rng.random() < 0.05:
+        c = c * Coefficient.damping(Exponent.of("lam"))
+    return c
+
+
+class TestModularImage:
+    """The image of a term matrix mod p against exact elimination: only a
+    full-rank image is taken as an answer."""
+
+    @pytest.fixture()
+    def screen(self):
+        return _Screen(SymbolBasis.from_pairs([("lam", "0.7"), ("L2", "0.69")], precision=PREC))
+
+    def test_point_comes_from_the_symbol_names(self, screen):
+        again = _Screen(SymbolBasis.from_pairs([("L2", "5"), ("lam", "0.1")], precision=PREC))
+        assert again.point == screen.point
+        assert len(set(screen.point.values())) == 2
+        assert all(0 < v < _MODULUS for v in screen.point.values())
+
+    def test_full_rank_image_means_no_kernel_vector(self, screen):
+        rng = random.Random(11)
+        full = 0
+        for _ in range(80):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 3)
+            rank = rng.randint(0, min(rows, cols))
+            matrix = planted_rank_matrix(rng, rows, cols, rank, _symbolic_entry,
+                                         Coefficient.zero())
+            if screen.full_rank_image(matrix):
+                full += 1
+                assert ring_nullspace_vector(matrix) is None
+        assert full > 10
+
+    def test_planted_relation_gives_a_deficient_image(self, screen):
+        rng = random.Random(12)
+        for _ in range(40):
+            rows, cols = rng.randint(3, 7), rng.randint(2, 4)
+            matrix = [[_symbolic_entry(rng) for _ in range(cols - 1)] for _ in range(rows)]
+            weights = [_symbolic_entry(rng) for _ in range(cols - 1)]
+            for row in matrix:
+                row.append(sum((a * w for a, w in zip(row, weights)), Coefficient.zero()))
+            assert not screen.full_rank_image(matrix)
+
+    def test_entries_without_an_image_leave_their_row_out(self, screen):
+        one = Coefficient.one()
+        damped = Coefficient.damping(Exponent.of("lam"))
+        beyond_p = Coefficient.from_fraction(Fraction(1, _MODULUS))
+        assert damped.residue(screen.point, _MODULUS) is None
+        assert beyond_p.residue(screen.point, _MODULUS) is None
+        assert Coefficient.from_symbol("mu").residue(screen.point, _MODULUS) is None
+        rows = [[one, Coefficient.zero()], [Coefficient.zero(), one]]
+        assert screen.full_rank_image(rows + [[damped, beyond_p]])
+        assert not screen.full_rank_image([rows[0], [damped, one]])
+        assert _relation([rows[0], [damped, one]], screen) is None
+
+    def test_unlucky_point_leaves_the_verdict(self, screen, monkeypatch):
+        # lam - 1 is the only 2 x 2 minor: at lam = 1 the image is deficient,
+        # and the exact elimination still finds full rank
+        one, lam = Coefficient.one(), Coefficient.from_symbol("lam")
+        matrix = [[one, one], [one, lam], [one, lam * lam]]
+        assert screen.full_rank_image(matrix)
+        monkeypatch.setitem(screen.point, "lam", 1)
+        assert not screen.full_rank_image(matrix)
+        assert _relation(matrix, screen) is None
+
+    def test_unlucky_point_leaves_the_search(self, monkeypatch):
+        # zeta 1..20 at horizon log 10 has full-rank term matrices under a
+        # vanished determinant; at the point 0 every image is deficient
+        basis, vecs, phi = _zeta(20)
+        want = derive_ade(phi, 3, horizon=vecs[10])
+        assert len(want.skipped_inconclusive) == 7
+        init = _Screen.__init__
+
+        def at_zero(self, basis):
+            init(self, basis)
+            self.point = dict.fromkeys(self.point, 0)
+
+        calls = []
+        monkeypatch.setattr(_Screen, "__init__", at_zero)
+        monkeypatch.setattr(wronskian, "ring_nullspace_vector",
+                            lambda m: calls.append(m) or ring_nullspace_vector(m))
+        assert derive_ade(phi, 3, horizon=vecs[10]) == want
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_rank_window_needs_no_elimination(self, seed, monkeypatch):
+        # (k + 4) x k leading windows of 8 weight-4 products on a 40-term
+        # series over log 1..40: cross-multiplication elimination doubles
+        # the entries' degree at every step, the image decides alone
+        basis, vecs = log_basis_for_indices(range(1, 41), PREC)
+        rng = random.Random(seed)
+        phi = make_series([(vecs[n], rng.choice((1, -1, 2))) for n in range(1, 41)],
+                          basis, vecs[40])
+        products = enumerate_products(4)
+        evaluated = [products[i].evaluate(phi) for i in sorted(rng.sample(range(11), 8))]
+        exponents = sorted({e for s in evaluated for e, _ in s.terms}, key=basis.ordering_key)
+        matrix = [[_coeff_at(s, e) for s in evaluated] for e in exponents[:8 + _ROW_MARGIN]]
+
+        def refuse(m):
+            raise AssertionError("the image should have decided")
+
+        monkeypatch.setattr(wronskian, "ring_nullspace_vector", refuse)
+        assert _relation(matrix, _Screen(basis)) is None
+
+    def test_columns_floats_cannot_tell_apart(self, screen, monkeypatch):
+        # the second column is the first plus 10^-9 times another: full rank,
+        # decided by the image with no exact elimination
+        rng = random.Random(13)
+        rows = []
+        for _ in range(6):
+            a, b, c = (Fraction(rng.randint(-9, 9)) for _ in range(3))
+            rows.append([a, a + Fraction(b, 10 ** 9), c])
+        matrix = [[Coefficient.from_fraction(v) for v in row] for row in rows]
+        assert ring_nullspace_vector(matrix) is None
+
+        def refuse(m):
+            raise AssertionError("the image should have decided")
+
+        monkeypatch.setattr(wronskian, "ring_nullspace_vector", refuse)
+        assert _relation(matrix, screen) is None
 
 
 class TestGolden:
