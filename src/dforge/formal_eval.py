@@ -33,12 +33,10 @@ from .series import (
     leading_term,
     power_product,
     prefix,
-    series_add,
-    series_scale,
     series_scale_xpoly,
+    series_sum,
     shift_s,
     truncate,
-    zero_series,
 )
 
 ZERO_UP_TO = "ZeroUpToT"
@@ -79,16 +77,13 @@ def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries) -> FormalSeries:
 
     basis = phi.basis
     memo: dict = {}
-    total = zero_series(basis)
+    parts = []
     for (xdeg, powers), coeff in F.terms:
         part = power_product(powers, argument, memo)
         if part is None:
             part = constant_series(basis, 1)
-        part = series_scale(part, coeff)
-        if xdeg:
-            part = series_scale_xpoly(part, XPoly.monomial(xdeg, 1))
-        total = series_add(total, part)
-    return total
+        parts.append(series_scale_xpoly(part, XPoly.monomial(xdeg, coeff)))
+    return series_sum(basis, parts)
 
 
 def max_safe_horizon(F: DiffPolynomial, phi: FormalSeries) -> Optional[Exponent]:
@@ -451,14 +446,7 @@ def threshold_of(residual: Residual) -> ThresholdReport:
 
 def _partials_match(F: DiffPolynomial, sub: FormalSeries,
                     partials: PartialLeadingTerms) -> bool:
-    for ind, b, lam in partials.entries:
-        try:
-            res = substitute(partial_wrt(F, ind), sub)
-        except HorizonTooShort:
-            return False
-        if res.is_zero:
-            return False
-        e, p = res.leading
-        if e != lam or p.constant() != b:
-            return False
-    return True
+    try:
+        return initial_terms_of_partials(F, sub).entries == partials.entries
+    except (HorizonTooShort, PartialVanishes):
+        return False

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import FactorLimitExceeded, NotInLatticeError
-from .numeric import workprec
+from .errors import BadBasis, FactorLimitExceeded, NotInLatticeError
+from .numeric import check_precision, workprec
 from .series import (
     Coefficient,
     Exponent,
@@ -384,6 +384,7 @@ def log_basis_for_indices(indices: Iterable[int], precision: int,
     """
     from .numeric import log_decimal_string
 
+    check_precision(precision, BadBasis)
     index_list = sorted(set(indices))
     all_primes: set[int] = set()
     factored: dict[int, dict[int, int]] = {}

@@ -22,6 +22,13 @@ MAX_PRECISION = 4096
 GUARD_BITS = 16
 
 
+def check_precision(precision_bits: int, error=ValueError) -> None:
+    """Raise ``error`` unless 0 < ``precision_bits`` <= MAX_PRECISION; call it
+    before the first evaluation at a precision read from input."""
+    if not 0 < precision_bits <= MAX_PRECISION:
+        raise error(f"precision must be positive and at most {MAX_PRECISION}")
+
+
 def workprec(precision_bits: int):
     """mpmath context manager at ``precision_bits`` plus guard bits."""
     return mpmath.workprec(precision_bits + GUARD_BITS)

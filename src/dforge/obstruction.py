@@ -37,7 +37,7 @@ from .io import (
     series_to_obj,
 )
 from .lattice import Lattice, factorize, gap_ratios, integer_basis
-from .numeric import workprec
+from .numeric import check_precision, workprec
 from .series import Exponent, FormalSeries, SymbolBasis
 
 FINITE_BASIS_REFUTATION = "FiniteBasisRefutation"
@@ -349,6 +349,7 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
     """
     if len(degrees) != len(exponents):
         raise ValueError("degrees and exponents must align")
+    check_precision(precision)
     symbolic = all(isinstance(e, Exponent) for e in exponents) and basis is not None
     with workprec(precision):
         if symbolic:

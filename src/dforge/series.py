@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
 from .numeric import (
     DEFAULT_PRECISION,
-    MAX_PRECISION,
+    check_precision,
     decimal_str_to_mpf,
     fraction_to_mpf,
     tie_threshold,
@@ -228,8 +228,7 @@ class SymbolBasis:
             raise BadBasis(f"{ONE!r} is reserved for the constant coordinate")
         if len(self.values) != len(self.symbols):
             raise BadBasis("one numeric value per symbol required")
-        if not 0 < self.precision <= MAX_PRECISION:
-            raise BadBasis(f"precision must be positive and at most {MAX_PRECISION}")
+        check_precision(self.precision, BadBasis)
         values = {n: decimal_str_to_mpf(v, self.precision)
                   for n, v in zip(self.symbols, self.values)}
         for name, value in values.items():
@@ -752,6 +751,7 @@ def _group(accum: dict) -> dict:
 
 
 def _build(basis: SymbolBasis, accum: dict, truncation: Optional[Exponent]) -> FormalSeries:
+    """The one step that orders a series: sort, check ties, cut at the bound."""
     terms = _sorted_terms(basis, accum)
     if truncation is not None:
         terms = tuple((e, p) for e, p in terms if basis.compare(e, truncation) <= 0)
@@ -801,39 +801,46 @@ def constant_series(basis: SymbolBasis, c, xdegree: int = 0) -> FormalSeries:
     return FormalSeries(basis, ((Exponent.zero(), poly),), None)
 
 
-def _require_same_basis(a: FormalSeries, b: FormalSeries) -> None:
-    if a.basis != b.basis:
+def _require_basis(basis: SymbolBasis, s: FormalSeries) -> None:
+    if s.basis != basis:
         raise BasisMismatch("series are defined over different symbol bases")
 
 
-def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    _require_same_basis(a, b)
+def series_sum(basis: SymbolBasis, parts: Iterable[FormalSeries]) -> FormalSeries:
+    """Sum of the parts over ``basis`` in one build, valid to the least of
+    their bounds (the exact zero for no part)."""
     accum: dict = {}
-    for e, p in a.terms + b.terms:
-        accum.setdefault(e, []).extend(p.terms)
-    bound = meet_bounds(a.basis, a.truncation, b.truncation)
-    return _build(a.basis, _group(accum), bound)
+    bound = None
+    for s in parts:
+        _require_basis(basis, s)
+        for e, p in s.terms:
+            accum.setdefault(e, []).extend(p.terms)
+        bound = meet_bounds(basis, bound, s.truncation)
+    return _build(basis, _group(accum), bound)
+
+
+def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
+    return series_sum(a.basis, (a, b))
+
+
+def _map_terms(a: FormalSeries, f) -> FormalSeries:
+    """The terms ``(e, f(e, p))`` with zero results dropped.  Exponents stay,
+    so the order and the truncation bound stay: nothing is sorted."""
+    return FormalSeries(a.basis, tuple((e, q) for e, p in a.terms if (q := f(e, p))),
+                        a.truncation)
 
 
 def series_neg(a: FormalSeries) -> FormalSeries:
-    return FormalSeries(a.basis, tuple((e, -p) for e, p in a.terms), a.truncation)
+    return _map_terms(a, lambda e, p: -p)
 
 
 def series_sub(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     return series_add(a, series_neg(b))
 
 
-def series_scale(a: FormalSeries, c) -> FormalSeries:
-    """Multiply every term by a constant Coefficient (or rational)."""
-    c = _as_coefficient(c)
-    accum = {e: p.scale(c) for e, p in a.terms}
-    return _build(a.basis, accum, a.truncation)
-
-
 def series_scale_xpoly(a: FormalSeries, poly: XPoly) -> FormalSeries:
     """Multiply every term by a fixed polynomial in x (exponents unchanged)."""
-    accum = {e: p * poly for e, p in a.terms}
-    return _build(a.basis, accum, a.truncation)
+    return _map_terms(a, lambda e, p: p * poly)
 
 
 def product_bound(basis: SymbolBasis, a_bound: Optional[Exponent], a_least: Optional[Exponent],
@@ -853,8 +860,8 @@ def product_bound(basis: SymbolBasis, a_bound: Optional[Exponent], a_least: Opti
 
 def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Cauchy product by exponent addition, truncated to the provable bound."""
-    _require_same_basis(a, b)
     basis = a.basis
+    _require_basis(basis, b)
     # An exactly-zero factor annihilates everything, with full knowledge.
     if a.is_zero and a.is_exact or b.is_zero and b.is_exact:
         return zero_series(basis)
@@ -878,11 +885,7 @@ def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:
         raise ValueError("derivative order must be non-negative")
     if k == 0:
         return a
-    accum = {}
-    for e, p in a.terms:
-        factor = Coefficient.from_exponent(-e) ** k
-        accum[e] = p.scale(factor)
-    return _build(a.basis, accum, a.truncation)
+    return _map_terms(a, lambda e, p: p.scale(Coefficient.from_exponent(-e) ** k))
 
 
 def shift_s(a: FormalSeries, h: RationalLike) -> FormalSeries:
@@ -890,16 +893,12 @@ def shift_s(a: FormalSeries, h: RationalLike) -> FormalSeries:
     h = _as_fraction(h)
     if h == 0:
         return a
-    accum = {}
-    for e, p in a.terms:
-        accum[e] = p.scale(Coefficient.damping(e * h))
-    return _build(a.basis, accum, a.truncation)
+    return _map_terms(a, lambda e, p: p.scale(Coefficient.damping(e * h)))
 
 
 def x_log_derivative(a: FormalSeries) -> FormalSeries:
     """Apply x*d/dx termwise (acts on the XPoly part only)."""
-    accum = {e: p.x_log_derivative() for e, p in a.terms}
-    return _build(a.basis, accum, a.truncation)
+    return _map_terms(a, lambda e, p: p.x_log_derivative())
 
 
 def leading_term(a: FormalSeries):

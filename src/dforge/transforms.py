@@ -307,14 +307,10 @@ def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
     for mu in range(mu_max + 1):
         for nu in range(nu_max + 1):
             for d in range(ds_max + 1):
-                lhs = prefix_series(nu)
-                if d:
-                    lhs = differentiate_s(lhs, d)
+                lhs = differentiate_s(prefix_series(nu), d)
                 for _ in range(mu):
                     lhs = x_log_derivative(lhs)
-                rhs = prefix_series(mu + nu)
-                if d:
-                    rhs = differentiate_s(rhs, d)
+                rhs = differentiate_s(prefix_series(mu + nu), d)
                 diff = series_sub(lhs, rhs)
                 if not diff.is_zero:
                     raise DforgeError(

@@ -37,8 +37,6 @@ from dforge.series import (
     make_series,
     series_add,
     series_mul,
-    series_scale,
-    series_scale_xpoly,
     shift_s,
     zero_series,
 )
@@ -397,6 +395,6 @@ def _substitute_oracle(F, phi):
         for ind, k in powers:
             for _ in range(k):
                 part = series_mul(part, shift_s(differentiate_s(phi, ind.order), ind.shift))
-        part = series_scale_xpoly(series_scale(part, c), XPoly.monomial(xdeg, 1))
+        part = series_mul(part, constant_series(phi.basis, XPoly.monomial(xdeg, c)))
         total = series_add(total, part)
     return total

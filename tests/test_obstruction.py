@@ -2,6 +2,7 @@
 bivariate diagnostics, sign flips, and standalone re-verification."""
 
 import copy
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,8 @@ from itertools import combinations
 import pytest
 
 from conftest import PREC, geometric_series
+from dforge import numeric
+from dforge.cli import verify_certificate
 from dforge.errors import InsufficientNonzeroTerms, SchemaError, UnknownFamily
 from dforge.formal_eval import forcing_threshold
 from dforge.grammar import parse_diffpoly
@@ -453,3 +456,38 @@ class TestTamper:
         obj["evidence"]["original"] = ["1"] * 10
         result = recheck(Certificate.from_obj(obj))
         assert not result.ok and result.mismatches[0].startswith("rebuild failed")
+
+
+class TestPrecisionCap:
+    """A certificate's own precision is capped before any evaluation at it."""
+
+    def test_bivariate_rejects_precision_outside_the_cap(self):
+        for bits in (0, numeric.MAX_PRECISION + 1):
+            with pytest.raises(ValueError, match="at most"):
+                bivariate_certificate([2, 4, 8], ["1.5", "2.5", "3.5"], precision=bits)
+
+    def test_bivariate_payload_above_the_cap_is_a_mismatch(self):
+        cert = bivariate_certificate([2 ** i for i in range(2, 8)],
+                                     [math.log(i) for i in range(2, 8)])
+        obj = cert.to_obj()
+        obj["evidence"]["precision_bits"] = numeric.MAX_PRECISION + 1
+        result = recheck(Certificate.from_obj(obj))
+        assert not result.ok and result.mismatches[0].startswith("rebuild failed")
+
+    def test_hilbert_payload_above_the_cap_is_a_mismatch(self, tmp_path, monkeypatch):
+        obj = verify_hilbert_zeta(6, 1, 1).to_obj()
+        obj["evidence"]["precision_bits"] = 10 ** 7
+        path = tmp_path / "hilbert.cert.json"
+        path.write_text(json.dumps(obj))
+        real = numeric.log_decimal_string
+
+        def capped(n, bits):
+            if bits > numeric.MAX_PRECISION:
+                raise AssertionError(f"log({n}) evaluated at {bits} bits")
+            return real(n, bits)
+
+        monkeypatch.setattr(numeric, "log_decimal_string", capped)
+        result = verify_certificate(path)
+        assert not result.ok
+        assert result.mismatches == (
+            f"rebuild failed: precision must be positive and at most {numeric.MAX_PRECISION}",)

@@ -10,8 +10,11 @@ import mpmath
 import pytest
 
 from conftest import PREC, convolve_oracle, rand_fraction
+from dforge import series
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
+from dforge.formal_eval import substitute
+from dforge.grammar import parse_diffpoly
 from dforge.linalg import determinant, determinant_leibniz
 from dforge.numeric import tie_threshold, workprec
 from dforge.series import (
@@ -27,8 +30,11 @@ from dforge.series import (
     series_add,
     series_mul,
     series_neg,
+    series_scale_xpoly,
+    series_sum,
     shift_s,
     truncate,
+    x_log_derivative,
     zero_series,
 )
 from dforge.transforms import PdePolynomial
@@ -530,3 +536,136 @@ class TestPowerProduct:
         assert power_product((), value, memo) is None
         assert power_product(((3, 2),), value, {}).n == 9
         assert values == [2, 3, 5, 3] and products[-1] == (3, 3)
+
+
+def _rand_xpoly(rng):
+    """A polynomial in x of degree at most 2, with a symbol factor at times;
+    zero about one time in five."""
+    pairs = []
+    for k in range(3):
+        if rng.random() < 0.4:
+            c = Coefficient.from_fraction(rand_fraction(rng))
+            if rng.random() < 0.3:
+                c = c * Coefficient.from_symbol("L3")
+            pairs.append((k, c))
+    return XPoly.collect(pairs)
+
+
+def _rand_series(rng, basis, size=6):
+    """A random series over the prime-log basis with a term at exponent 0,
+    cut at a bound that is None, one of its exponents or beyond them all."""
+    exps = {Exponent.zero()} | {
+        Exponent.make({"L2": rng.randint(0, 3), "L3": rng.randint(0, 2),
+                       "L5": rng.randint(0, 1)}) for _ in range(size)}
+    bound = rng.choice([None, rng.choice(sorted(exps, key=basis.ordering_key)),
+                        Exponent.make({"L2": 4, "L3": 2, "L5": rng.randint(1, 2)})])
+    return make_series([(e, XPoly.monomial(0, 1) + _rand_xpoly(rng)) for e in exps
+                        if bound is None or basis.compare(e, bound) <= 0], basis, bound)
+
+
+def _add_oracle(basis, a, b):
+    """(terms dict, bound) of a + b: dict sum, least bound, cut there."""
+    terms, bound = dict(a[0]), a[1]
+    for e, p in b[0].items():
+        terms[e] = terms[e] + p if e in terms else p
+    if b[1] is not None and (bound is None or basis.compare(b[1], bound) < 0):
+        bound = b[1]
+    return ({e: p for e, p in terms.items() if not p.is_zero and
+             (bound is None or basis.compare(e, bound) <= 0)}, bound)
+
+
+class TestOrderedOnce:
+    """A series is ordered where its exponents are made: the termwise maps
+    keep the order they are given, and a sum builds once."""
+
+    @staticmethod
+    def _maps(rng):
+        k = rng.randint(1, 3)
+        h = rand_fraction(rng) or Fraction(1, 2)
+        poly = _rand_xpoly(rng)
+        return [
+            (lambda a: differentiate_s(a, k),
+             lambda e, p: p.scale(Coefficient.from_exponent(-e) ** k)),
+            (lambda a: shift_s(a, h), lambda e, p: p.scale(Coefficient.damping(e * h))),
+            (x_log_derivative, lambda e, p: p.x_log_derivative()),
+            (lambda a: series_scale_xpoly(a, poly), lambda e, p: p * poly),
+            (series_neg, lambda e, p: -p),
+        ]
+
+    def test_maps_equal_make_series_of_mapped_items(self, log_basis):
+        rng = random.Random(12)
+        for _ in range(30):
+            a = _rand_series(rng, log_basis)
+            for op, f in self._maps(rng):
+                got = op(a)
+                want = make_series([(e, f(e, p)) for e, p in a.terms], log_basis,
+                                   a.truncation)
+                assert got.terms == want.terms
+                assert got.truncation == a.truncation
+
+    def test_zero_results_dropped(self, log_basis):
+        e2 = Exponent.of("L2")
+        a = make_series([(Exponent.zero(), 3), (e2, XPoly.monomial(1, 2))], log_basis, e2)
+        assert differentiate_s(a).exponents() == (e2,)
+        assert x_log_derivative(a).exponents() == (e2,)
+        assert series_scale_xpoly(a, XPoly()).terms == ()
+
+    def test_sum_equals_fold_of_dict_sums(self, log_basis):
+        rng = random.Random(13)
+        for _ in range(30):
+            parts = [_rand_series(rng, log_basis) for _ in range(rng.randint(1, 4))]
+            # cancellations: the negative of a part, cut at a bound of its own
+            victim = rng.choice(parts)
+            cut = rng.choice([None, Exponent.make({"L2": 2, "L3": 1})])
+            neg = series_neg(victim)
+            if cut is not None and (victim.truncation is None or
+                                    log_basis.compare(cut, victim.truncation) <= 0):
+                neg = truncate(neg, cut)
+            parts.insert(rng.randint(0, len(parts)), neg)
+            want = ({}, None)
+            for s in parts:
+                want = _add_oracle(log_basis, want, (dict(s.terms), s.truncation))
+            got = series_sum(log_basis, parts)
+            assert dict(got.terms) == want[0] and got.truncation == want[1]
+            assert list(got.exponents()) == sorted(got.exponents(),
+                                                   key=log_basis.ordering_key)
+            folded = zero_series(log_basis)
+            for s in parts:
+                folded = series_add(folded, s)
+            assert folded == got
+
+    def test_sum_of_nothing_and_basis_mismatch(self, log_basis, lam_basis):
+        assert series_sum(log_basis, []) == zero_series(log_basis)
+        with pytest.raises(BasisMismatch):
+            series_sum(log_basis, [zero_series(log_basis), zero_series(lam_basis)])
+
+    def test_maps_never_build(self, log_basis, monkeypatch):
+        a = _rand_series(random.Random(14), log_basis)
+        expected = [op(a) for op, _ in self._maps(random.Random(15))]
+
+        def refuse(*args):
+            raise AssertionError("a termwise map sorted its terms")
+
+        monkeypatch.setattr(series, "_build", refuse)
+        assert [op(a) for op, _ in self._maps(random.Random(15))] == expected
+
+    def test_substitute_builds_products_and_one_sum(self, lam_basis, monkeypatch):
+        phi = make_series([(Exponent.of("lam") * n, 1) for n in range(1, 7)],
+                          lam_basis, Exponent.of("lam") * 6)
+        F = parse_diffpoly("f' + lam*f + lam*f^2 + x*f*f' + 3*f(s+1)^2 - 2", lam_basis)
+        counts = {"build": 0, "mul": 0}
+        build, mul = series._build, series.series_mul
+
+        def counted_build(*args):
+            counts["build"] += 1
+            return build(*args)
+
+        def counted_mul(*args):
+            counts["mul"] += 1
+            return mul(*args)
+
+        want = substitute(F, phi)
+        monkeypatch.setattr(series, "_build", counted_build)
+        monkeypatch.setattr(series, "series_mul", counted_mul)
+        assert substitute(F, phi) == want
+        assert counts["mul"] > 0 and counts["build"] == counts["mul"] + 1
