@@ -222,24 +222,31 @@ class _NumSeries:
     """Leading-window series with exact dyadic coefficients, for the screen.
 
     Coefficients are evaluated numerically once (precision P); after that
-    every operation is exact rational arithmetic on those dyadic values, so
-    the determinant screen is deterministic and free of any global
-    floating-point context.
+    every operation is exact integer arithmetic: the coefficient at ``e`` is
+    ``terms[e] / 2**scale``, with one scale per series.  So the determinant
+    screen is deterministic and free of any global floating-point context.
     """
 
-    __slots__ = ("terms", "bound", "basis", "_least")
+    __slots__ = ("terms", "scale", "bound", "basis", "_least")
 
-    def __init__(self, terms: dict, bound: Optional[Exponent], basis):
-        self.terms = terms  # Exponent -> Fraction (dyadic)
+    def __init__(self, terms: dict, scale: int, bound: Optional[Exponent], basis):
+        self.terms = terms  # Exponent -> int mantissa
+        self.scale = scale  # >= 0
         self.bound = bound
         self.basis = basis
         self._least = _UNKNOWN
 
     @staticmethod
     def from_series(s: FormalSeries) -> "_NumSeries":
-        """Precision-P values of the coefficients, kept exactly as dyadics."""
-        terms = {e: _as_dyadic(p.constant().numeric(s.basis)) for e, p in s.terms}
-        return _NumSeries(terms, s.truncation, s.basis)
+        """Precision-P values of the coefficients, kept exactly: each mpf's
+        mantissa, shifted onto the least power of two they all share."""
+        parts = []
+        for e, p in s.terms:
+            sign, man, exp, _ = p.constant().numeric(s.basis)._mpf_
+            parts.append((e, -int(man) if sign else int(man), exp))
+        scale = max([0] + [-exp for _, _, exp in parts])
+        return _NumSeries({e: m << (exp + scale) for e, m, exp in parts}, scale,
+                          s.truncation, s.basis)
 
     def least(self) -> Optional[Exponent]:
         """Least stored exponent, or the bound when no term is stored."""
@@ -248,6 +255,12 @@ class _NumSeries:
                            else self.bound)
         return self._least
 
+    def hits(self) -> list[Exponent]:
+        """Exponents whose coefficient exceeds 2^(-P/2) in absolute value:
+        |m| / 2^scale > 2^-(P//2) as an int compare."""
+        half, one = self.basis.precision // 2, 1 << self.scale
+        return [e for e, m in self.terms.items() if abs(m) << half > one]
+
     def __bool__(self) -> bool:
         """False only for the exact zero: no term and no bound."""
         return bool(self.terms) or self.bound is not None
@@ -255,40 +268,59 @@ class _NumSeries:
     def __add__(self, other: "_NumSeries") -> "_NumSeries":
         basis = self.basis
         bound = meet_bounds(basis, self.bound, other.bound)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
+        scale = max(self.scale, other.scale)
+        shift = scale - self.scale
+        out = {e: m << shift for e, m in self.terms.items()}
+        shift = scale - other.scale
+        for e, m in other.terms.items():
+            m <<= shift
+            out[e] = out[e] + m if e in out else m
         if bound is not None:
-            out = {e: c for e, c in out.items() if basis.compare(e, bound) <= 0}
-        return _NumSeries(out, bound, basis)
+            past = _past(basis, bound)
+            out = {e: m for e, m in out.items() if not past(e)}
+        return _NumSeries(out, scale, bound, basis)
 
     def __neg__(self) -> "_NumSeries":
-        return _NumSeries({e: -c for e, c in self.terms.items()}, self.bound, self.basis)
+        return _NumSeries({e: -m for e, m in self.terms.items()}, self.scale,
+                          self.bound, self.basis)
 
     def __mul__(self, other: "_NumSeries") -> "_NumSeries":
         basis = self.basis
         if not self or not other:
-            return _NumSeries({}, None, basis)
+            return _NumSeries({}, 0, None, basis)
         bound = product_bound(basis, self.bound, self.least(), other.bound, other.least())
+        past = None if bound is None else _past(basis, bound)
         sums = basis.exponent_sums()
         out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        for ea, ma in self.terms.items():
+            for eb, mb in other.terms.items():
                 e = sums[ea, eb]
-                if bound is not None and basis.compare(e, bound) > 0:
-                    continue
-                prod = ca * cb
-                out[e] = out[e] + prod if e in out else prod
-        return _NumSeries(out, bound, basis)
+                if e in out:
+                    out[e] += ma * mb
+                elif past is None or not past(e):
+                    out[e] = ma * mb
+        return _NumSeries(out, self.scale + other.scale, bound, basis)
 
 
-def _as_dyadic(x) -> Fraction:
-    """Exact rational value of an mpf (mantissa times a power of two)."""
-    sign, man, exp, _ = x._mpf_
-    man = int(man)
-    if sign:
-        man = -man
-    return Fraction(man) * Fraction(2) ** exp if exp < 0 else Fraction(man * 2 ** exp)
+def _past(basis, bound: Exponent):
+    """The test ``basis.compare(e, bound) > 0`` for one bound, reading the
+    bound's ``ordering_key`` once.  Float shadows decide alone when they
+    are farther apart than ``margin``, which is at least ``basis._apart``'s
+    margin: with ``B = max(1, |fb|)``, a shadow at distance ``d > 2e-9 B``
+    from ``fb`` has ``1e-9 max(1, |fe|, |fb|) <= 1e-9 (B + d) < d``.  Every
+    other exponent goes to ``compare``, so ties warn as they do there."""
+    key, compare = basis.ordering_key, basis.compare
+    fb = key(bound)[0]
+    margin = max(2e-9 * max(1.0, abs(fb)), 2.0 ** (1 - basis.precision))
+
+    def past(e: Exponent) -> bool:
+        d = key(e)[0] - fb
+        if d > margin:
+            return True
+        if d < -margin:
+            return False
+        return compare(e, bound) > 0
+    return past
 
 
 _MODULUS = 2 ** 61 - 1  # a Mersenne prime
@@ -324,7 +356,6 @@ class _Screen:
 
     def __init__(self, basis):
         self.basis = basis
-        self.tol = Fraction(1, 2 ** (basis.precision // 2))
         self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
                       for n in basis.symbols}
         self._tables: dict = {}
@@ -388,7 +419,7 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
         # least exponent whose coefficient clears 2^(-P/2) is the witness.
         for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
             det = _wronskian_determinant(columns, stage, screen)
-            hits = [e for e, c in det.terms.items() if abs(c) > screen.tol]
+            hits = det.hits()
             if hits:
                 return Independent(min(hits, key=basis.ordering_key), det.bound)
 
@@ -533,6 +564,8 @@ def search_ade(phi: FormalSeries, max_weight: int,
     """
     if max_weight < 2:
         raise ValueError("max weight must be at least 2")
+    if max_k is not None and max_k < 2:
+        raise ValueError("max k must be at least 2")
     products = enumerate_products(max_weight)
     top = len(products) if max_k is None else min(max_k, len(products))
     work = _working_series(phi, horizon)

@@ -166,6 +166,15 @@ class TestMain:
         assert main(args + ["--max-weight", "3"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "lam*f + lam*f^2 + f'"
 
+    @pytest.mark.parametrize("max_k", ["0", "1", "-2"])
+    def test_derive_ade_max_k_below_two_is_bad_input(self, geometric_file, max_k, capsys):
+        # nothing would be searched: no NotFoundWithinW may claim otherwise
+        assert main(["derive-ade", "--series", str(geometric_file),
+                     "--max-k", max_k]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[bad-input]: max k must be at least 2\n"
+
     def test_config_key_the_command_does_not_read(self, geometric_file, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"rank_bound": 5}))

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,21 @@ from conftest import (
     rand_fraction,
 )
 from dforge import wronskian
-from dforge.errors import HorizonTooShort
+from dforge.errors import HorizonTooShort, PrecisionTieWarning
 from dforge.formal_eval import substitute
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.lattice import log_basis_for_indices
 from dforge.linalg import determinant, determinant_leibniz, ring_nullspace_vector
-from dforge.series import Coefficient, Exponent, SymbolBasis, make_series, series_neg
+from dforge.numeric import GUARD_BITS
+from dforge.series import (
+    Coefficient,
+    Exponent,
+    SymbolBasis,
+    make_series,
+    meet_bounds,
+    product_bound,
+    series_neg,
+)
 from dforge.wronskian import (
     _MODULUS,
     _PROBE_TERMS,
@@ -186,6 +196,11 @@ def _geometric_family():
     return basis, geometric_series(basis, 14)
 
 
+def _exact(s):
+    """A screen series' coefficients as exact rationals."""
+    return {e: Fraction(m, 2 ** s.scale) for e, m in s.terms.items()}
+
+
 class TestEvaluateMemo:
     def test_shared_memo_gives_the_same_products(self, lam_basis):
         phi = geometric_series(lam_basis, 9)
@@ -216,12 +231,12 @@ class TestSharedScreen:
             rows = [col.dyadic_rows(stage, k) for col in cols]
             for col, converted in zip(cols, rows):
                 fresh_rows = [_NumSeries.from_series(s) for s in col.rows(stage, k)]
-                assert [r.terms for r in converted] == [r.terms for r in fresh_rows]
+                assert [_exact(r) for r in converted] == [_exact(r) for r in fresh_rows]
                 assert [r.bound for r in converted] == [r.bound for r in fresh_rows]
             matrix = [[r[i] for r in rows] for i in range(k)]
             shared = determinant(matrix, screen.table(stage), cols)
             for other in (determinant(matrix), determinant_leibniz(matrix)):
-                assert shared.terms == other.terms
+                assert _exact(shared) == _exact(other)
                 assert shared.bound == other.bound
             nonzero += bool(shared.terms)
         assert nonzero > 10
@@ -301,6 +316,190 @@ class TestSharedScreen:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+_UNKNOWN = object()
+
+
+class _FractionSeries:
+    """Reference screen kernel: the leading-window series with every
+    coefficient a ``Fraction``, normalised after each operation, and every
+    bound test a ``compare`` call."""
+
+    __slots__ = ("terms", "bound", "basis", "_least")
+
+    def __init__(self, terms: dict, bound, basis):
+        self.terms = terms  # Exponent -> Fraction (dyadic)
+        self.bound = bound
+        self.basis = basis
+        self._least = _UNKNOWN
+
+    @staticmethod
+    def from_series(s):
+        """Precision-P values of the coefficients, kept exactly as dyadics."""
+        terms = {e: _as_dyadic(p.constant().numeric(s.basis)) for e, p in s.terms}
+        return _FractionSeries(terms, s.truncation, s.basis)
+
+    def least(self):
+        """Least stored exponent, or the bound when no term is stored."""
+        if self._least is _UNKNOWN:
+            self._least = (min(self.terms, key=self.basis.ordering_key) if self.terms
+                           else self.bound)
+        return self._least
+
+    def __bool__(self) -> bool:
+        """False only for the exact zero: no term and no bound."""
+        return bool(self.terms) or self.bound is not None
+
+    def __add__(self, other):
+        basis = self.basis
+        bound = meet_bounds(basis, self.bound, other.bound)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        if bound is not None:
+            out = {e: c for e, c in out.items() if basis.compare(e, bound) <= 0}
+        return _FractionSeries(out, bound, basis)
+
+    def __neg__(self):
+        return _FractionSeries({e: -c for e, c in self.terms.items()}, self.bound, self.basis)
+
+    def __mul__(self, other):
+        basis = self.basis
+        if not self or not other:
+            return _FractionSeries({}, None, basis)
+        bound = product_bound(basis, self.bound, self.least(), other.bound, other.least())
+        sums = basis.exponent_sums()
+        out: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = sums[ea, eb]
+                if bound is not None and basis.compare(e, bound) > 0:
+                    continue
+                prod = ca * cb
+                out[e] = out[e] + prod if e in out else prod
+        return _FractionSeries(out, bound, basis)
+
+
+def _as_dyadic(x) -> Fraction:
+    """Exact rational value of an mpf (mantissa times a power of two)."""
+    sign, man, exp, _ = x._mpf_
+    man = int(man)
+    if sign:
+        man = -man
+    return Fraction(man) * Fraction(2) ** exp if exp < 0 else Fraction(man * 2 ** exp)
+
+
+def _reference_hits(det):
+    tol = Fraction(1, 2 ** (det.basis.precision // 2))
+    return [e for e, c in det.terms.items() if abs(c) > tol]
+
+
+class TestIntegerScreen:
+    """The screen's int mantissas against the ``Fraction`` reference kernel:
+    the same determinants as exact values, the same hits, witnesses and
+    bounds, on seeded subsets and stages."""
+
+    @pytest.mark.parametrize("family", ["zeta", "geometric"])
+    def test_determinants_match_the_fraction_kernel(self, family):
+        if family == "zeta":
+            basis, _, phi = _zeta(40)
+        else:
+            basis, phi = _geometric_family()
+        memo = {}
+        columns = [_Column(p.evaluate(phi, memo)) for p in enumerate_products(4)]
+        screen = _Screen(basis)
+        rng = random.Random(1302)
+        witnesses = 0
+        for _ in range(40):
+            k = rng.randint(2, 5)
+            cols = [columns[i] for i in sorted(rng.sample(range(len(columns)), k))]
+            stage = rng.choice((_PROBE_TERMS, k + _ROW_MARGIN, rng.randint(1, 9)))
+            det = _wronskian_determinant(cols, stage, screen)
+            rows = [[_FractionSeries.from_series(s) for s in col.rows(stage, k)] for col in cols]
+            for col, ref in zip(cols, rows):
+                assert [_exact(r) for r in col.dyadic_rows(stage, k)] == [r.terms for r in ref]
+            ref = determinant([[r[i] for r in rows] for i in range(k)])
+            assert _exact(det) == ref.terms
+            assert det.bound == ref.bound
+            hits = det.hits()
+            assert hits == _reference_hits(ref)
+            if hits:
+                witnesses += 1
+                assert (min(hits, key=basis.ordering_key)
+                        == min(_reference_hits(ref), key=basis.ordering_key))
+        assert witnesses > 10
+
+    @pytest.mark.parametrize("precision", [128, 129, 24])
+    def test_hit_threshold_is_strict(self, precision):
+        # 2^(-P/2) itself is no hit; one ulp of the P + GUARD_BITS working
+        # precision above it is, with either sign
+        basis = SymbolBasis.unit(precision)
+        tol = Fraction(1, 2 ** (precision // 2))
+        ulp = tol / 2 ** (precision + GUARD_BITS - 1)
+        values = [tol, -tol, tol + ulp, -tol - ulp, tol - ulp / 2]
+        spec = [(Exponent.constant(i + 1), v) for i, v in enumerate(values)]
+        s = make_series(spec, basis, None)
+        num = _NumSeries.from_series(s)
+        assert _exact(num) == {e: v for e, v in spec}
+        want = [Exponent.constant(3), Exponent.constant(4)]
+        assert num.hits() == want
+        assert _reference_hits(_FractionSeries.from_series(s)) == want
+
+
+class TestBoundTest:
+    """The screen's float-shadow bound test against ``compare``: exponents
+    far from the bound, inside ``_apart``'s margin and inside the 2^-P tie
+    window, kept by a sum and by a product."""
+
+    @staticmethod
+    def _exponents(precision, rng):
+        # constants at offsets from the bound a = 3/2: far from it, and
+        # inside the margin but more than the tie window 2^-P away
+        margin = max(1.5e-9, 2.0 ** (1 - precision))
+        offsets = [rng.uniform(-1, 1) for _ in range(6)]
+        offsets += [rng.uniform(-2 * margin, 2 * margin) for _ in range(12)]
+        return [Exponent.constant(Fraction(3, 2) + Fraction(d)) for d in offsets
+                if abs(d) > 1.1 * 2.0 ** -precision]
+
+    @staticmethod
+    def _added(basis, exps, bound):
+        ones = _NumSeries({e: 1 for e in exps}, 0, None, basis)
+        return list((ones + _NumSeries({}, 0, bound, basis)).terms)
+
+    @staticmethod
+    def _multiplied(basis, exps, bound):
+        ones = _NumSeries({e: 1 for e in exps}, 0, bound, basis)
+        product = ones * _NumSeries({Exponent.zero(): 1}, 0, None, basis)
+        assert product.bound == bound
+        return list(product.terms)
+
+    @pytest.mark.parametrize("precision", [20, 128])
+    def test_kept_terms_match_compare(self, precision):
+        basis = SymbolBasis.from_pairs([("a", "1.5")], precision=precision)
+        bound = Exponent.of("a")
+        exps = self._exponents(precision, random.Random(precision))
+        fb = basis.ordering_key(bound)[0]
+        near = [e for e in exps if not basis._apart(basis.ordering_key(e)[0], fb)]
+        assert near and len(near) < len(exps)
+        want = [e for e in exps if basis.compare(e, bound) <= 0]
+        assert 0 < len(want) < len(exps)
+        assert self._added(basis, exps, bound) == want
+        assert self._multiplied(basis, exps, bound) == want
+
+    @pytest.mark.parametrize("precision", [20, 128])
+    def test_tie_in_the_window_warns_once(self, precision):
+        basis = SymbolBasis.from_pairs([("a", "1.5")], precision=precision)
+        bound = Exponent.of("a")
+        tie = Exponent.constant(Fraction(3, 2) + Fraction(1, 2 ** (precision + 4)))
+        exps = self._exponents(precision, random.Random(precision)) + [tie]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionTieWarning)
+            want = [e for e in exps if basis.compare(e, bound) <= 0]
+        for kept in (self._added, self._multiplied):
+            with pytest.warns(PrecisionTieWarning) as record:
+                assert kept(basis, exps, bound) == want
+            assert len(record) == 1
 
 
 def _symbolic_entry(rng):
