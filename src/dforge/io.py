@@ -28,9 +28,39 @@ def frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# Python's default int <-> str limit: a rational wider than this could not be
+# printed back by ``frac_str``.
+MAX_RATIONAL_DIGITS = 4300
+
+
+def _digits(text: str) -> int:
+    return sum(ch.isdigit() for ch in text)
+
+
+def _too_wide(text: str) -> bool:
+    """Whether ``Fraction(text)`` would write out a numerator or denominator
+    of more than MAX_RATIONAL_DIGITS digits before reducing."""
+    body, e, exp = text.lower().partition("e")
+    if not e and len(text) <= MAX_RATIONAL_DIGITS:
+        return False   # no exponent: no more digits than characters
+    if "/" in body:
+        num, _, den = body.partition("/")
+        return max(_digits(num), _digits(den)) > MAX_RATIONAL_DIGITS
+    whole, _, frac = body.partition(".")
+    try:
+        shift = int(exp or 0) - _digits(frac)   # value = digits * 10**shift
+    except ValueError:
+        return False   # Fraction rejects the text
+    return max(_digits(whole + frac) + max(shift, 0), 1 - shift) > MAX_RATIONAL_DIGITS
+
+
 def parse_frac(text: str) -> Fraction:
+    """The exact rational of ``text`` ("p/q" or decimal); a number wider
+    than MAX_RATIONAL_DIGITS digits is refused before it is built."""
     if not isinstance(text, str):
         raise SchemaError(f"rational {text!r} must be \"p/q\" text")
+    if _too_wide(text):
+        raise SchemaError(f"rational {text[:40]!r} has more than {MAX_RATIONAL_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

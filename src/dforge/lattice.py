@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadBasis, FactorLimitExceeded, NotInLatticeError
-from .numeric import check_precision, workprec
+from .numeric import check_precision, divide
 from .series import (
     Coefficient,
     Exponent,
@@ -449,16 +449,15 @@ def gap_ratios(exponents: Sequence[Exponent], basis: SymbolBasis) -> GapRatios:
     exact = []
     envelope = []
     best = None
-    with workprec(basis.precision):
-        for i in range(1, len(tail)):
-            if not tail_values[i - 1]:
-                raise ValueError(f"exponent {start + i - 1} ({tail[i - 1]}) is zero inside "
-                                 "the positive tail: the gap ratio after it is undefined")
-            num = tail_values[i] / tail_values[i - 1]
-            ratios.append(num)
-            exact.append(_exact_ratio(tail[i], tail[i - 1]))
-            best = num if best is None else max(best, num)
-            envelope.append(best)
+    for i in range(1, len(tail)):
+        if not tail_values[i - 1]:
+            raise ValueError(f"exponent {start + i - 1} ({tail[i - 1]}) is zero inside "
+                             "the positive tail: the gap ratio after it is undefined")
+        num = divide(tail_values[i], tail_values[i - 1], basis.precision)
+        ratios.append(num)
+        exact.append(_exact_ratio(tail[i], tail[i - 1]))
+        best = num if best is None else max(best, num)
+        envelope.append(best)
     return GapRatios(tuple(ratios), tuple(exact), tuple(envelope), start)
 
 
@@ -473,4 +472,12 @@ def _exact_ratio(a: Exponent, b: Exponent) -> Optional[Fraction]:
             return None
         name, val = b.coords[0]
         q = a.coord(name) / val
-    return q if a == b * q else None
+    if not q:
+        return q if a.is_zero else None
+    # q != 0 keeps b's support, so a must have b's symbols, each scaled by q
+    if len(a.coords) != len(b.coords):
+        return None
+    for (na, x), (nb, y) in zip(a.coords, b.coords):
+        if na != nb or x != q * y:
+            return None
+    return q

@@ -3,6 +3,11 @@
 All exact data lives in ``fractions.Fraction``; this module is the one
 place where values are turned into mpmath floats.  Every conversion takes
 an explicit bit precision so that results are reproducible.
+
+Exponent values go through one kernel on mpmath's raw ``libmp`` tuples,
+with no context manager and no temporary ``mpf``: each step rounds to
+nearest at P + GUARD_BITS, exactly as ``mpf`` arithmetic does inside
+``workprec(P)``, so the values are bit for bit those of the context code.
 """
 
 from __future__ import annotations
@@ -10,6 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    from_int,
+    from_str,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pos,
+    round_nearest,
+    to_float,
+    to_str,
+)
 
 DEFAULT_PRECISION = 128
 
@@ -34,14 +50,53 @@ def workprec(precision_bits: int):
     return mpmath.workprec(precision_bits + GUARD_BITS)
 
 
+_make_mpf = mpmath.mp.make_mpf
+
+
+def _raw_ratio(num: int, den: int, prec: int) -> tuple:
+    """``mpf(num) / mpf(den)`` at ``prec`` bits: both integers rounded, then
+    one division."""
+    return mpf_div(from_int(num, prec, round_nearest), from_int(den, prec, round_nearest),
+                   prec, round_nearest)
+
+
 def fraction_to_mpf(q: Fraction, precision_bits: int) -> mpmath.mpf:
-    with workprec(precision_bits):
-        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    return _make_mpf(_raw_ratio(q.numerator, q.denominator, precision_bits + GUARD_BITS))
+
+
+def scaled_value(num: int, den: int, value, precision_bits: int) -> tuple:
+    """Raw ``fraction_to_mpf(num/den) * value``: the rational rounded as
+    there, then one product at P + GUARD_BITS (none for ``value`` None)."""
+    prec = precision_bits + GUARD_BITS
+    q = _raw_ratio(num, den, prec)
+    return q if value is None else mpf_mul(q, value._mpf_, prec, round_nearest)
+
+
+def sum_value(terms: list, precision_bits: int) -> tuple:
+    """``(float shadow, value)`` of raw ``terms`` added left to right at
+    P + GUARD_BITS; the shadow is the sum rounded to the nearest double."""
+    prec = precision_bits + GUARD_BITS
+    total = terms[0]
+    for t in terms[1:]:
+        total = mpf_add(total, t, prec, round_nearest)
+    return to_float(total, rnd=round_nearest), _make_mpf(total)
+
+
+def divide(a: mpmath.mpf, b: mpmath.mpf, precision_bits: int) -> mpmath.mpf:
+    """``a / b`` rounded to P + GUARD_BITS."""
+    return _make_mpf(mpf_div(a._mpf_, b._mpf_, precision_bits + GUARD_BITS, round_nearest))
+
+
+def decimal_text(x: mpmath.mpf, precision_bits: int) -> str:
+    """``mpmath.nstr(mpf(x), 12)`` under ``workprec(precision_bits)``: ``x``
+    rounded to P + GUARD_BITS, then printed to 12 significant digits."""
+    return to_str(mpf_pos(x._mpf_, precision_bits + GUARD_BITS, round_nearest), 12)
 
 
 def decimal_str_to_mpf(text: str, precision_bits: int) -> mpmath.mpf:
-    with workprec(precision_bits):
-        return mpmath.mpf(text)
+    """``mpf(text)`` under ``workprec(precision_bits)``: the decimal rounded
+    once to P + GUARD_BITS."""
+    return _make_mpf(from_str(text, precision_bits + GUARD_BITS, round_nearest))
 
 
 def tie_threshold(precision_bits: int) -> mpmath.mpf:

@@ -37,7 +37,7 @@ from .io import (
     series_to_obj,
 )
 from .lattice import Lattice, factorize, gap_ratios, integer_basis
-from .numeric import check_precision, workprec
+from .numeric import check_precision, decimal_text, workprec
 from .series import Exponent, FormalSeries, SymbolBasis
 
 FINITE_BASIS_REFUTATION = "FiniteBasisRefutation"
@@ -114,11 +114,6 @@ class Certificate:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-
-def _nstr(x, precision: int) -> str:
-    with workprec(precision):
-        return mpmath.nstr(mpmath.mpf(x), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +211,9 @@ def gap_certificate(exponents: Sequence[Exponent], ratio_threshold: Fraction,
         "ratio_threshold": frac_str(Fraction(ratio_threshold)),
         "exponents": [exponent_to_obj(e) for e in exponents],
         "dropped_prefix": stats.dropped_prefix,
-        "ratios": [_nstr(r, basis.precision) for r in stats.ratios],
+        "ratios": [decimal_text(r, basis.precision) for r in stats.ratios],
         "exact_ratios": [None if q is None else frac_str(q) for q in stats.exact],
-        "envelope": [_nstr(r, basis.precision) for r in stats.envelope],
+        "envelope": [decimal_text(r, basis.precision) for r in stats.envelope],
         "exceedances": exceed,
     }
     return Certificate(GAP_CRITERION, len(exponents), evidence, basis_to_obj(basis))
@@ -401,7 +396,7 @@ def bivariate_certificate(degrees: Sequence[int], exponents: Sequence,
     criterion_met = accumulation is None and (rank_unbounded or gap_exceeded)
     evidence = {
         "degrees": list(degrees),
-        "exponent_values": [_nstr(v, precision) for v in values],
+        "exponent_values": [decimal_text(v, precision) for v in values],
         "log_ratios": [f"{r:.6f}" for r in ratios],
         "skipped_indices": skipped,
         "histogram": dict(sorted(hist.items())),

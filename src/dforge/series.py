@@ -30,6 +30,8 @@ from .numeric import (
     check_precision,
     decimal_str_to_mpf,
     fraction_to_mpf,
+    scaled_value,
+    sum_value,
     tie_threshold,
     workprec,
 )
@@ -97,17 +99,18 @@ class Exponent:
     @staticmethod
     def make(coords: Mapping[str, RationalLike] | None = None,
              const: RationalLike = 0) -> "Exponent":
+        # a mapping's names are unique: nothing to sum, and the sort never
+        # compares two rationals
         c = _as_fraction(const)
-        items = {}
+        items = []
         for name, q in (coords or {}).items():
             q = _as_fraction(q)
             if name == ONE:
                 c += q
-                continue
-            if q != 0:
-                items[name] = items.get(name, Fraction(0)) + q
-        canon = tuple(sorted((n, q) for n, q in items.items() if q != 0))
-        return Exponent(canon, c)
+            elif q:
+                items.append((name, q))
+        items.sort()
+        return Exponent(tuple(items), c)
 
     @staticmethod
     def zero() -> "Exponent":
@@ -210,7 +213,8 @@ class SymbolBasis:
     an exponent's constant part and may not be declared.
 
     It keeps write-once memo tables, fresh per instance: the symbol values
-    at precision P, each exponent's ``ordering_key`` and the exponent sums.
+    at precision P, each coordinate's raw value, each exponent's
+    ``ordering_key`` and the exponent sums.
     """
 
     symbols: tuple[str, ...]
@@ -220,6 +224,7 @@ class SymbolBasis:
     _symbol_values: dict = field(init=False, compare=False, repr=False)
     _sums: _ExponentSums = field(init=False, compare=False, repr=False)
     _cache: dict = field(init=False, compare=False, repr=False)   # Exponent -> key
+    _terms: dict = field(init=False, compare=False, repr=False)   # coordinate -> raw value
 
     def __post_init__(self):
         if len(self.symbols) != len(set(self.symbols)):
@@ -237,6 +242,7 @@ class SymbolBasis:
         object.__setattr__(self, "_symbol_values", values)
         object.__setattr__(self, "_sums", _ExponentSums())
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_terms", {})
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]],
@@ -265,12 +271,22 @@ class SymbolBasis:
         float shadows round monotonically, so they never contradict values."""
         key = self._cache.get(e)
         if key is None:
-            with workprec(self.precision):
-                total = fraction_to_mpf(e.const, self.precision)
-                for n, q in e.coords:
-                    total += fraction_to_mpf(q, self.precision) * self.value_of(n)
-            key = self._cache[e] = (float(total), total, e.sort_key())
+            # const + sum(q * value): as mpf arithmetic under workprec(P) does
+            coords, num, den = e._key
+            terms = [self._term(None, num, den)]
+            terms += [self._term(*c) for c in coords]
+            shadow, value = sum_value(terms, self.precision)
+            key = self._cache[e] = (shadow, value, e.sort_key())
         return key
+
+    def _term(self, name: Optional[str], num: int, den: int) -> tuple:
+        """Raw value of the coordinate ``num/den`` of ``name`` (the rational
+        alone for the constant, ``name`` None), computed once per basis."""
+        t = self._terms.get((name, num, den))
+        if t is None:
+            value = None if name is None else self.value_of(name)
+            t = self._terms[name, num, den] = scaled_value(num, den, value, self.precision)
+        return t
 
     def exponent_value(self, e: Exponent):
         return self.ordering_key(e)[1]

@@ -1,6 +1,7 @@
 """Command-line front end: pipelines, exit codes, determinism, verify."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,8 @@ from dforge.cli import (
     run_analysis,
     verify_certificate,
 )
-from dforge.io import dump_series, load_series, series_to_obj
+from dforge.errors import SchemaError
+from dforge.io import dump_series, load_series, parse_frac, series_to_obj
 from dforge.numeric import MAX_PRECISION
 
 
@@ -379,3 +381,55 @@ class TestErrorCodes:
         monkeypatch.delenv("DFORGE_PRECISION", raising=False)
         assert main(["basis", "--corpus", str(corpus), "--precision",
                      str(MAX_PRECISION)]) == EXIT_OK
+
+    def test_huge_decimal_exponent_in_corpus_is_schema_error(self, tmp_path, capsys):
+        # 16 bytes that would make Fraction build 10**(10**8) before any check
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("2 1e100000000\n3\n")
+        assert main(["analyze", "--corpus", str(corpus)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[schema-error]: {corpus}:1: rational '1e100000000' "
+                              "has more than 4300 digits") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_huge_ratio_threshold_is_config_error(self, via, zeta_corpus, tmp_path, capsys):
+        argv = ["analyze", "--corpus", str(zeta_corpus)]
+        if via == "flag":
+            argv += ["--ratio-threshold", "1e-100000000"]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"ratio_threshold": "1e-100000000"}))
+            argv += ["--config", str(path)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: config value 'ratio_threshold': ") and \
+            "more than 4300 digits" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["ratio_threshold", "exponent"])
+    def test_huge_rational_in_certificate_is_schema_error(self, field, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("2\n3\n5\n")
+        assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "c")]) \
+            == EXIT_OK
+        path = tmp_path / "c" / "01_GapCriterion.cert.json"
+        cert = json.loads(path.read_text())
+        if field == "ratio_threshold":
+            cert["evidence"]["ratio_threshold"] = "1e100000000"
+        else:
+            cert["evidence"]["exponents"][1] = {"L3": "3e100000000"}
+        path.write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert main(["verify", "cert", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema-error]: ") and "more than 4300 digits" in err \
+            and err.count("\n") == 1
+
+    def test_rationals_at_the_digit_cap_still_parse(self):
+        assert parse_frac("1e4299") == 10 ** 4299
+        assert parse_frac("-25e-4298") == Fraction(-1, 4 * 10 ** 4296)
+        assert parse_frac("1.5e4299") == 15 * 10 ** 4298
+        assert parse_frac("7" * 4300 + "/3") == Fraction(int("7" * 4300), 3)
+        for text in ("1e4300", "1e-4300", "0e100000000", "1.5e4300", "7" * 4301 + "/3",
+                     "1/" + "3" * 4301, "1" * 4301 + "e-200"):
+            with pytest.raises(SchemaError, match="more than 4300 digits"):
+                parse_frac(text)

@@ -29,7 +29,7 @@ from dforge.lattice import (
     reconstruct,
 )
 from dforge.linalg import rational_rank
-from dforge.obstruction import bivariate_certificate, finite_basis_certificate
+from dforge.obstruction import bivariate_certificate, finite_basis_certificate, gap_certificate
 from dforge.series import Exponent, SymbolBasis, make_series
 
 
@@ -279,6 +279,26 @@ class TestGolden:
             "input_subset": None if B.input_subset is None else list(B.input_subset),
         })
         assert (_digest(cert), _digest(obj)) == self.DIGESTS[name]
+
+    # stream: gap_certificate JSON at ratio threshold 100, recorded with the
+    # context-manager evaluation; "zero_ratio" is log 2 then log 1 = 0, whose
+    # one exact ratio is 0
+    GAP_DIGESTS = {
+        "random": "19f1acbba50127f268fa0123",
+        "sample": "ebe90c8d66ebec0ec09043b7",
+        "zeta100": "6bb606bbe63fb519e6e8d29d",
+        "zeta400": "17728814a5568aed8354906e",
+        "zero_ratio": "99e65e9c46f51b0a469cc4bf",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GAP_DIGESTS))
+    def test_gap_certificate_unchanged(self, name):
+        indices = {**_golden_streams(), "zero_ratio": [2, 1]}[name]
+        basis, exps = log_basis_for_indices(indices, PREC)
+        cert = gap_certificate([exps[n] for n in indices], Fraction(100), basis)
+        assert _digest(cert.to_json()) == self.GAP_DIGESTS[name]
+        if name == "zero_ratio":
+            assert cert.evidence["exact_ratios"] == ["0"]
 
 
 _ORACLE_BASIS = SymbolBasis.from_pairs(

@@ -16,7 +16,15 @@ from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
 from dforge.formal_eval import substitute
 from dforge.grammar import parse_diffpoly
 from dforge.linalg import determinant, determinant_leibniz
-from dforge.numeric import tie_threshold, workprec
+from dforge.lattice import gap_ratios
+from dforge.numeric import (
+    decimal_str_to_mpf,
+    decimal_text,
+    fraction_to_mpf,
+    log_decimal_string,
+    tie_threshold,
+    workprec,
+)
 from dforge.series import (
     Coefficient,
     Exponent,
@@ -669,3 +677,185 @@ class TestOrderedOnce:
         monkeypatch.setattr(series, "series_mul", counted_mul)
         assert substitute(F, phi) == want
         assert counts["mul"] > 0 and counts["build"] == counts["mul"] + 1
+
+
+# The context-manager formulas the libmp kernel replaced, kept verbatim as
+# the reference: each value must match them bit for bit.
+
+def _context_fraction_to_mpf(q, precision_bits):
+    with workprec(precision_bits):
+        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
+
+def _context_ordering_key(basis, e):
+    with workprec(basis.precision):
+        total = _context_fraction_to_mpf(e.const, basis.precision)
+        for n, q in e.coords:
+            total += _context_fraction_to_mpf(q, basis.precision) * basis.value_of(n)
+    return (float(total), total, e.sort_key())
+
+
+def _context_decimal_str_to_mpf(text, precision_bits):
+    with workprec(precision_bits):
+        return mpmath.mpf(text)
+
+
+def _context_exact_ratio(a, b):
+    if b.is_zero:
+        return None
+    if b.const != 0:
+        q = a.const / b.const
+    else:
+        if a.const != 0:
+            return None
+        name, val = b.coords[0]
+        q = a.coord(name) / val
+    return q if a == b * q else None
+
+
+def _context_gap_ratios(exponents, basis):
+    values = [_context_ordering_key(basis, e)[1] for e in exponents]
+    start = 0
+    while start < len(values) and values[start] <= 0:
+        start += 1
+    tail = exponents[start:]
+    tail_values = values[start:]
+    ratios = []
+    exact = []
+    envelope = []
+    best = None
+    with workprec(basis.precision):
+        for i in range(1, len(tail)):
+            num = tail_values[i] / tail_values[i - 1]
+            ratios.append(num)
+            exact.append(_context_exact_ratio(tail[i], tail[i - 1]))
+            best = num if best is None else max(best, num)
+            envelope.append(best)
+    return ratios, exact, envelope, start
+
+
+def _context_nstr(x, precision):
+    with workprec(precision):
+        return mpmath.nstr(mpmath.mpf(x), 12)
+
+
+def _wide_fraction(rng, precision):
+    """A signed rational whose numerator and denominator are drawn from
+    widths below, at and above the P + 16 working bits (zero included)."""
+    widths = (1, 3, 20, precision, precision + 15, precision + 16, precision + 17,
+              2 * precision + 40)
+    num = rng.getrandbits(rng.choice(widths))
+    den = rng.getrandbits(rng.choice(widths)) or 1
+    return Fraction(-num if rng.random() < 0.4 else num, den)
+
+
+def _same_value(got, want):
+    """Identical raw mpf tuples and float shadows (the sign of zero too)."""
+    return got._mpf_ == want._mpf_ and repr(float(got)) == repr(float(want))
+
+
+class TestLibmpKernel:
+    """The libmp kernel rounds exactly as the context formulas above: the
+    same ``_mpf_`` tuples, float shadows and decimal strings."""
+
+    PRECISIONS = (20, 53, 128, 4096)
+
+    @staticmethod
+    def _basis(precision):
+        # two logarithms plus values that are exact, tiny and huge in binary
+        return SymbolBasis.from_pairs(
+            [("L2", log_decimal_string(2, precision)), ("L3", log_decimal_string(3, precision)),
+             ("h", "0.5"), ("t", "0.0000000123456789"), ("w", "98765432109876543.21")],
+            precision=precision)
+
+    @staticmethod
+    def _exponent(rng, basis, precision):
+        r = rng.random()
+        if r < 0.08:
+            return Exponent.zero()
+        const = _wide_fraction(rng, precision) if rng.random() < 0.6 else 0
+        if r < 0.2:
+            return Exponent.constant(const or _wide_fraction(rng, precision))
+        coords = {n: _wide_fraction(rng, precision) if rng.random() < 0.5
+                  else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                  for n in rng.sample(basis.symbols, rng.randint(1, len(basis.symbols)))}
+        return Exponent.make(coords, const)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_fraction_to_mpf(self, precision):
+        rng = random.Random(1400 + precision)
+        cases = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(2 ** (precision + 17) - 1),
+                 Fraction(1, 2 ** (precision + 17) + 1), Fraction(-(3 ** 200), 7 ** 90)]
+        cases += [_wide_fraction(rng, precision) for _ in range(300)]
+        for q in cases:
+            got = fraction_to_mpf(q, precision)
+            assert _same_value(got, _context_fraction_to_mpf(q, precision)), q
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_decimal_str_to_mpf(self, precision):
+        rng = random.Random(1405 + precision)
+        texts = ["0.7", "-0.0", "nan", "inf", "1e500", "-2.5e-450", "1/3",
+                 log_decimal_string(5, precision), log_decimal_string(5, precision + 200)]
+        texts += [f"{rng.getrandbits(2 * precision + 40)}e{rng.randint(-60, 60)}"
+                  for _ in range(100)]
+        for text in texts:
+            got = decimal_str_to_mpf(text, precision)
+            assert _same_value(got, _context_decimal_str_to_mpf(text, precision)), text
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_ordering_key(self, precision):
+        rng = random.Random(1410 + precision)
+        basis = self._basis(precision)
+        exps = [Exponent.zero(), Exponent.constant(Fraction(-5, 3)),
+                Exponent.make({"L2": -1, "L3": 1}), Exponent.make({"w": Fraction(-1, 9)}, 7)]
+        exps += [self._exponent(rng, basis, precision) for _ in range(150)]
+        for e in exps:
+            (fg, vg, kg), (fw, vw, kw) = basis.ordering_key(e), _context_ordering_key(basis, e)
+            assert (repr(fg), vg._mpf_, kg) == (repr(fw), vw._mpf_, kw), e
+        assert any(basis.ordering_key(e)[0] < 0 for e in exps)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_gap_ratios(self, precision):
+        rng = random.Random(1420 + precision)
+        basis = self._basis(precision)
+        L2, L3 = Exponent.of("L2"), Exponent.of("L3")
+        zero = Exponent.zero()
+        families = [[L2, zero], [L2, zero, L3], [-L2, zero, L3, L3 * 2, L3 * 2],
+                    [Exponent.constant(Fraction(1, 3)), L2 + Exponent.constant(2), L2 * 5]]
+        for _ in range(12):
+            family = [self._exponent(rng, basis, precision) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(2, 12)):
+                e = rng.choice((L2, L3, Exponent.of("h")))
+                base = family[-1] if family and rng.random() < 0.5 else e
+                family.append(base * Fraction(rng.randint(1, 30), rng.randint(1, 4)) + e)
+            families.append(family)
+        for family in families:
+            values = [basis.exponent_value(e) for e in family]
+            start = next((i for i, v in enumerate(values) if v > 0), len(values))
+            if not all(values[start:-1]):
+                # a zero inside the positive tail is an error, not data
+                with pytest.raises(ValueError, match="zero inside"):
+                    gap_ratios(family, basis)
+                continue
+            stats = gap_ratios(family, basis)
+            ratios, exact, envelope, start = _context_gap_ratios(family, basis)
+            assert stats.dropped_prefix == start
+            assert [r._mpf_ for r in stats.ratios] == [r._mpf_ for r in ratios]
+            assert [r._mpf_ for r in stats.envelope] == [r._mpf_ for r in envelope]
+            assert list(stats.exact) == exact
+            assert [decimal_text(r, precision) for r in stats.ratios] == \
+                [_context_nstr(r, precision) for r in ratios]
+        assert gap_ratios(families[0], basis).exact == (Fraction(0),)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_decimal_text(self, precision):
+        rng = random.Random(1430 + precision)
+        basis = self._basis(precision)
+        values = [mpmath.mpf(0), mpmath.mpf(-1), mpmath.inf]
+        values += [basis.exponent_value(self._exponent(rng, basis, precision))
+                   for _ in range(100)]
+        # wider than P + 16 bits: the string rounds them first
+        with workprec(3 * precision):
+            values += [mpmath.mpf(1) / 3, -mpmath.sqrt(2) * 10 ** 20, mpmath.mpf(2) ** -70 / 7]
+        for x in values:
+            assert decimal_text(x, precision) == _context_nstr(x, precision), x
