@@ -10,15 +10,15 @@ Sylvester resultant of F and its total derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from .errors import DegenerateInput, ResultantVanished
 from .linalg import determinant
 from .series import (
     Coefficient,
+    RationalLike,
     SparsePoly,
     XPoly,
     _as_coefficient,
-    _as_fraction,
+    _as_rational,
     drop_power,
     merge_powers,
     power_product,
@@ -29,14 +29,14 @@ from .series import (
 class DiffIndeterminate:
     """One argument slot f^(order)(s + shift); ordered by (shift, order)."""
 
-    shift: Fraction
+    shift: RationalLike
     order: int
 
     @staticmethod
     def make(order: int = 0, shift=0) -> "DiffIndeterminate":
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        return DiffIndeterminate(_as_fraction(shift), order)
+        return DiffIndeterminate(_as_rational(shift), order)
 
     def derived(self) -> "DiffIndeterminate":
         return DiffIndeterminate(self.shift, self.order + 1)
@@ -225,12 +225,12 @@ def xpoly_derivative(p: XPoly) -> XPoly:
     return XPoly.collect((k - 1, c.scale(k)) for k, c in p.terms if k >= 1)
 
 
-def xpoly_shift(p: XPoly, h: Fraction) -> XPoly:
+def xpoly_shift(p: XPoly, h: RationalLike) -> XPoly:
     """Substitute x -> x + h by binomial expansion."""
     if h == 0:
         return p
     from math import comb
-    return XPoly.collect((j, c.scale(Fraction(comb(k, j)) * h ** (k - j)))
+    return XPoly.collect((j, c.scale(comb(k, j) * h ** (k - j)))
                          for k, c in p.terms for j in range(k + 1))
 
 

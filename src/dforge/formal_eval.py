@@ -412,7 +412,7 @@ def threshold_of(residual: Residual) -> ThresholdReport:
     stable_exp = exponents[stability_prefix - 1]
 
     exp_poly = ExpPolynomial.make(
-        [(ind.order, -ind.shift, b.scale(Fraction((-1) ** ind.order)))
+        [(ind.order, -ind.shift, b.scale((-1) ** ind.order))
          for ind, b, lam in partials.entries if ind in partials.argmin],
         basis)
     bound = exp_poly_root_bound(exp_poly)

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import ExprSyntaxError, UnknownSymbol
-from .series import Coefficient, Exponent, SymbolBasis, _join_signed
+from .series import Coefficient, Exponent, RationalLike, SymbolBasis, _as_rational, _join_signed
 
 _KEYWORDS = {"x", "f", "s", "exp"}
 
@@ -152,16 +152,16 @@ class _Parser:
             else:
                 return value
 
-    def rational(self) -> Fraction:
+    def rational(self) -> RationalLike:
         num = self.expect("uint")
-        value = Fraction(int(num.text))
+        value = int(num.text)
         tok = self.peek()
         if tok.kind == "op" and tok.text == "/":
             self.advance()
             den = self.expect("uint")
             if int(den.text) == 0:
                 raise ExprSyntaxError("zero denominator", den.line, den.column)
-            value /= int(den.text)
+            value = _as_rational(Fraction(value, int(den.text)))
         return value
 
     def atom(self) -> DiffPolynomial:
@@ -197,7 +197,7 @@ class _Parser:
         while self.peek().kind == "quote":
             self.advance()
             order += 1
-        shift = Fraction(0)
+        shift = 0
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
             self.advance()
@@ -221,8 +221,8 @@ class _Parser:
 
 def _linear_exponent(poly: DiffPolynomial, tok: _Token) -> Exponent:
     """Interpret an f-free, x-free, damping-free linear polynomial as an exponent."""
-    coords: dict[str, Fraction] = {}
-    const = Fraction(0)
+    coords: dict[str, RationalLike] = {}
+    const = 0
     for (xdeg, powers), coeff in poly.terms:
         if xdeg != 0 or powers:
             raise ExprSyntaxError("exp() argument must not contain x or f",
@@ -235,7 +235,7 @@ def _linear_exponent(poly: DiffPolynomial, tok: _Token) -> Exponent:
                 const += q
             elif len(syms) == 1 and syms[0][1] == 1:
                 name = syms[0][0]
-                coords[name] = coords.get(name, Fraction(0)) + q
+                coords[name] = coords.get(name, 0) + q
             else:
                 raise ExprSyntaxError("exp() argument must be linear in the symbols",
                                       tok.line, tok.column)

@@ -17,14 +17,16 @@ from .series import (
     ONE,
     Exponent,
     FormalSeries,
+    RationalLike,
     SymbolBasis,
+    _as_rational,
     make_series,
 )
 
 TOOL_VERSION = "dforge 0.1.0"
 
 
-def frac_str(q: Fraction) -> str:
+def frac_str(q: RationalLike) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -54,17 +56,24 @@ def _too_wide(text: str) -> bool:
     return max(_digits(whole + frac) + max(shift, 0), 1 - shift) > MAX_RATIONAL_DIGITS
 
 
-def parse_frac(text: str) -> Fraction:
-    """The exact rational of ``text`` ("p/q" or decimal); a number wider
-    than MAX_RATIONAL_DIGITS digits is refused before it is built."""
+def parse_frac(text: str) -> RationalLike:
+    """The exact rational of ``text`` ("p/q" or decimal), an ``int`` when
+    integral; a number wider than MAX_RATIONAL_DIGITS digits is refused
+    before it is built."""
     if not isinstance(text, str):
         raise SchemaError(f"rational {text!r} must be \"p/q\" text")
     if _too_wide(text):
         raise SchemaError(f"rational {text[:40]!r} has more than {MAX_RATIONAL_DIGITS} digits")
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {text!r}: {exc}") from None
+        return _as_rational(Fraction(text))
+    except ValueError:
+        reason = "not \"p/q\" or decimal text"
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    raise SchemaError(f"bad rational {text[:40]!r}: {reason}")
 
 
 def _typed(value, kind: type, what: str):
@@ -157,10 +166,10 @@ def canonical_json(obj) -> str:
 # Coefficient corpora: newline-delimited "n a_n" (or bare "n"), gzip accepted
 # ---------------------------------------------------------------------------
 
-def read_corpus(path) -> list[tuple[int, Fraction]]:
+def read_corpus(path) -> list[tuple[int, RationalLike]]:
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    out: list[tuple[int, Fraction]] = []
+    out: list[tuple[int, RationalLike]] = []
     with opener(path, "rt", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -169,7 +178,7 @@ def read_corpus(path) -> list[tuple[int, Fraction]]:
             parts = line.split()
             try:
                 n = int(parts[0])
-                a = parse_frac(parts[1]) if len(parts) > 1 else Fraction(1)
+                a = parse_frac(parts[1]) if len(parts) > 1 else 1
             except (ValueError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             if n < 1:

@@ -466,12 +466,12 @@ def _exact_ratio(a: Exponent, b: Exponent) -> Optional[Fraction]:
     if b.is_zero:
         return None
     if b.const != 0:
-        q = a.const / b.const
+        q = Fraction(a.const, b.const)
     else:
         if a.const != 0:
             return None
         name, val = b.coords[0]
-        q = a.coord(name) / val
+        q = Fraction(a.coord(name), val)
     if not q:
         return q if a.is_zero else None
     # q != 0 keeps b's support, so a must have b's symbols, each scaled by q

@@ -1,7 +1,9 @@
 """Arbitrary-precision numeric evaluation helpers.
 
-All exact data lives in ``fractions.Fraction``; this module is the one
-place where values are turned into mpmath floats.  Every conversion takes
+All exact data is rational: an integral value is a Python ``int``, any
+other a ``fractions.Fraction`` (see ``series._as_rational``), and no
+``float`` ever holds exact data.  This module is the one place where
+values are turned into mpmath floats.  Every conversion takes
 an explicit bit precision so that results are reproducible.
 
 Exponent values go through one kernel on mpmath's raw ``libmp`` tuples,
@@ -60,7 +62,7 @@ def _raw_ratio(num: int, den: int, prec: int) -> tuple:
                    prec, round_nearest)
 
 
-def fraction_to_mpf(q: Fraction, precision_bits: int) -> mpmath.mpf:
+def fraction_to_mpf(q: int | Fraction, precision_bits: int) -> mpmath.mpf:
     return _make_mpf(_raw_ratio(q.numerator, q.denominator, precision_bits + GUARD_BITS))
 
 

@@ -42,14 +42,16 @@ RationalLike = Union[int, Fraction]
 ONE = "ONE"
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _as_rational(v) -> RationalLike:
+    """The exact rational ``v`` as stored: an ``int`` when it is integral,
+    else a ``Fraction`` (an integral value needs no gcd per operation)."""
+    if type(v) is int:
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+    if isinstance(v, (int, str)):
+        v = Fraction(v)
+    elif not isinstance(v, Fraction):
+        raise TypeError(f"expected an exact rational, got {type(v).__name__}")
+    return v.numerator if v.denominator == 1 else v
 
 
 def _join_signed(pieces: list) -> str:
@@ -74,8 +76,8 @@ class Exponent:
     power series and Dirichlet series share one representation.
     """
 
-    coords: tuple[tuple[str, Fraction], ...] = ()
-    const: Fraction = Fraction(0)
+    coords: tuple[tuple[str, RationalLike], ...] = ()
+    const: RationalLike = 0
 
     def __post_init__(self):
         # exponents key every hot dict in the package; precompute an
@@ -101,12 +103,12 @@ class Exponent:
              const: RationalLike = 0) -> "Exponent":
         # a mapping's names are unique: nothing to sum, and the sort never
         # compares two rationals
-        c = _as_fraction(const)
+        c = _as_rational(const)
         items = []
         for name, q in (coords or {}).items():
-            q = _as_fraction(q)
+            q = _as_rational(q)
             if name == ONE:
-                c += q
+                c = _as_rational(c + q)
             elif q:
                 items.append((name, q))
         items.sort()
@@ -128,13 +130,13 @@ class Exponent:
     def is_zero(self) -> bool:
         return not self.coords and self.const == 0
 
-    def coord(self, name: str) -> Fraction:
+    def coord(self, name: str) -> RationalLike:
         if name == ONE:
             return self.const
         for n, q in self.coords:
             if n == name:
                 return q
-        return Fraction(0)
+        return 0
 
     def symbols(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.coords)
@@ -151,9 +153,9 @@ class Exponent:
             return self
         items = dict(self.coords)
         for n, q in other.coords:
-            items[n] = items.get(n, Fraction(0)) + q
-        canon = tuple(sorted((n, q) for n, q in items.items() if q != 0))
-        return Exponent(canon, self.const + other.const)
+            items[n] = items.get(n, 0) + q
+        canon = tuple(sorted((n, _as_rational(q)) for n, q in items.items() if q != 0))
+        return Exponent(canon, _as_rational(self.const + other.const))
 
     def __neg__(self) -> "Exponent":
         return Exponent(tuple((n, -q) for n, q in self.coords), -self.const)
@@ -162,10 +164,11 @@ class Exponent:
         return self + (-other)
 
     def __mul__(self, scalar: RationalLike) -> "Exponent":
-        q = _as_fraction(scalar)
+        q = _as_rational(scalar)
         if q == 0:
             return Exponent()
-        return Exponent(tuple((n, c * q) for n, c in self.coords), self.const * q)
+        return Exponent(tuple((n, _as_rational(c * q)) for n, c in self.coords),
+                        _as_rational(self.const * q))
 
     __rmul__ = __mul__
 
@@ -397,8 +400,12 @@ class SparsePoly:
 
     ``terms`` holds ``(monomial, coefficient)`` pairs with distinct
     monomials and no zero coefficient, sorted by ``_mono_key``, so equal
-    values have equal ``terms``.  Coefficients are ``Fraction`` or
-    :class:`Coefficient`; both are false exactly when zero.
+    values have equal ``terms``.  Coefficients are exact rationals or
+    :class:`Coefficient`; both are false exactly when zero.  A rational
+    is built as an ``int`` when it is integral (``_as_rational``), and as
+    a ``Fraction`` only when its denominator is not 1; arithmetic on two
+    ``Fraction`` values may still return an integral ``Fraction``, which is
+    equal to, hashes like and prints like the ``int``.
 
     A subclass is a frozen dataclass whose last field is ``terms``.  It
     supplies the monomial product ``_mono_mul``, the unit monomial
@@ -531,16 +538,16 @@ def _mono_str(m: Monomial) -> str:
 class Coefficient(SparsePoly):
     """Sparse polynomial over the basis symbols and damping factors."""
 
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    terms: tuple[tuple[Monomial, RationalLike], ...] = ()
 
     _UNIT = _UNIT_MONO
     _mono_key = staticmethod(_mono_key)
     _mono_mul = staticmethod(_mono_mul)
-    _coerce = staticmethod(_as_fraction)
+    _coerce = staticmethod(_as_rational)
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "Coefficient":
-        q = _as_fraction(q)
+        q = _as_rational(q)
         if q == 0:
             return Coefficient()
         return Coefficient(((_UNIT_MONO, q),))
@@ -549,27 +556,28 @@ class Coefficient(SparsePoly):
     def from_symbol(name: str, power: int = 1) -> "Coefficient":
         if power == 0:
             return Coefficient.one()
-        return Coefficient((((((name, power),), Exponent()), Fraction(1)),))
+        return Coefficient((((((name, power),), Exponent()), 1),))
 
     @staticmethod
     def from_exponent(e: Exponent) -> "Coefficient":
         """The exponent as a linear polynomial in the symbols (exact)."""
-        pairs = [(_UNIT_MONO, e.const)]
-        pairs += [((((n, 1),), Exponent()), q) for n, q in e.coords]
+        pairs = [(_UNIT_MONO, _as_rational(e.const))]
+        pairs += [((((n, 1),), Exponent()), _as_rational(q)) for n, q in e.coords]
         return Coefficient.collect(pairs)
 
     @staticmethod
     def damping(nu: Exponent) -> "Coefficient":
         """The factor e^(-nu); the multiplier M(lam, h) is damping(h*lam)."""
-        return Coefficient((((() , nu), Fraction(1)),))
+        return Coefficient((((() , nu), 1),))
 
     @property
     def is_rational(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == _UNIT_MONO)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> RationalLike:
+        """The plain rational (an ``int`` when integral)."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_rational:
             raise ValueError("coefficient is not a plain rational")
         return self.terms[0][1]
@@ -627,7 +635,7 @@ class Coefficient(SparsePoly):
 def _as_coefficient(v) -> Coefficient:
     if isinstance(v, Coefficient):
         return v
-    return Coefficient.from_fraction(_as_fraction(v))
+    return Coefficient.from_fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +914,7 @@ def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:
 
 def shift_s(a: FormalSeries, h: RationalLike) -> FormalSeries:
     """Substitute s -> s + h; coefficients pick up the multiplier e^(-h*lambda)."""
-    h = _as_fraction(h)
+    h = _as_rational(h)
     if h == 0:
         return a
     return _map_terms(a, lambda e, p: p.scale(Coefficient.damping(e * h)))

@@ -296,21 +296,26 @@ def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
     if ds_max is None:
         ds_max = nu_max
     basis, exponents = log_basis_for_indices(range(1, N + 1), precision)
-    cache: dict[int, FormalSeries] = {}
+    # d-th s-derivative of the shift's prefix, keyed (shift, d); (shift, 0)
+    # is the prefix itself, so each prefix is built and differentiated once
+    derived: dict[tuple[int, int], FormalSeries] = {}
 
-    def prefix_series(shift: int) -> FormalSeries:
-        if shift not in cache:
-            cache[shift] = zeta_xs_prefix(N, shift, precision, basis, exponents)
-        return cache[shift]
+    def derivative(shift: int, d: int) -> FormalSeries:
+        if (shift, d) not in derived:
+            base = derived.get((shift, 0))
+            if base is None:
+                base = derived[shift, 0] = zeta_xs_prefix(N, shift, precision, basis, exponents)
+            derived[shift, d] = differentiate_s(base, d)
+        return derived[shift, d]
 
     checks = 0
     for mu in range(mu_max + 1):
         for nu in range(nu_max + 1):
             for d in range(ds_max + 1):
-                lhs = differentiate_s(prefix_series(nu), d)
+                lhs = derivative(nu, d)
                 for _ in range(mu):
                     lhs = x_log_derivative(lhs)
-                rhs = differentiate_s(prefix_series(mu + nu), d)
+                rhs = derivative(mu + nu, d)
                 diff = series_sub(lhs, rhs)
                 if not diff.is_zero:
                     raise DforgeError(

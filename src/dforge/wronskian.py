@@ -70,7 +70,7 @@ class PowerProduct:
                              {} if memo is None else memo)
 
     def as_diffpoly(self, coefficient=None) -> DiffPolynomial:
-        mono = (0, tuple((DiffIndeterminate(Fraction(0), o), k) for o, k in self.powers))
+        mono = (0, tuple((DiffIndeterminate(0, o), k) for o, k in self.powers))
         c = Coefficient.one() if coefficient is None else coefficient
         return DiffPolynomial(((mono, c),))
 

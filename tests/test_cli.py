@@ -1,6 +1,7 @@
 """Command-line front end: pipelines, exit codes, determinism, verify."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -433,3 +434,48 @@ class TestErrorCodes:
                      "1/" + "3" * 4301, "1" * 4301 + "e-200"):
             with pytest.raises(SchemaError, match="more than 4300 digits"):
                 parse_frac(text)
+
+    def test_parse_frac_agrees_with_fraction(self):
+        # digit text skips Fraction: the accepted texts, the values and the
+        # two failure reasons must stay exactly Fraction(text)'s, and a value
+        # is an int exactly when it is integral; the digit cap may refuse
+        # first a text like "e85631" that Fraction rejects or would widen
+        fixed = ["+1", " 1 ", "1_0", "007", "-0", "-", "--1", "\u0661", "1\u0662",
+                 "\u00b2", "", "1/0", "0/0", "-7/14", "4/2", "1.50", "1e3", "2e-1",
+                 "1 /2", "12345678901234567890"]
+        rng = random.Random(20261019)
+        alphabet = "0123456789" * 3 + "-+/._e \u0661\u00b2"
+        texts = fixed + ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                         for _ in range(3000)]
+        for text in texts:
+            try:
+                want, reason = Fraction(text), None
+            except ValueError:
+                want, reason = None, 'not "p/q" or decimal text'
+            except ZeroDivisionError:
+                want, reason = None, "zero denominator"
+            try:
+                got = parse_frac(text)
+            except SchemaError as exc:
+                if "more than 4300 digits" in str(exc):
+                    assert reason or max(want.numerator, want.denominator) > 10 ** 4300, text
+                else:
+                    assert reason is not None and str(exc).endswith(reason), text
+                continue
+            assert reason is None and got == want, text
+            assert type(got) is (int if want.denominator == 1 else Fraction), text
+
+    def test_long_bad_rational_gives_one_short_line(self, tmp_path, capsys):
+        # the exponent's 4998 digits defeat the width check, so Fraction
+        # rejects the text, and the message quotes 40 characters of it
+        bad = "1e" + "9" * 4998
+        path = tmp_path / "bad.series.json"
+        path.write_text(json.dumps({
+            "basis": {"symbols": [{"name": "lam", "value_decimal_string": "0.7"}],
+                      "precision_bits": 128, "independence_assumed": True},
+            "terms": [{"exponent": {"lam": bad}, "coeff": "1"}],
+            "truncation": None}))
+        assert main(["substitute", "--series", str(path), "--eq", "f' + lam*f"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[schema-error]: bad rational {bad[:40]!r}: ")
+        assert err.count("\n") == 1 and len(err) < 200

@@ -1,5 +1,6 @@
 """Series arithmetic: construction, products, derivatives, shifts, order."""
 
+import dataclasses
 import itertools
 import random
 import warnings
@@ -9,14 +10,23 @@ from functools import cmp_to_key
 import mpmath
 import pytest
 
-from conftest import PREC, convolve_oracle, rand_fraction
+from conftest import PREC, convolve_oracle, geometric_series, rand_fraction
 from dforge import series
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
-from dforge.formal_eval import substitute
-from dforge.grammar import parse_diffpoly
+from dforge.formal_eval import forcing_threshold, substitute
+from dforge.grammar import parse_diffpoly, pretty
+from dforge.io import canonical_json, dump_series, exponent_to_obj, load_series, series_to_obj
 from dforge.linalg import determinant, determinant_leibniz
-from dforge.lattice import gap_ratios
+from dforge.lattice import gap_ratios, integer_basis, log_basis_for_indices
+from dforge.obstruction import (
+    finite_basis_certificate,
+    gap_certificate,
+    residual_certificate,
+    substitution_certificate,
+)
+from dforge.transforms import verify_hilbert_zeta, verify_rescale_invariance
+from dforge.wronskian import search_ade
 from dforge.numeric import (
     decimal_str_to_mpf,
     decimal_text,
@@ -704,12 +714,12 @@ def _context_exact_ratio(a, b):
     if b.is_zero:
         return None
     if b.const != 0:
-        q = a.const / b.const
+        q = Fraction(a.const, b.const)
     else:
         if a.const != 0:
             return None
         name, val = b.coords[0]
-        q = a.coord(name) / val
+        q = Fraction(a.coord(name), val)
     return q if a == b * q else None
 
 
@@ -859,3 +869,198 @@ class TestLibmpKernel:
             values += [mpmath.mpf(1) / 3, -mpmath.sqrt(2) * 10 ** 20, mpmath.mpf(2) ** -70 / 7]
         for x in values:
             assert decimal_text(x, precision) == _context_nstr(x, precision), x
+
+
+# Integral rationals are stored as Python ints.  The same operands with every
+# stored rational a Fraction (as Fraction arithmetic may leave them) must give
+# the same terms, printed forms, JSON and hashes, and no float may reach any
+# exact field.
+
+def _fraction_exponent(e):
+    return Exponent(tuple((n, Fraction(q)) for n, q in e.coords), Fraction(e.const))
+
+
+def _fraction_coefficient(c):
+    return Coefficient(tuple(((syms, _fraction_exponent(damp)), Fraction(q))
+                             for (syms, damp), q in c.terms))
+
+
+def _fraction_xpoly(p):
+    return XPoly(tuple((k, _fraction_coefficient(c)) for k, c in p.terms))
+
+
+def _fraction_diffpoly(F):
+    return DiffPolynomial(tuple(
+        ((xdeg, tuple((DiffIndeterminate(Fraction(ind.shift), ind.order), k)
+                      for ind, k in powers)), _fraction_coefficient(c))
+        for (xdeg, powers), c in F.terms))
+
+
+def _fraction_series(s):
+    return series.FormalSeries(
+        s.basis, tuple((_fraction_exponent(e), _fraction_xpoly(p)) for e, p in s.terms),
+        None if s.truncation is None else _fraction_exponent(s.truncation))
+
+
+def _integral_or_half(rng):
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+
+
+def _int_exponent(rng, names):
+    return Exponent.make({n: _integral_or_half(rng) for n in rng.sample(names, 2)},
+                         _integral_or_half(rng))
+
+
+def _int_coefficient(rng, size=3):
+    def damping():
+        return rng.choice([Exponent(), _int_exponent(rng, ["L2", "L3"])])
+    return Coefficient.collect(((_powers(rng, ["L2", "L3"]), damping()), _integral_or_half(rng))
+                               for _ in range(rng.randint(1, size)))
+
+
+def _int_xpoly(rng):
+    return XPoly.collect((rng.randint(0, 2), _int_coefficient(rng))
+                         for _ in range(rng.randint(1, 3)))
+
+
+def _int_diffpoly(rng):
+    inds = [DiffIndeterminate.make(0), DiffIndeterminate.make(1),
+            DiffIndeterminate.make(0, rng.choice([1, -2, Fraction(1, 2)]))]
+    return DiffPolynomial.collect(
+        ((rng.randint(0, 1), _powers(rng, inds)), _int_coefficient(rng, 2))
+        for _ in range(rng.randint(1, 3)))
+
+
+def _int_series(rng, basis):
+    exps = {Exponent.make({"L2": rng.randint(0, 3), "L3": rng.randint(0, 2)}) for _ in range(5)}
+    bound = rng.choice([None, Exponent.make({"L2": 4, "L3": 2})])
+    return make_series([(e, _int_xpoly(rng)) for e in sorted(exps, key=Exponent.sort_key)],
+                       basis, bound)
+
+
+def _exact_leaves(obj):
+    """Every leaf of an exact object: dataclass fields, tuples, lists and
+    dicts are walked; a basis holds numeric values, not exact data."""
+    if isinstance(obj, SymbolBasis):
+        return
+    if isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _exact_leaves(x)
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _exact_leaves(k)
+            yield from _exact_leaves(v)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _exact_leaves(getattr(obj, f.name))
+    else:
+        yield obj
+
+
+def _assert_exact(obj):
+    for leaf in _exact_leaves(obj):
+        assert leaf is None or type(leaf) in (int, bool, Fraction, str), (type(leaf), obj)
+
+
+def _assert_same(got_int, got_fraction):
+    assert got_int == got_fraction and hash(got_int) == hash(got_fraction)
+    assert got_int.terms == got_fraction.terms
+    assert str(got_int) == str(got_fraction)
+    _assert_exact(got_int)
+    _assert_exact(got_fraction)
+
+
+class TestIntegralRationals:
+    def test_constructors_store_integral_values_as_ints(self):
+        e = Exponent.make({"a": Fraction(4, 2), "b": Fraction(1, 2), series.ONE: Fraction(1, 2)},
+                          Fraction(1, 2))
+        assert e.coords == (("a", 2), ("b", Fraction(1, 2))) and e.const == 1
+        assert [type(q) for _, q in e.coords] == [int, Fraction] and type(e.const) is int
+        assert type((e + e).coord("b")) is int and type((e * Fraction(2)).coord("b")) is int
+        assert type(Coefficient.from_fraction(Fraction(6, 3)).as_fraction()) is int
+        assert type(Coefficient.from_fraction("-4").as_fraction()) is int
+        assert {type(q) for _, q in Coefficient.from_exponent(_fraction_exponent(e)).terms} \
+            == {int, Fraction}
+        assert type(DiffIndeterminate.make(1, Fraction(-3, 1)).shift) is int
+        assert type(parse_diffpoly("f(s+4/2)").terms[0][0][1][0][0].shift) is int
+        with pytest.raises(TypeError):
+            Exponent.make({"a": 0.5})
+
+    def test_polynomial_operations_agree(self):
+        rng = random.Random(1501)
+        makers = [_int_coefficient, _int_xpoly, _int_diffpoly]
+        to_fraction = [_fraction_coefficient, _fraction_xpoly, _fraction_diffpoly]
+        for make, fraction in zip(makers, to_fraction):
+            for _ in range(25):
+                a, b = make(rng), make(rng)
+                fa, fb = fraction(a), fraction(b)
+                q = _integral_or_half(rng) or 1
+                k = rng.randint(0, 3)
+                _assert_same(a + b, fa + fb)
+                _assert_same(a * b, fa * fb)
+                _assert_same(a ** k, fa ** k)
+                _assert_same(a.scale(q), fa.scale(Fraction(q)))
+                _assert_same(a - b, fa - fb)
+                if isinstance(a, DiffPolynomial):
+                    assert pretty(a * b) == pretty(fa * fb)
+
+    def test_exponent_operations_agree(self):
+        rng = random.Random(1502)
+        names = ["L2", "L3", "L5"]
+        for _ in range(200):
+            a, b = _int_exponent(rng, names), _int_exponent(rng, names)
+            fa, fb = _fraction_exponent(a), _fraction_exponent(b)
+            q = _integral_or_half(rng)
+            for got, want in ((a + b, fa + fb), (a - b, fa - fb), (-a, -fa),
+                              (a * q, fa * Fraction(q))):
+                assert got == want and hash(got) == hash(want) and got._key == want._key
+                assert str(got) == str(want) and got.sort_key() == want.sort_key()
+                assert canonical_json(exponent_to_obj(got)) == \
+                    canonical_json(exponent_to_obj(want))
+                # on int operands, an integral result is stored as an int
+                assert all(type(q) is int or q.denominator != 1
+                           for q in (got.const, *(q for _, q in got.coords)))
+                _assert_exact(got)
+                _assert_exact(want)
+
+    def test_series_operations_agree(self, log_basis):
+        rng = random.Random(1503)
+        for _ in range(12):
+            a, b = _int_series(rng, log_basis), _int_series(rng, log_basis)
+            fa, fb = _fraction_series(a), _fraction_series(b)
+            k = rng.randint(1, 2)
+            h = rng.choice([2, -1, Fraction(1, 2)])
+            for got, want in ((series_mul(a, b), series_mul(fa, fb)),
+                              (differentiate_s(a, k), differentiate_s(fa, k)),
+                              (shift_s(a, h), shift_s(fa, Fraction(h)))):
+                assert got == want and got.terms == want.terms and str(got) == str(want)
+                assert canonical_json(series_to_obj(got)) == canonical_json(series_to_obj(want))
+                _assert_exact(got)
+                _assert_exact(want)
+
+    def test_no_float_in_golden_objects(self, lam_basis, tmp_path):
+        # the series, reports, lattices and certificates behind the goldens
+        path = tmp_path / "g.series.json"
+        dump_series(geometric_series(lam_basis, 15), path)
+        phi = load_series(path)
+        F = parse_diffpoly("f' + lam*f + lam*f^2", lam_basis)
+        lam = Exponent.of("lam")
+        perturbed = make_series([(lam * n, 2 if n == 5 else 1) for n in range(1, 16)],
+                                lam_basis, lam * 15)
+        report = forcing_threshold(F, phi)
+        found = search_ade(phi, 3)
+        indices = list(range(1, 101))
+        basis, exps = log_basis_for_indices(indices, PREC)
+        stream = [exps[n] for n in indices]
+        B = integer_basis([e for e, _ in phi.terms], lam_basis)
+        objects = [
+            phi, report, substitution_certificate(F, phi, None, report),
+            substitution_certificate(F, perturbed), found, residual_certificate(found),
+            verify_rescale_invariance(F, phi, B, [Fraction(1, 2)]),
+            verify_hilbert_zeta(12, 2, 2), finite_basis_certificate(stream, 12, basis),
+            gap_certificate(stream, Fraction(100), basis), integer_basis(stream, basis),
+        ]
+        for obj in objects:
+            _assert_exact(obj)
+        with pytest.raises(AssertionError):
+            _assert_exact([phi.terms, {"lam": 0.5}])

@@ -1,11 +1,13 @@
 """Rescaling invariance, ODE-to-PDE conversion, functional-equation checks."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from conftest import PREC, geometric_series
-from dforge.errors import NotInLatticeError, ShiftPresent, ZeroScalar
+from dforge import transforms
+from dforge.errors import DforgeError, NotInLatticeError, ShiftPresent, ZeroScalar
 from dforge.grammar import parse_diffpoly
 from dforge.lattice import integer_basis, log_basis_for_indices
 from dforge.obstruction import recheck
@@ -166,6 +168,38 @@ class TestHilbert:
         assert cert.evidence["residuals_all_zero"] is True
         assert cert.evidence["checks"] == 27
         assert recheck(cert).ok
+
+    def test_each_prefix_derivative_taken_once(self, monkeypatch):
+        # mu = nu = 2 and d <= 1 give 18 checks over shifts 0..4: ten
+        # distinct (shift, d) derivatives, each taken once
+        calls = []
+        real = transforms.differentiate_s
+
+        def counted(a, k=1):
+            calls.append((id(a), k))
+            return real(a, k)
+
+        monkeypatch.setattr(transforms, "differentiate_s", counted)
+        cert = verify_hilbert_zeta(12, 2, 2, 1)
+        assert cert.evidence["checks"] == 18
+        assert len(calls) == len(set(calls)) == 10
+
+    def test_first_failure_in_grid_order(self, monkeypatch):
+        # with x d/dx as the identity the first failing check is the first
+        # with mu = 1: nu = 0, d = 0
+        monkeypatch.setattr(transforms, "x_log_derivative", lambda s: s)
+        with pytest.raises(DforgeError, match=r"nonzero at mu=1, nu=0, d=0: "):
+            verify_hilbert_zeta(12, 2, 2, 1)
+
+    def test_frees_by_reference_counting(self):
+        # the derivative table leaves no reference cycle for the cyclic GC
+        gc.collect()
+        gc.disable()
+        try:
+            verify_hilbert_zeta(12, 2, 2, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weight_operator_matches_shift(self):
         # x d/dx of the prefix equals the shift-by-one prefix exactly
