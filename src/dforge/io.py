@@ -36,7 +36,7 @@ MAX_RATIONAL_DIGITS = 4300
 
 
 def _digits(text: str) -> int:
-    return sum(ch.isdigit() for ch in text)
+    return sum(ch.isdecimal() for ch in text)   # the digits Fraction reads
 
 
 def _too_wide(text: str) -> bool:
@@ -49,6 +49,8 @@ def _too_wide(text: str) -> bool:
         num, _, den = body.partition("/")
         return max(_digits(num), _digits(den)) > MAX_RATIONAL_DIGITS
     whole, _, frac = body.partition(".")
+    if not _digits(whole + frac):
+        return False   # no mantissa: Fraction rejects the text
     try:
         shift = int(exp or 0) - _digits(frac)   # value = digits * 10**shift
     except ValueError:

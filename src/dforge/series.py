@@ -19,7 +19,9 @@ treated as an exact object, or a constant).
 from __future__ import annotations
 
 import operator
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -67,36 +69,28 @@ def _join_signed(pieces: list) -> str:
 # Exponents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Exponent:
     """Rational lattice vector over the basis symbols plus a rational constant.
 
     The constant part is the coordinate of the distinguished unit symbol
     ``ONE``; it encodes integer exponents of plain power series so that
     power series and Dirichlet series share one representation.
+
+    Exponents are hash-consed (Ershov 1958; Filliatre and Conchon 2006): the
+    constructor stores canonical rationals and returns the one live object
+    per value from a weak table, so equality and hashing are identity.
     """
 
-    coords: tuple[tuple[str, RationalLike], ...] = ()
-    const: RationalLike = 0
+    __slots__ = ("coords", "const", "_key", "__weakref__")
+    coords: tuple[tuple[str, RationalLike], ...]
+    const: RationalLike
 
-    def __post_init__(self):
-        # exponents key every hot dict in the package; precompute an
-        # int-tuple identity key so hashing and equality avoid Fraction's
-        # slow numeric-tower dispatch
-        key = (tuple((n, q.numerator, q.denominator) for n, q in self.coords),
-               self.const.numerator, self.const.denominator)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, coords=(), const=0):
+        return _interned(tuple((n, _as_rational(q)) for n, q in coords), _as_rational(const))
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+    def __reduce__(self):
+        return (Exponent, (self.coords, self.const))
 
     @staticmethod
     def make(coords: Mapping[str, RationalLike] | None = None,
@@ -112,11 +106,11 @@ class Exponent:
             elif q:
                 items.append((name, q))
         items.sort()
-        return Exponent(tuple(items), c)
+        return _interned(tuple(items), c)
 
     @staticmethod
     def zero() -> "Exponent":
-        return Exponent()
+        return _ZERO
 
     @staticmethod
     def of(name: str, q: RationalLike = 1) -> "Exponent":
@@ -128,7 +122,7 @@ class Exponent:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coords and self.const == 0
+        return self is _ZERO
 
     def coord(self, name: str) -> RationalLike:
         if name == ONE:
@@ -147,18 +141,18 @@ class Exponent:
 
     def __add__(self, other: "Exponent") -> "Exponent":
         # zero is the commonest operand (undamped coefficient monomials)
-        if not self.coords and not self._key[1]:
+        if self is _ZERO:
             return other
-        if not other.coords and not other._key[1]:
+        if other is _ZERO:
             return self
         items = dict(self.coords)
         for n, q in other.coords:
             items[n] = items.get(n, 0) + q
         canon = tuple(sorted((n, _as_rational(q)) for n, q in items.items() if q != 0))
-        return Exponent(canon, _as_rational(self.const + other.const))
+        return _interned(canon, _as_rational(self.const + other.const))
 
     def __neg__(self) -> "Exponent":
-        return Exponent(tuple((n, -q) for n, q in self.coords), -self.const)
+        return _interned(tuple((n, -q) for n, q in self.coords), -self.const)
 
     def __sub__(self, other: "Exponent") -> "Exponent":
         return self + (-other)
@@ -166,9 +160,9 @@ class Exponent:
     def __mul__(self, scalar: RationalLike) -> "Exponent":
         q = _as_rational(scalar)
         if q == 0:
-            return Exponent()
-        return Exponent(tuple((n, _as_rational(c * q)) for n, c in self.coords),
-                        _as_rational(self.const * q))
+            return _ZERO
+        return _interned(tuple((n, _as_rational(c * q)) for n, c in self.coords),
+                         _as_rational(self.const * q))
 
     __rmul__ = __mul__
 
@@ -182,23 +176,40 @@ class Exponent:
         return _join_signed(pieces)
 
 
+_EXPONENTS = weakref.WeakValueDictionary()
+_INTERNING = threading.RLock()
+
+
+def _interned(coords: tuple, const: RationalLike) -> Exponent:
+    """The one live Exponent of canonical ``coords`` and ``const``, found by
+    an int-tuple key, so a lookup never hashes a Fraction."""
+    key = (tuple((n, q.numerator, q.denominator) for n, q in coords),
+           const.numerator, const.denominator)
+    e = _EXPONENTS.get(key)
+    if e is None:
+        with _INTERNING:   # threads that miss one value at once make one object
+            e = _EXPONENTS.get(key)
+            if e is None:
+                e = object.__new__(Exponent)
+                object.__setattr__(e, "coords", coords)
+                object.__setattr__(e, "const", const)
+                object.__setattr__(e, "_key", key)
+                _EXPONENTS[key] = e
+    return e
+
+
+_ZERO = _interned((), 0)
+
+
 class _ExponentSums(dict):
-    """Memo ``sums[a, b] == a + b`` that hands out one object per distinct sum.
+    """Memo ``sums[a, b] == a + b``: products add the same exponent pairs
+    over and over."""
 
-    Products add the same exponent pairs over and over; a shared object per
-    value also turns later dict lookups into identity hits.
-    """
-
-    __slots__ = ("_canon",)
-
-    def __init__(self):
-        super().__init__()
-        self._canon: dict = {}
+    __slots__ = ()
 
     def __missing__(self, key):
         a, b = key
-        e = a + b
-        e = self[key] = self._canon.setdefault(e, e)
+        e = self[key] = a + b
         return e
 
 
@@ -267,7 +278,7 @@ class SymbolBasis:
             raise BadBasis(f"unknown symbol {name!r}") from None
 
     def has_symbol(self, name: str) -> bool:
-        return name in self.symbols
+        return name in self._symbol_values
 
     def ordering_key(self, e: Exponent) -> tuple:
         """The one exponent order: ``(float shadow, value at P, exact key)``;
@@ -296,7 +307,7 @@ class SymbolBasis:
 
     def validate_exponent(self, e: Exponent) -> None:
         for n, _ in e.coords:
-            if n not in self.symbols:
+            if n not in self._symbol_values:
                 raise BadBasis(f"exponent references unknown symbol {n!r}")
 
     def _apart(self, fa: float, fb: float) -> bool:
@@ -321,7 +332,7 @@ class SymbolBasis:
     def compare(self, a: Exponent, b: Exponent) -> int:
         """The sign of ``ordering_key(a)`` against ``ordering_key(b)``; pairs
         whose shadows are not ``_apart`` go through :meth:`check_tie`."""
-        if a is b or (a._hash == b._hash and a._key == b._key):
+        if a is b:
             return 0
         ka, kb = self.ordering_key(a), self.ordering_key(b)
         if self._apart(ka[0], kb[0]):
@@ -510,7 +521,7 @@ class SparsePoly:
 #     is applied eagerly, so inverse shifts cancel exactly.
 Monomial = tuple[tuple[tuple[str, int], ...], Exponent]
 
-_UNIT_MONO: Monomial = ((), Exponent())
+_UNIT_MONO: Monomial = ((), _ZERO)
 
 
 def _mono_key(m: Monomial):
@@ -556,13 +567,13 @@ class Coefficient(SparsePoly):
     def from_symbol(name: str, power: int = 1) -> "Coefficient":
         if power == 0:
             return Coefficient.one()
-        return Coefficient((((((name, power),), Exponent()), 1),))
+        return Coefficient((((((name, power),), _ZERO), 1),))
 
     @staticmethod
     def from_exponent(e: Exponent) -> "Coefficient":
         """The exponent as a linear polynomial in the symbols (exact)."""
         pairs = [(_UNIT_MONO, _as_rational(e.const))]
-        pairs += [((((n, 1),), Exponent()), _as_rational(q)) for n, q in e.coords]
+        pairs += [((((n, 1),), _ZERO), _as_rational(q)) for n, q in e.coords]
         return Coefficient.collect(pairs)
 
     @staticmethod

@@ -438,8 +438,8 @@ class TestErrorCodes:
     def test_parse_frac_agrees_with_fraction(self):
         # digit text skips Fraction: the accepted texts, the values and the
         # two failure reasons must stay exactly Fraction(text)'s, and a value
-        # is an int exactly when it is integral; the digit cap may refuse
-        # first a text like "e85631" that Fraction rejects or would widen
+        # is an int exactly when it is integral; the digit cap refuses only
+        # a text that Fraction accepts and would widen
         fixed = ["+1", " 1 ", "1_0", "007", "-0", "-", "--1", "\u0661", "1\u0662",
                  "\u00b2", "", "1/0", "0/0", "-7/14", "4/2", "1.50", "1e3", "2e-1",
                  "1 /2", "12345678901234567890"]
@@ -458,12 +458,27 @@ class TestErrorCodes:
                 got = parse_frac(text)
             except SchemaError as exc:
                 if "more than 4300 digits" in str(exc):
-                    assert reason or max(want.numerator, want.denominator) > 10 ** 4300, text
+                    assert reason is None and \
+                        max(want.numerator, want.denominator) > 10 ** 4300, text
                 else:
                     assert reason is not None and str(exc).endswith(reason), text
                 continue
             assert reason is None and got == want, text
             assert type(got) is (int if want.denominator == 1 else Fraction), text
+
+    @pytest.mark.parametrize("bad", ["e85631", "-e9999", ".e5000", "\u00b2e9999"])
+    def test_rational_without_mantissa_is_bad_not_wide(self, bad, tmp_path, capsys):
+        # the exponent's digits alone never make a text too wide: with no
+        # mantissa digit it is no rational at all
+        path = tmp_path / "bad.series.json"
+        path.write_text(json.dumps({
+            "basis": {"symbols": [{"name": "lam", "value_decimal_string": "0.7"}],
+                      "precision_bits": 128, "independence_assumed": True},
+            "terms": [{"exponent": {"lam": bad}, "coeff": "1"}],
+            "truncation": None}))
+        assert main(["substitute", "--series", str(path), "--eq", "f' + lam*f"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error[schema-error]: bad rational {bad!r}: not \"p/q\" or decimal text\n"
 
     def test_long_bad_rational_gives_one_short_line(self, tmp_path, capsys):
         # the exponent's 4998 digits defeat the width check, so Fraction

@@ -1,11 +1,19 @@
 """Series arithmetic: construction, products, derivatives, shifts, order."""
 
+import copy
 import dataclasses
+import gc
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -372,6 +380,92 @@ class TestCheapExponentArithmetic:
             assert len(caught) == 2 * ties
 
 
+# Exponents are hash-consed: one live object per value, equality and hashing
+# by identity, and a weak table.
+
+_SEARCH_DIGEST = """
+import gc, hashlib, sys
+from dforge.lattice import log_basis_for_indices
+from dforge.series import Exponent, make_series
+from dforge.wronskian import derive_ade
+if sys.argv[1] == "churn":
+    # other exponents first, some of them freed: the search's exponents
+    # land at other addresses and in another table order
+    keep = [Exponent.make({f"x{i}": i}, i) for i in range(3000)]
+    del keep[::2]
+    gc.collect()
+basis, vecs = log_basis_for_indices(range(1, 31), 128)
+phi = make_series([(vecs[n], 1) for n in range(1, 31)], basis, vecs[30])
+result = derive_ade(phi, 3, horizon=vecs[12])
+print(hashlib.sha256(repr(result).encode()).hexdigest())
+"""
+
+
+class TestInterning:
+    def test_one_object_per_value(self):
+        e = Exponent((("L2", Fraction(2, 2)),), Fraction(0))
+        assert e is Exponent.make({"L2": 1})
+        assert type(e.coords[0][1]) is int and type(e.const) is int
+        assert Exponent() is Exponent.zero() is Exponent.make({"L3": 0}, Fraction(0))
+        half = Exponent.make({"L2": Fraction(1, 2)})
+        assert half + half is e and e * Fraction(1, 2) is half and -(-half) is half
+        assert e - e is Exponent.zero() and (half == e) is False
+
+    def test_copies_return_the_interned_object(self):
+        e = Exponent.make({"L2": Fraction(3, 2), "L3": -1}, 2)
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert copy.deepcopy([e, {e: e}])[1] == {e: e}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(e, protocol)) is e
+        assert dataclasses.replace(e) is e
+        assert dataclasses.replace(e, const=Fraction(4, 2)) is e
+        assert dataclasses.replace(e, const=0) is Exponent.make({"L2": Fraction(3, 2), "L3": -1})
+        # a table hit keeps the fields it was built with
+        assert e.coords == (("L2", Fraction(3, 2)), ("L3", -1)) and e.const == 2
+
+    def test_table_entry_freed_with_the_last_reference(self):
+        key = ((("interning_probe", 7, 3),), 5, 1)
+        e = Exponent.make({"interning_probe": Fraction(7, 3)}, 5)
+        assert series._EXPONENTS.get(key) is e
+        del e
+        gc.collect()
+        assert series._EXPONENTS.get(key) is None
+        again = Exponent.make({"interning_probe": Fraction(7, 3)}, 5)
+        assert series._EXPONENTS.get(key) is again and again._key == key
+
+    def test_threads_building_one_value_get_one_object(self):
+        barrier = threading.Barrier(4)
+        built = [None] * 4
+
+        def build(i):
+            barrier.wait()
+            built[i] = [Exponent.make({"thread_probe": k}, i % 2) for k in range(1, 3001)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads between a miss and its insert
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(x is y for x, y in zip(built[0], built[2]))
+        assert all(x is y for x, y in zip(built[1], built[3]))
+
+    def test_search_result_independent_of_hash_seed_and_addresses(self):
+        src = str(Path(series.__file__).resolve().parents[1])
+        digests = set()
+        for seed, mode in (("0", "plain"), ("1", "plain"), ("1", "churn")):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", _SEARCH_DIGEST, mode], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            digests.add(out.stdout)
+        assert len(digests) == 1
+
+
 class TestOneExponentOrder:
     """compare, sorting and truncation agree inside the tie window."""
 
@@ -577,7 +671,8 @@ def _rand_series(rng, basis, size=6):
                        "L5": rng.randint(0, 1)}) for _ in range(size)}
     bound = rng.choice([None, rng.choice(sorted(exps, key=basis.ordering_key)),
                         Exponent.make({"L2": 4, "L3": 2, "L5": rng.randint(1, 2)})])
-    return make_series([(e, XPoly.monomial(0, 1) + _rand_xpoly(rng)) for e in exps
+    return make_series([(e, XPoly.monomial(0, 1) + _rand_xpoly(rng))
+                        for e in sorted(exps, key=Exponent.sort_key)
                         if bound is None or basis.compare(e, bound) <= 0], basis, bound)
 
 
