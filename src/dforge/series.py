@@ -411,8 +411,10 @@ class SparsePoly:
 
     ``terms`` holds ``(monomial, coefficient)`` pairs with distinct
     monomials and no zero coefficient, sorted by ``_mono_key``, so equal
-    values have equal ``terms``.  Coefficients are exact rationals or
-    :class:`Coefficient`; both are false exactly when zero.  A rational
+    values have equal ``terms``.  Coefficients are exact rationals in
+    :class:`Coefficient` and :class:`Coefficient` in every other class; both
+    are false exactly when zero.  Products of either kind multiply rationals
+    into flat ``monomial -> rational`` dicts through ``_mul_into``.  A rational
     is built as an ``int`` when it is integral (``_as_rational``), and as
     a ``Fraction`` only when its denominator is not 1; arithmetic on two
     ``Fraction`` values may still return an integral ``Fraction``, which is
@@ -431,8 +433,9 @@ class SparsePoly:
     @classmethod
     def _canonical(cls, acc: dict) -> tuple:
         items = [(m, c) for m, c in acc.items() if c]
-        key = cls._mono_key
-        items.sort(key=operator.itemgetter(0) if key is None else (lambda t: key(t[0])))
+        if len(items) > 1:   # most products have one term: no key to compute
+            key = cls._mono_key
+            items.sort(key=operator.itemgetter(0) if key is None else (lambda t: key(t[0])))
         return tuple(items)
 
     @classmethod
@@ -480,15 +483,19 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other):
+        # Coefficient-valued classes: one flat accumulator per monomial, so
+        # no Coefficient is built per term pair (Coefficient overrides this)
         mono_mul = self._mono_mul
-        acc: dict = {}
+        memo: dict = {}
+        accs: dict = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
                 m = mono_mul(ma, mb)
-                c = ca * cb
-                prev = acc.get(m)
-                acc[m] = c if prev is None else prev + c
-        return self._new(self._canonical(acc))
+                acc = accs.get(m)
+                if acc is None:
+                    acc = accs[m] = {}
+                _mul_into(acc, ca, cb, memo)
+        return self._new(self._canonical(_coefficients(accs)))
 
     def scale(self, c):
         """Multiply every coefficient by the scalar ``c``."""
@@ -629,6 +636,11 @@ class Coefficient(SparsePoly):
             total += v
         return total % p
 
+    def __mul__(self, other: "Coefficient") -> "Coefficient":
+        acc: dict = {}
+        _mul_into(acc, self, other)
+        return Coefficient(self._canonical(acc))
+
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -641,6 +653,33 @@ class Coefficient(SparsePoly):
                 body = str(abs(q))
             parts.append(("-" if q < 0 else "+", body))
         return _join_signed(parts)
+
+
+def _mul_into(acc: dict, a: Coefficient, b: Coefficient,
+              memo: Optional[dict] = None) -> None:
+    """Add ``a * b`` into ``acc``, a flat ``monomial -> rational`` dict, one
+    rational product per monomial pair (Johnson 1974): no Coefficient is
+    built until a product is done.  ``memo``, when given, keeps the monomial
+    products of one product call, keyed by the monomial pair: products of
+    polynomials and series multiply the same coefficients again and again,
+    while one ``Coefficient * Coefficient`` never meets a pair twice."""
+    for ma, qa in a.terms:
+        for mb, qb in b.terms:
+            if memo is None:
+                m = _mono_mul(ma, mb)
+            else:
+                m = memo.get((ma, mb))
+                if m is None:
+                    m = memo[ma, mb] = _mono_mul(ma, mb)
+            q = qa * qb
+            prev = acc.get(m)
+            acc[m] = q if prev is None else prev + q
+
+
+def _coefficients(accs: dict) -> dict:
+    """``key -> Coefficient`` from ``key -> flat accumulator``; a zero
+    Coefficient is false, so ``_canonical`` drops it."""
+    return {k: Coefficient(Coefficient._canonical(acc)) for k, acc in accs.items()}
 
 
 def _as_coefficient(v) -> Coefficient:
@@ -785,11 +824,17 @@ def _group(accum: dict) -> dict:
     return {e: XPoly.collect(pairs) for e, pairs in accum.items()}
 
 
-def _build(basis: SymbolBasis, accum: dict, truncation: Optional[Exponent]) -> FormalSeries:
-    """The one step that orders a series: sort, check ties, cut at the bound."""
+def _build(basis: SymbolBasis, accum: dict, truncation: Optional[Exponent],
+           past=None) -> FormalSeries:
+    """The one step that orders a series: sort, check ties, cut at the bound
+    with ``past``, the bound test ``_past(basis, truncation)`` unless one is
+    given: ``series_mul`` passes the one it tested each exponent with, whose
+    kept answers make a tie warn once."""
     terms = _sorted_terms(basis, accum)
     if truncation is not None:
-        terms = tuple((e, p) for e, p in terms if basis.compare(e, truncation) <= 0)
+        if past is None:
+            past = _past(basis, truncation)
+        terms = tuple((e, p) for e, p in terms if not past(e))
     return FormalSeries(basis, terms, truncation)
 
 
@@ -902,16 +947,56 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
         return zero_series(basis)
     bound = product_bound(basis, a.truncation, _effective_min(a),
                           b.truncation, _effective_min(b))
+    past = None if bound is None else _past(basis, bound)
     sums = basis.exponent_sums()
-    accum: dict = {}
+    memo: dict = {}
+    accum: dict = {}   # exponent -> x-degree -> flat accumulator; None: past the bound
     for ea, pa in a.terms:
         for eb, pb in b.terms:
             e = sums[ea, eb]
-            if bound is not None and basis.compare(e, bound) > 0:
+            polys = accum.get(e, _UNSEEN)
+            if polys is _UNSEEN:   # the bound test, once per exponent
+                polys = accum[e] = None if past is not None and past(e) else {}
+            if polys is None:
                 continue
-            accum.setdefault(e, []).extend(
-                (ka + kb, ca * cb) for ka, ca in pa.terms for kb, cb in pb.terms)
-    return _build(basis, _group(accum), bound)
+            for ka, ca in pa.terms:
+                for kb, cb in pb.terms:
+                    acc = polys.get(ka + kb)
+                    if acc is None:
+                        acc = polys[ka + kb] = {}
+                    _mul_into(acc, ca, cb, memo)
+    polys = {e: XPoly(XPoly._canonical(_coefficients(d)))
+             for e, d in accum.items() if d is not None}
+    return _build(basis, polys, bound, past)
+
+
+_UNSEEN = object()
+
+
+def _past(basis: SymbolBasis, bound: Exponent):
+    """The test ``basis.compare(e, bound) > 0`` for one bound, reading the
+    bound's ``ordering_key`` once.  Float shadows decide alone when they are
+    farther apart than ``margin``, which is at least ``basis._apart``'s
+    margin: with ``B = max(1, |fb|)``, a shadow at distance ``d > 2e-9 B``
+    from ``fb`` has ``1e-9 max(1, |fe|, |fb|) <= 1e-9 (B + d) < d``.  Every
+    other exponent goes to ``compare`` once, its answer kept, so a tie
+    within 2^-P warns once per returned ``past``, as it does in ``compare``."""
+    key, compare = basis.ordering_key, basis.compare
+    fb = key(bound)[0]
+    margin = max(2e-9 * max(1.0, abs(fb)), 2.0 ** (1 - basis.precision))
+    near: dict = {}
+
+    def past(e: Exponent) -> bool:
+        d = key(e)[0] - fb
+        if d > margin:
+            return True
+        if d < -margin:
+            return False
+        out = near.get(e)
+        if out is None:
+            out = near[e] = compare(e, bound) > 0
+        return out
+    return past
 
 
 def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:
@@ -920,7 +1005,7 @@ def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:
         raise ValueError("derivative order must be non-negative")
     if k == 0:
         return a
-    return _map_terms(a, lambda e, p: p.scale(Coefficient.from_exponent(-e) ** k))
+    return _map_terms(a, lambda e, p: p.scale((-Coefficient.from_exponent(e)) ** k))
 
 
 def shift_s(a: FormalSeries, h: RationalLike) -> FormalSeries:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence, Union
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
@@ -25,6 +25,8 @@ from .series import (
     Coefficient,
     Exponent,
     FormalSeries,
+    _mul_into,
+    _past,
     differentiate_s,
     meet_bounds,
     power_product,
@@ -302,27 +304,6 @@ class _NumSeries:
         return _NumSeries(out, self.scale + other.scale, bound, basis)
 
 
-def _past(basis, bound: Exponent):
-    """The test ``basis.compare(e, bound) > 0`` for one bound, reading the
-    bound's ``ordering_key`` once.  Float shadows decide alone when they
-    are farther apart than ``margin``, which is at least ``basis._apart``'s
-    margin: with ``B = max(1, |fb|)``, a shadow at distance ``d > 2e-9 B``
-    from ``fb`` has ``1e-9 max(1, |fe|, |fb|) <= 1e-9 (B + d) < d``.  Every
-    other exponent goes to ``compare``, so ties warn as they do there."""
-    key, compare = basis.ordering_key, basis.compare
-    fb = key(bound)[0]
-    margin = max(2e-9 * max(1.0, abs(fb)), 2.0 ** (1 - basis.precision))
-
-    def past(e: Exponent) -> bool:
-        d = key(e)[0] - fb
-        if d > margin:
-            return True
-        if d < -margin:
-            return False
-        return compare(e, bound) > 0
-    return past
-
-
 _MODULUS = 2 ** 61 - 1  # a Mersenne prime
 
 
@@ -483,11 +464,12 @@ def _coeff_at(s: FormalSeries, e: Exponent) -> Coefficient:
 
 
 def _relation_holds(matrix, coeffs) -> bool:
+    memo: dict = {}
     for row in matrix:
-        total = Coefficient.zero()
+        total: dict = {}
         for entry, c in zip(row, coeffs):
-            total = total + entry * c
-        if not total.is_zero:
+            _mul_into(total, entry, c, memo)
+        if any(total.values()):
             return False
     return True
 
@@ -541,6 +523,19 @@ class NotFoundWithinW:
     skipped_inconclusive: tuple[str, ...] = ()
 
 
+#: The most product subsets one search may visit.  Weight 5 with every
+#: subset size visits 262,125; weight 6 would visit about 5.4e8, so a search
+#: at weight 6 or more returns an equation found among small subsets and is
+#: refused before a subset size that would pass the cap.
+MAX_SUBSETS = 10 ** 6
+
+
+def _too_many_subsets(max_weight: int, count: int, k: int) -> ValueError:
+    return ValueError(
+        f"max weight {max_weight} would search more than {MAX_SUBSETS} "
+        f"product subsets ({count} up to size {k}); lower it or set max k")
+
+
 def derive_ade(phi: FormalSeries, max_weight: int,
                horizon: Optional[Exponent] = None,
                max_k: Optional[int] = None) -> Union[DiffPolynomial, NotFoundWithinW]:
@@ -560,12 +555,20 @@ def search_ade(phi: FormalSeries, max_weight: int,
     against the argument's full validity, so a relation that merely
     interpolates the window is refuted by the data beyond it.  Refuted
     candidates are recorded, not returned; the equation found comes with
-    its zero residual at the argument's full validity.
+    its zero residual at the argument's full validity.  A search is refused
+    with ``ValueError`` before the subset size at which its visits would
+    pass ``MAX_SUBSETS``, and before any product is built when the pairs
+    alone would.
     """
     if max_weight < 2:
         raise ValueError("max weight must be at least 2")
     if max_k is not None and max_k < 2:
         raise ValueError("max k must be at least 2")
+    n = 0
+    for w in range(1, max_weight + 1):   # count the products before building them
+        n += len(_partitions_as_orders(w))
+        if comb(n, 2) > MAX_SUBSETS:      # so a huge weight is refused at once
+            raise _too_many_subsets(max_weight, comb(n, 2), 2)
     products = enumerate_products(max_weight)
     top = len(products) if max_k is None else min(max_k, len(products))
     work = _working_series(phi, horizon)
@@ -582,7 +585,11 @@ def search_ade(phi: FormalSeries, max_weight: int,
     screen = _Screen(phi.basis)
     names = [str(p) for p in products]
     weights = [p.weight for p in products]
+    visits = 0
     for k in range(2, top + 1):
+        visits += comb(len(products), k)
+        if visits > MAX_SUBSETS:
+            raise _too_many_subsets(max_weight, visits, k)
         combos = sorted(itertools.combinations(range(len(products)), k),
                         key=lambda idx: (sum(weights[i] for i in idx), idx))
         for idx in combos:

@@ -1,11 +1,16 @@
 """Command-line front end: pipelines, exit codes, determinism, verify."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dforge
 from conftest import geometric_series
 from dforge.cli import (
     EXIT_ERROR,
@@ -20,6 +25,16 @@ from dforge.cli import (
 from dforge.errors import SchemaError
 from dforge.io import dump_series, load_series, parse_frac, series_to_obj
 from dforge.numeric import MAX_PRECISION
+from dforge.wronskian import MAX_SUBSETS
+
+
+def _run_cli(argv):
+    """``dforge argv`` in a fresh interpreter, killed after 20 s."""
+    src = str(Path(dforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "dforge.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
 
 
 @pytest.fixture()
@@ -177,6 +192,25 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error[bad-input]: max k must be at least 2\n"
+
+    def test_derive_ade_huge_weight_is_bad_input_at_once(self, geometric_file):
+        # refused before any product is built: at once, not after hours;
+        # weight 18 brings 1596 products, C(1596, 2) pairs
+        out = _run_cli(["derive-ade", "--series", str(geometric_file),
+                        "--max-weight", "1000000000"])
+        assert out.returncode == EXIT_ERROR and out.stdout == ""
+        assert out.stderr == (
+            f"error[bad-input]: max weight 1000000000 would search more than "
+            f"{MAX_SUBSETS} product subsets (1272810 up to size 2); lower it or set max k\n")
+
+    @pytest.mark.parametrize("limits", [["--max-weight", "7"],
+                                        ["--max-weight", "6", "--max-k", "3"]])
+    def test_derive_ade_inside_the_cap_finds_the_equation(self, geometric_file, limits):
+        # the equation is a 3-subset: weight 7 visits at most C(44, 2) + C(44, 3)
+        # = 14190 subsets before it, weight 6 with max k 3 C(29, 2) + C(29, 3) = 4060
+        out = _run_cli(["derive-ade", "--series", str(geometric_file), *limits])
+        assert out.returncode == EXIT_OK and out.stderr == ""
+        assert out.stdout == "lam*f + lam*f^2 + f'\n"
 
     def test_config_key_the_command_does_not_read(self, geometric_file, tmp_path, capsys):
         config = tmp_path / "config.json"

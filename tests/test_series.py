@@ -34,7 +34,7 @@ from dforge.obstruction import (
     substitution_certificate,
 )
 from dforge.transforms import verify_hilbert_zeta, verify_rescale_invariance
-from dforge.wronskian import search_ade
+from dforge.wronskian import _NumSeries, search_ade
 from dforge.numeric import (
     decimal_str_to_mpf,
     decimal_text,
@@ -53,10 +53,12 @@ from dforge.series import (
     leading_term,
     make_series,
     power_product,
+    product_bound,
     series_add,
     series_mul,
     series_neg,
     series_scale_xpoly,
+    series_sub,
     series_sum,
     shift_s,
     truncate,
@@ -1159,3 +1161,207 @@ class TestIntegralRationals:
             _assert_exact(obj)
         with pytest.raises(AssertionError):
             _assert_exact([phi.terms, {"lam": 0.5}])
+
+
+# The pairwise product kernel that the flat accumulator replaced, kept
+# verbatim as the reference: one Coefficient per term pair, summed one
+# Coefficient at a time, and a bound test per term pair.
+
+def _pairwise_mul(self, other):
+    mono_mul = self._mono_mul
+    acc: dict = {}
+    for ma, ca in self.terms:
+        for mb, cb in other.terms:
+            m = mono_mul(ma, mb)
+            c = _pairwise_mul(ca, cb) if isinstance(ca, Coefficient) else ca * cb
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+    return self._new(self._canonical(acc))
+
+
+def _pairwise_series_mul(a, b):
+    basis = a.basis
+    if a.is_zero and a.is_exact or b.is_zero and b.is_exact:
+        return zero_series(basis)
+    bound = product_bound(basis, a.truncation, series._effective_min(a),
+                          b.truncation, series._effective_min(b))
+    sums = basis.exponent_sums()
+    accum: dict = {}
+    for ea, pa in a.terms:
+        for eb, pb in b.terms:
+            e = sums[ea, eb]
+            if bound is not None and basis.compare(e, bound) > 0:
+                continue
+            accum.setdefault(e, []).extend(
+                (ka + kb, _pairwise_mul(ca, cb)) for ka, ca in pa.terms for kb, cb in pb.terms)
+    terms = _sorted_terms(basis, series._group(accum))
+    if bound is not None:
+        terms = tuple((e, p) for e, p in terms if basis.compare(e, bound) <= 0)
+    return series.FormalSeries(basis, terms, bound)
+
+
+def _mixed_rational(rng):
+    """An int, a Fraction, or an integral Fraction such as Fraction(2, 1)."""
+    q = rand_fraction(rng)
+    return rng.choice([q, Fraction(q.numerator), q.numerator]) if rng.random() < 0.5 else q
+
+
+# damping exponents whose sums meet again, and cancel to e^0
+_MUL_DAMPINGS = [Exponent(), Exponent.of("L2"), Exponent.make({"L2": -1}),
+                 Exponent.make({"L3": Fraction(1, 2)}, -1),
+                 Exponent.make({"L3": Fraction(-1, 2)}, 1)]
+
+
+def _mul_coefficient(rng, most=3):
+    return Coefficient.collect(((_powers(rng, ["L2", "L3"]), rng.choice(_MUL_DAMPINGS)),
+                                _mixed_rational(rng)) for _ in range(rng.randint(1, most)))
+
+
+_MUL_MAKERS = {
+    "Coefficient": _mul_coefficient,
+    "XPoly": lambda rng: XPoly.collect((rng.randint(0, 2), _mul_coefficient(rng, 2))
+                                       for _ in range(rng.randint(1, 3))),
+    "DiffPolynomial": lambda rng: DiffPolynomial.collect(
+        ((rng.randint(0, 1), _powers(rng, _INDETERMINATES)), _mul_coefficient(rng, 2))
+        for _ in range(rng.randint(1, 3))),
+    "PdePolynomial": lambda rng: PdePolynomial.collect(
+        (((_powers(rng, _BETAS), (rng.randint(0, 1), rng.randint(0, 1))),
+          _mul_coefficient(rng, 2)) for _ in range(rng.randint(1, 3))), 2),
+}
+
+
+def _mul_series(rng, basis):
+    """A truncated or exact series whose terms carry damping monomials and
+    x-degrees, at exponents that products reach more than once."""
+    exps = {Exponent.make({"L2": rng.randint(0, 2), "L3": rng.randint(0, 1)}) for _ in range(4)}
+    bound = rng.choice([None, Exponent.make({"L2": 2, "L3": 1}), Exponent.make({"L2": 3})])
+    return make_series([(e, _MUL_MAKERS["XPoly"](rng)) for e in sorted(exps, key=Exponent.sort_key)
+                        if bound is None or basis.compare(e, bound) <= 0], basis, bound)
+
+
+def _poly_json(p):
+    return canonical_json([[repr(m), str(c)] for m, c in p.terms])
+
+
+def _series_json(s):
+    return canonical_json(series_to_obj(s))
+
+
+def _assert_same_product(got, want, as_json):
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+    assert as_json(got) == as_json(want)
+
+
+class TestFlatAccumulator:
+    """Products through the flat ``monomial -> rational`` accumulator against
+    the pairwise kernel: the same terms, printed forms and JSON bytes."""
+
+    @pytest.mark.parametrize("name", sorted(_MUL_MAKERS))
+    def test_polynomial_products(self, name):
+        rng = random.Random(1701 + sum(map(ord, name)))
+        make = _MUL_MAKERS[name]
+        for _ in range(30):
+            u, v = make(rng), make(rng)
+            # (u + v)(u - v) must cancel its u*v terms: coefficients, and
+            # whole monomials wherever u*u and v*v do not reach
+            for a, b in ((u, v), (u + v, u - v)):
+                got, want = a * b, _pairwise_mul(a, b)
+                _assert_same_product(got, want, _poly_json)
+                _assert_same_product(b * a, want, _poly_json)
+            assert (u + v) * (u - v) == _pairwise_mul(u, u) - _pairwise_mul(v, v)
+
+    def test_planted_cancellations(self):
+        u = Coefficient.from_symbol("L2") * Coefficient.damping(Exponent.of("L3"))
+        v = Coefficient.from_fraction(Fraction(3, 2)) * Coefficient.damping(-Exponent.of("L3"))
+        # a coefficient monomial: (u + v)(u - v) = u^2 - v^2
+        assert (u + v) * (u - v) == _pairwise_mul(u + v, u - v) == u * u - v * v
+        assert len(((u + v) * (u - v)).terms) == 2
+        # an x-degree: (u + v x)(u - v x) has no x term
+        p, q = XPoly.collect([(0, u), (1, v)]), XPoly.collect([(0, u), (1, -v)])
+        assert (p * q).terms == _pairwise_mul(p, q).terms
+        assert [k for k, _ in (p * q).terms] == [0, 2]
+        # and the whole product: (u + v x)(u - v x) - (u^2 - v^2 x^2) is zero
+        assert (p * q - XPoly.collect([(0, u * u), (2, -(v * v))])).terms == ()
+
+    def test_series_products(self, log_basis):
+        rng = random.Random(1702)
+        for _ in range(40):
+            a, b = _mul_series(rng, log_basis), _mul_series(rng, log_basis)
+            if rng.random() < 0.5:
+                # (a + b)(a - b): the cross terms cancel, whole exponents too
+                a, b = series_add(a, b), series_sub(a, b)
+            got, want = series_mul(a, b), _pairwise_series_mul(a, b)
+            assert got.truncation is want.truncation
+            _assert_same_product(got, want, _series_json)
+
+    def test_planted_vanishing_exponent(self, log_basis):
+        e2, e3 = Exponent.of("L2"), Exponent.of("L3")
+        s = make_series([(Exponent(), 1)], log_basis, None)
+        t = make_series([(e2, Coefficient.damping(e3)), (e3, Fraction(1, 2))], log_basis, None)
+        got = series_mul(series_add(s, t), series_sub(s, t))
+        want = _pairwise_series_mul(series_add(s, t), series_sub(s, t))
+        assert got.terms == want.terms and str(got) == str(want)
+        # the cross terms at L2 and L3 cancel; the square of t leaves L2 + L3
+        assert e2 not in got.exponents() and e3 not in got.exponents()
+        assert e2 + e3 in got.exponents()
+
+
+class TestOneBoundTest:
+    """A product exponent inside the 2^-P window of the bound: the product
+    keeps what ``compare`` keeps, and warns once."""
+
+    @pytest.mark.parametrize("value,precision", [
+        ("1.0000000001", 20),
+        ("1." + "0" * 40 + "1", 128),   # 1 + 10^-41: a is past the bound
+        ("0.9999999999", 20),
+        ("0." + "9" * 41, 128),          # 1 - 10^-41: a is kept
+    ])
+    def test_tie_with_the_bound(self, value, precision):
+        basis = SymbolBasis.from_pairs([("a", value)], precision=precision)
+        a, one = Exponent.of("a"), Exponent.constant(1)
+        fifth = [Exponent.constant(Fraction(k, 5)) for k in range(3)]
+        left = make_series([(e, 1) for e in fifth], basis, None)
+        right = make_series([(Exponent(), 1), (a - fifth[2], 1), (a - fifth[1], 1)], basis, one)
+        # a is reached twice (1/5 + (a - 1/5), 2/5 + (a - 2/5)); the bound is 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionTieWarning)
+            sums = {ea + eb for ea in left.exponents() for eb in right.exponents()}
+            expected = sorted((e for e in sums if basis.compare(e, one) <= 0),
+                              key=basis.ordering_key)
+            want = _pairwise_series_mul(left, right)
+        for multiply in (series_mul, lambda x, y: series_mul(y, x)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = multiply(left, right)
+            assert [w.category for w in caught] == [PrecisionTieWarning]
+            assert list(got.exponents()) == expected and got.truncation is one
+            assert got.terms == want.terms
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            num = _NumSeries.from_series(left) * _NumSeries.from_series(right)
+        assert [w.category for w in caught] == [PrecisionTieWarning]
+        assert sorted(num.terms, key=basis.ordering_key) == expected
+
+    def test_no_coefficient_product_past_the_bound(self, log_basis, monkeypatch):
+        # every term pair whose exponent is past the bound is skipped before
+        # its coefficients are multiplied, however often the exponent recurs
+        calls = []
+        mul_into = series._mul_into
+
+        def counted(*args):
+            calls.append(1)
+            return mul_into(*args)
+
+        monkeypatch.setattr(series, "_mul_into", counted)
+        rng = random.Random(1703)
+        for _ in range(40):
+            a, b = _mul_series(rng, log_basis), _mul_series(rng, log_basis)
+            bound = product_bound(log_basis, a.truncation, series._effective_min(a),
+                                  b.truncation, series._effective_min(b))
+            want = sum(len(pa.terms) * len(pb.terms)
+                       for ea, pa in a.terms for eb, pb in b.terms
+                       if bound is None or log_basis.compare(ea + eb, bound) <= 0)
+            calls.clear()
+            series_mul(a, b)
+            assert len(calls) == want

@@ -186,6 +186,37 @@ class TestDeriveAde:
         assert any("f'" in label for label in result.candidates_refuted)
 
 
+class TestSubsetCap:
+    """The cap is checked before each subset size: an equation among small
+    subsets is found, and a search stops before the size that passes it."""
+
+    # weight 3 has six products: C(6, k) subsets of size k, 57 in all
+
+    def test_refused_before_the_size_that_passes_the_cap(self, monkeypatch):
+        basis, vecs = log_basis_for_indices(range(1, 9), PREC)
+        phi = make_series([(vecs[n], 1) for n in range(1, 9)], basis, vecs[8])
+        monkeypatch.setattr(wronskian, "MAX_SUBSETS", 57)
+        assert derive_ade(phi, 3, horizon=vecs[6]).subsets_searched == 57
+        monkeypatch.setattr(wronskian, "MAX_SUBSETS", 56)
+        with pytest.raises(ValueError, match=r"\(57 up to size 6\)"):
+            derive_ade(phi, 3, horizon=vecs[6])
+
+    def test_equation_below_the_cap_is_found(self, lam_basis, monkeypatch):
+        phi = geometric_series(lam_basis, 20)
+        monkeypatch.setattr(wronskian, "MAX_SUBSETS", 35)   # sizes 2 and 3
+        assert derive_ade(phi, 3) == parse_diffpoly("lam*f + lam*f^2 + f'", lam_basis)
+        monkeypatch.setattr(wronskian, "MAX_SUBSETS", 34)
+        with pytest.raises(ValueError, match=r"\(35 up to size 3\)"):
+            derive_ade(phi, 3)
+
+    def test_huge_weight_builds_no_product(self, lam_basis, monkeypatch):
+        def refuse(_):
+            raise AssertionError("products built")
+        monkeypatch.setattr(wronskian, "enumerate_products", refuse)
+        with pytest.raises(ValueError, match=r"\(1272810 up to size 2\)"):
+            derive_ade(geometric_series(lam_basis, 5), 10 ** 9)
+
+
 def _zeta(n):
     basis, vecs = log_basis_for_indices(range(1, n + 1), PREC)
     return basis, vecs, make_series([(vecs[i], 1) for i in range(1, n + 1)], basis, vecs[n])
