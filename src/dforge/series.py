@@ -228,7 +228,8 @@ class SymbolBasis:
 
     It keeps write-once memo tables, fresh per instance: the symbol values
     at precision P, each coordinate's raw value, each exponent's
-    ``ordering_key`` and the exponent sums.
+    ``ordering_key``, the exponent sums and the derivative factors
+    ``(-e)^k``.
     """
 
     symbols: tuple[str, ...]
@@ -239,6 +240,7 @@ class SymbolBasis:
     _sums: _ExponentSums = field(init=False, compare=False, repr=False)
     _cache: dict = field(init=False, compare=False, repr=False)   # Exponent -> key
     _terms: dict = field(init=False, compare=False, repr=False)   # coordinate -> raw value
+    _factors: dict = field(init=False, compare=False, repr=False)   # (Exponent, k) -> (-e)^k
 
     def __post_init__(self):
         if len(self.symbols) != len(set(self.symbols)):
@@ -257,6 +259,7 @@ class SymbolBasis:
         object.__setattr__(self, "_sums", _ExponentSums())
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_terms", {})
+        object.__setattr__(self, "_factors", {})
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]],
@@ -343,6 +346,14 @@ class SymbolBasis:
     def exponent_sums(self) -> _ExponentSums:
         """The table of exponent sums shared by every product over this basis."""
         return self._sums
+
+    def derivative_factor(self, e: Exponent, k: int) -> "Coefficient":
+        """``(-e)^k``, the exact factor ``d^k/ds^k`` puts on the term at ``e``,
+        built once per basis."""
+        factor = self._factors.get((e, k))
+        if factor is None:
+            factor = self._factors[e, k] = (-Coefficient.from_exponent(e)) ** k
+        return factor
 
 
 def compare_bounds(basis: SymbolBasis, a: Optional[Exponent], b: Optional[Exponent]) -> int:
@@ -733,8 +744,9 @@ class XPoly(SparsePoly):
         return self.coefficient(0)
 
     def x_log_derivative(self) -> "XPoly":
-        """x * d/dx, the degree-weighting operator."""
-        return XPoly.collect((k, c.scale(k)) for k, c in self.terms)
+        """x * d/dx, the degree-weighting operator, term by term: degrees stay
+        distinct and a scale by k != 0 keeps a coefficient nonzero."""
+        return XPoly(tuple((k, c.scale(k)) for k, c in self.terms if k))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -1005,7 +1017,8 @@ def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:
         raise ValueError("derivative order must be non-negative")
     if k == 0:
         return a
-    return _map_terms(a, lambda e, p: p.scale((-Coefficient.from_exponent(e)) ** k))
+    factor = a.basis.derivative_factor
+    return _map_terms(a, lambda e, p: p.scale(factor(e, k)))
 
 
 def shift_s(a: FormalSeries, h: RationalLike) -> FormalSeries:

@@ -30,7 +30,6 @@ from .series import (
     differentiate_s,
     meet_bounds,
     power_product,
-    prefix,
     product_bound,
     truncate,
 )
@@ -164,17 +163,24 @@ _PROBE_TERMS = 3
 
 
 class _Column:
-    """One evaluated product with lazily grown derivative rows per stage.
+    """One evaluated product with its derivative table, grown lazily.
 
-    A stage caps the evaluated series at its first m terms; derivative rows
-    commute with that cap (derivatives keep exponents), so each stage's rows
-    are exact leading-window data.  The screen's dyadic form of each row,
-    and the exponents up to each common bound, are kept beside them, so a
-    search computes them once per column.
+    Entry (j, i) of the table is the order-j coefficient of the evaluated
+    series' i-th term, derived once from entry (j-1, i), and beside it the
+    precision-P mantissa of that coefficient, made when the screen first
+    reads it.  A stage m cuts at base positions, not at the terms of each
+    row: row (m, j) holds the nonzero entries among the first m positions
+    and is valid to the exponent of position m-1, as ``prefix`` gives it.
+    A term at exponent 0 vanishes at every order >= 1, so an order-j row
+    may hold fewer than m terms.  The exact stage None keeps every position
+    and the series' own bound.  Rows, their dyadic forms and the exponents
+    up to each common bound are kept, so a search makes each once per column.
     """
 
     def __init__(self, evaluated: FormalSeries):
         self.evaluated = evaluated
+        self._orders: list = [[p for _, p in evaluated.terms]]   # order -> entries
+        self._mantissas: list = []   # order -> (mantissa, binary exponent) or None
         self._rows: dict = {}
         self._dyadic: dict = {}
         self._upto: dict = {}
@@ -188,23 +194,64 @@ class _Column:
                                         if bound is None or compare(e, bound) <= 0]
         return kept
 
+    def _cut(self, stage: Optional[int]) -> tuple[int, Optional[Exponent]]:
+        """The positions a stage keeps, and the bound of its rows."""
+        terms = self.evaluated.terms
+        if stage is None or not terms:
+            return len(terms), self.evaluated.truncation
+        m = min(stage, len(terms))
+        return m, terms[m - 1][0]
+
+    def _entries(self, order: int, m: int) -> list:
+        """The order-``order`` coefficients of the first ``m`` positions."""
+        orders = self._orders
+        if order < len(orders) and len(orders[order]) >= m:
+            return orders[order]
+        below = self._entries(order - 1, m)
+        if order == len(orders):
+            orders.append([])
+        out = orders[order]
+        factor = self.evaluated.basis.derivative_factor
+        terms = self.evaluated.terms
+        out.extend(p.scale(factor(terms[i][0], 1)) if p else p
+                   for i, p in enumerate(below[len(out):m], len(out)))
+        return out
+
+    def _mantissas_of(self, order: int, m: int) -> list:
+        """The mantissas of the first ``m`` order-``order`` entries; None
+        marks an entry that is exactly zero."""
+        mantissas = self._mantissas
+        while len(mantissas) <= order:
+            mantissas.append([])
+        out = mantissas[order]
+        if len(out) < m:
+            basis = self.evaluated.basis
+            out.extend(_mantissa(p, basis) if p else None
+                       for p in self._entries(order, m)[len(out):m])
+        return out
+
     def rows(self, stage: Optional[int], count: int) -> list[FormalSeries]:
-        chain = self._rows.get(stage)
-        if chain is None:
-            base = self.evaluated
-            if stage is not None and base.terms:
-                base = prefix(base, stage)
-            chain = [base]
-            self._rows[stage] = chain
-        while len(chain) < count:
-            chain.append(differentiate_s(chain[-1]))
-        return chain[:count]
+        kept = self._rows.setdefault(stage, [])
+        if len(kept) < count:
+            m, bound = self._cut(stage)
+            basis, terms = self.evaluated.basis, self.evaluated.terms
+            for order in range(len(kept), count):
+                entries = self._entries(order, m)
+                kept.append(FormalSeries(basis, tuple(
+                    (terms[i][0], p) for i, p in enumerate(entries[:m]) if p), bound))
+        return kept[:count]
 
     def dyadic_rows(self, stage: int, count: int) -> list["_NumSeries"]:
-        chain = self._dyadic.setdefault(stage, [])
-        if len(chain) < count:
-            chain.extend(_NumSeries.from_series(s) for s in self.rows(stage, count)[len(chain):])
-        return chain[:count]
+        kept = self._dyadic.setdefault(stage, [])
+        if len(kept) < count:
+            m, bound = self._cut(stage)
+            basis, terms = self.evaluated.basis, self.evaluated.terms
+            for order in range(len(kept), count):
+                mantissas = self._mantissas_of(order, m)
+                kept.append(_NumSeries.from_mantissas(
+                    [(terms[i][0], v) for i, v in enumerate(mantissas[:m]) if v is not None],
+                    bound, basis))
+        return kept[:count]
 
 
 def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int], screen: "_Screen"):
@@ -215,6 +262,13 @@ def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int], scr
             for col in columns]
     matrix = [[col_rows[i] for col_rows in rows] for i in range(k)]
     return determinant(matrix, screen.table(stage), columns)
+
+
+def _mantissa(p, basis) -> tuple[int, int]:
+    """The precision-P value of ``p``'s constant coefficient as an exact
+    pair ``(signed mantissa, binary exponent)``."""
+    sign, man, exp, _ = p.constant().numeric(basis)._mpf_
+    return -int(man) if sign else int(man), exp
 
 
 _UNKNOWN = object()
@@ -239,16 +293,13 @@ class _NumSeries:
         self._least = _UNKNOWN
 
     @staticmethod
-    def from_series(s: FormalSeries) -> "_NumSeries":
-        """Precision-P values of the coefficients, kept exactly: each mpf's
-        mantissa, shifted onto the least power of two they all share."""
-        parts = []
-        for e, p in s.terms:
-            sign, man, exp, _ = p.constant().numeric(s.basis)._mpf_
-            parts.append((e, -int(man) if sign else int(man), exp))
-        scale = max([0] + [-exp for _, _, exp in parts])
-        return _NumSeries({e: m << (exp + scale) for e, m, exp in parts}, scale,
-                          s.truncation, s.basis)
+    def from_mantissas(parts: list, bound: Optional[Exponent], basis) -> "_NumSeries":
+        """The series of ``(exponent, (mantissa, binary exponent))`` parts,
+        kept exactly: each mantissa shifted onto the least power of two they
+        all share."""
+        scale = max([0] + [-exp for _, (_, exp) in parts])
+        return _NumSeries({e: m << (exp + scale) for e, (m, exp) in parts}, scale,
+                          bound, basis)
 
     def least(self) -> Optional[Exponent]:
         """Least stored exponent, or the bound when no term is stored."""

@@ -15,6 +15,7 @@ from dforge.series import (
     XPoly,
     make_series,
 )
+from dforge.wronskian import _NumSeries
 
 PREC = 128
 
@@ -58,6 +59,19 @@ def convolve_oracle(a: FormalSeries, b: FormalSeries):
             prod = pa * pb
             out[e] = out[e] + prod if e in out else prod
     return {e: p for e, p in out.items() if not p.is_zero}
+
+
+def dyadic_series(s: FormalSeries) -> _NumSeries:
+    """The screen's form of ``s``, converted term by term: precision-P values
+    of the coefficients, kept exactly: each mpf's mantissa, shifted onto the
+    least power of two they all share."""
+    parts = []
+    for e, p in s.terms:
+        sign, man, exp, _ = p.constant().numeric(s.basis)._mpf_
+        parts.append((e, -int(man) if sign else int(man), exp))
+    scale = max([0] + [-exp for _, _, exp in parts])
+    return _NumSeries({e: m << (exp + scale) for e, m, exp in parts}, scale,
+                      s.truncation, s.basis)
 
 
 def series_terms_dict(s: FormalSeries):

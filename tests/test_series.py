@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from conftest import PREC, convolve_oracle, geometric_series, rand_fraction
+from conftest import PREC, convolve_oracle, dyadic_series, geometric_series, rand_fraction
 from dforge import series
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
@@ -34,7 +34,7 @@ from dforge.obstruction import (
     substitution_certificate,
 )
 from dforge.transforms import verify_hilbert_zeta, verify_rescale_invariance
-from dforge.wronskian import _NumSeries, search_ade
+from dforge.wronskian import search_ade
 from dforge.numeric import (
     decimal_str_to_mpf,
     decimal_text,
@@ -1339,7 +1339,7 @@ class TestOneBoundTest:
             assert got.terms == want.terms
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            num = _NumSeries.from_series(left) * _NumSeries.from_series(right)
+            num = dyadic_series(left) * dyadic_series(right)
         assert [w.category for w in caught] == [PrecisionTieWarning]
         assert sorted(num.terms, key=basis.ordering_key) == expected
 
@@ -1365,3 +1365,38 @@ class TestOneBoundTest:
             calls.clear()
             series_mul(a, b)
             assert len(calls) == want
+
+
+class TestTermwiseMaps:
+    """The per-basis derivative factors and the termwise x log-derivative
+    against the formulas they replace."""
+
+    def test_derivative_factor_table_matches_the_formula(self):
+        basis = SymbolBasis.from_pairs([("L2", "0.69"), ("L3", "1.09")], precision=PREC)
+        assert basis._factors == {}
+        exps = [Exponent.zero(), Exponent.constant(Fraction(3, 4)),
+                Exponent.of("L2", Fraction(1, 2)),
+                Exponent.make({"L2": Fraction(-2, 3), "L3": 3}, Fraction(5, 7))]
+        for e in exps:
+            for k in (1, 2, 3):
+                want = (-Coefficient.from_exponent(e)) ** k
+                got = basis.derivative_factor(e, k)
+                assert got.terms == want.terms and str(got) == str(want)
+                assert basis.derivative_factor(e, k) is got
+        assert basis.derivative_factor(Exponent.zero(), 2).is_zero
+        assert len(basis._factors) == 3 * len(exps)
+        # the table belongs to one basis instance, equal bases included
+        assert SymbolBasis.from_pairs([("L2", "0.69"), ("L3", "1.09")],
+                                      precision=PREC)._factors == {}
+
+    def test_x_log_derivative_matches_collect(self):
+        rng = random.Random(1801)
+        constants = 0
+        for _ in range(200):
+            p = XPoly.collect((rng.randint(0, 3), _rand_coefficient(rng, 3))
+                              for _ in range(rng.randint(0, 4)))
+            constants += p.degree is not None and p.terms[0][0] == 0
+            want = XPoly.collect((k, c.scale(k)) for k, c in p.terms)
+            got = p.x_log_derivative()
+            assert got.terms == want.terms and str(got) == str(want)
+        assert constants > 50

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     PREC,
+    dyadic_series,
     exact_exponential,
     geometric_series,
     not_found_digest,
@@ -26,10 +27,13 @@ from dforge.series import (
     Coefficient,
     Exponent,
     SymbolBasis,
+    differentiate_s,
     make_series,
     meet_bounds,
+    prefix,
     product_bound,
     series_neg,
+    zero_series,
 )
 from dforge.wronskian import (
     _MODULUS,
@@ -49,6 +53,7 @@ from dforge.wronskian import (
     _wronskian_determinant,
     derive_ade,
     enumerate_products,
+    search_ade,
     wronskian_dependence,
 )
 
@@ -261,7 +266,7 @@ class TestSharedScreen:
             stage = rng.choice((_PROBE_TERMS, k + _ROW_MARGIN, rng.randint(1, 9)))
             rows = [col.dyadic_rows(stage, k) for col in cols]
             for col, converted in zip(cols, rows):
-                fresh_rows = [_NumSeries.from_series(s) for s in col.rows(stage, k)]
+                fresh_rows = [dyadic_series(s) for s in col.rows(stage, k)]
                 assert [_exact(r) for r in converted] == [_exact(r) for r in fresh_rows]
                 assert [r.bound for r in converted] == [r.bound for r in fresh_rows]
             matrix = [[r[i] for r in rows] for i in range(k)]
@@ -347,6 +352,118 @@ class TestSharedScreen:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _chain_rows(evaluated, stage, count):
+    """A stage's rows derived as a chain: the stage's prefix of the evaluated
+    series, then one ``differentiate_s`` per order."""
+    base = evaluated
+    if stage is not None and base.terms:
+        base = prefix(base, stage)
+    chain = [base]
+    while len(chain) < count:
+        chain.append(differentiate_s(chain[-1]))
+    return chain[:count]
+
+
+class TestColumnTable:
+    """A column's derivative table against the prefix-then-differentiate
+    chain, for every order, at stages below, at and past the term count."""
+
+    _ORDERS = 6
+
+    @staticmethod
+    def _columns(family):
+        if family == "zeta":
+            basis, _, phi = _zeta(12)
+        elif family == "geometric":
+            basis, phi = _geometric_family()
+        else:
+            basis = SymbolBasis.from_pairs([("lam", "0.7")], precision=PREC)
+            return [_Column(zero_series(basis, Exponent.of("lam", 3))),
+                    _Column(zero_series(basis))]
+        memo = {}
+        return [_Column(p.evaluate(phi, memo)) for p in enumerate_products(3)]
+
+    @staticmethod
+    def _requests(rng):
+        # stages 1, 3, k + 4, past the term count and None, asked for in a
+        # seeded order and by growing counts, the dyadic form at times first
+        stages = (1, _PROBE_TERMS, 3 + _ROW_MARGIN, 50, None)
+        out = [(stage, count, rng.random() < 0.5)
+               for stage in stages for count in (2, TestColumnTable._ORDERS)]
+        rng.shuffle(out)
+        return sorted(out, key=lambda r: r[1])
+
+    @pytest.mark.parametrize("family", ["zeta", "geometric", "empty"])
+    def test_rows_match_the_chain(self, family):
+        rng = random.Random(1801)
+        for col in self._columns(family):
+            for stage, count, dyadic_first in self._requests(rng):
+                if dyadic_first and stage is not None:
+                    col.dyadic_rows(stage, count)
+                want = _chain_rows(col.evaluated, stage, count)
+                got = col.rows(stage, count)
+                assert [r.terms for r in got] == [r.terms for r in want]
+                assert [r.truncation for r in got] == [r.truncation for r in want]
+
+    @pytest.mark.parametrize("family", ["zeta", "geometric", "empty"])
+    def test_dyadic_rows_match_fresh_conversions(self, family):
+        rng = random.Random(1802)
+        for col in self._columns(family):
+            for stage, count, rows_first in self._requests(rng):
+                if stage is None:
+                    continue
+                if rows_first:
+                    col.rows(stage, count)
+                fresh = [dyadic_series(r) for r in _chain_rows(col.evaluated, stage, count)]
+                got = col.dyadic_rows(stage, count)
+                assert [(r.terms, r.scale, r.bound) for r in got] == \
+                    [(r.terms, r.scale, r.bound) for r in fresh]
+
+    def test_zeta_stage_one_cuts_at_positions(self):
+        # n = 1 sits at exponent 0: its derivatives vanish, so at stage 1
+        # the rows past order 0 hold no term but keep the finite bound
+        col = self._columns("zeta")[0]
+        assert col.evaluated.terms[0][0] is Exponent.zero()
+        rows = col.rows(1, self._ORDERS)
+        assert len(rows[0].terms) == 1
+        for row in rows[1:]:
+            assert not row.terms and row.truncation is Exponent.zero()
+        assert [len(r.terms) for r in col.rows(3, 3)] == [3, 2, 2]
+
+    @pytest.mark.parametrize("family", ["zeta", "geometric"])
+    def test_one_numeric_evaluation_per_entry(self, family, monkeypatch):
+        if family == "zeta":
+            basis, vecs, phi = _zeta(20)
+            horizon = vecs[12]
+        else:
+            basis, phi = _geometric_family()
+            horizon = None
+        calls = []
+        numeric = Coefficient.numeric
+        requests = []
+        dyadic_rows = _Column.dyadic_rows
+
+        def counted_numeric(self, *args):
+            calls.append(1)
+            return numeric(self, *args)
+
+        def recorded(col, stage, count):
+            requests.append((col, stage, count))
+            return dyadic_rows(col, stage, count)
+
+        monkeypatch.setattr(Coefficient, "numeric", counted_numeric)
+        monkeypatch.setattr(_Column, "dyadic_rows", recorded)
+        search_ade(phi, 3, horizon)
+        entries, per_stage = set(), set()
+        for col, stage, count in requests:
+            for order, row in enumerate(_chain_rows(col.evaluated, stage, count)):
+                entries.update((id(col), order, e) for e, _ in row.terms)
+                per_stage.update((id(col), stage, order, e) for e, _ in row.terms)
+        assert len(calls) == len(entries)
+        # stages share entries: one conversion per stage would make more
+        assert len(per_stage) > len(entries)
 
 
 _UNKNOWN = object()
@@ -471,7 +588,7 @@ class TestIntegerScreen:
         values = [tol, -tol, tol + ulp, -tol - ulp, tol - ulp / 2]
         spec = [(Exponent.constant(i + 1), v) for i, v in enumerate(values)]
         s = make_series(spec, basis, None)
-        num = _NumSeries.from_series(s)
+        num = dyadic_series(s)
         assert _exact(num) == {e: v for e, v in spec}
         want = [Exponent.constant(3), Exponent.constant(4)]
         assert num.hits() == want
