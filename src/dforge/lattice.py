@@ -341,13 +341,11 @@ def factorize(n: int, limit: int = DEFAULT_FACTOR_LIMIT) -> tuple[dict[int, int]
     return factors, None
 
 
-def prime_support(indices: Iterable[int], limit: int = DEFAULT_FACTOR_LIMIT,
-                  strict: bool = False) -> PrimeSupport:
+def prime_support(indices: Iterable[int], limit: int = DEFAULT_FACTOR_LIMIT) -> PrimeSupport:
     """Union of prime factors over the index stream.
 
     Indices whose residue exceeds the certification range are reported in
-    ``unfactored``; with ``strict=True`` the first such index raises
-    :class:`FactorLimitExceeded` instead.
+    ``unfactored``.
     """
     primes: set[int] = set()
     unfactored: list[int] = []
@@ -357,8 +355,6 @@ def prime_support(indices: Iterable[int], limit: int = DEFAULT_FACTOR_LIMIT,
         factors, residue = factorize(n, limit)
         primes.update(factors)
         if residue is not None:
-            if strict:
-                raise FactorLimitExceeded(n)
             unfactored.append(n)
     return PrimeSupport(tuple(sorted(primes)), count, tuple(unfactored))
 

@@ -4,10 +4,10 @@ Matrix entries bring their own arithmetic: ``+``, unary ``-``, ``*``, and
 truthiness that is False only for an exact zero.  A series that is zero
 only up to a finite bound is truthy, so its bound reaches the result.
 Determinants use memoized minor expansion (matrices here are tiny, and the
-entries — difference-differential polynomials, formal series — have no
-cheap division).  Nullspaces over a polynomial ring use cross-multiplication
-elimination, which never divides and therefore stays exact in any integral
-domain.
+entries, difference-differential polynomials in a Sylvester matrix and the
+equation search's screen series, have no cheap division).  Nullspaces over
+a polynomial ring use cross-multiplication elimination, which never
+divides and therefore stays exact in any integral domain.
 """
 
 from __future__ import annotations

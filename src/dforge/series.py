@@ -455,10 +455,6 @@ class SparsePoly:
         return cls(*fields, cls._canonical(_accumulate({}, pairs)))
 
     @classmethod
-    def _from_dict(cls, d: dict):
-        return cls.collect(d.items())
-
-    @classmethod
     def zero(cls, *fields):
         return cls(*fields, ())
 

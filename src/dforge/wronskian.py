@@ -2,10 +2,11 @@
 testing over formal series, and derivation of a differential equation from a
 detected dependence.
 
-The Wronskian determinant of a subset's leading window, at precision P,
-screens for independence.  Past it, the decision is exact: a full-rank image
-of the term matrix mod a prime proves there is no relation, and otherwise
-exact elimination finds one or proves there is none.
+On truncated data, the Wronskian determinant of a subset's leading window,
+at precision P, screens for independence.  Past it, and at once for a series
+known in full, the decision is exact: a full-rank image of the term matrix
+mod a prime proves there is no relation, and otherwise exact elimination
+finds one or proves there is none.
 """
 
 from __future__ import annotations
@@ -137,9 +138,16 @@ def _graded_lex_key(p: PowerProduct):
 
 @dataclass(frozen=True)
 class Independent:
-    """The Wronskian determinant certifies independence within its validity."""
+    """Independence, certified within a validity.
 
-    witness_exponent: Exponent
+    On truncated data the precision-P Wronskian screen certifies it:
+    ``witness_exponent`` is the least exponent at which the determinant
+    clears 2^(-P/2), and the determinant is valid to ``valid_to``.  On a
+    series known in full the term matrix's full column rank over every
+    exponent certifies it, and both fields are None.
+    """
+
+    witness_exponent: Optional[Exponent]
     valid_to: Optional[Exponent]
 
 
@@ -172,16 +180,14 @@ class _Column:
     row: row (m, j) holds the nonzero entries among the first m positions
     and is valid to the exponent of position m-1, as ``prefix`` gives it.
     A term at exponent 0 vanishes at every order >= 1, so an order-j row
-    may hold fewer than m terms.  The exact stage None keeps every position
-    and the series' own bound.  Rows, their dyadic forms and the exponents
-    up to each common bound are kept, so a search makes each once per column.
+    may hold fewer than m terms.  Dyadic rows and the exponents up to each
+    common bound are kept, so a search makes each once per column.
     """
 
     def __init__(self, evaluated: FormalSeries):
         self.evaluated = evaluated
         self._orders: list = [[p for _, p in evaluated.terms]]   # order -> entries
         self._mantissas: list = []   # order -> (mantissa, binary exponent) or None
-        self._rows: dict = {}
         self._dyadic: dict = {}
         self._upto: dict = {}
 
@@ -193,14 +199,6 @@ class _Column:
             kept = self._upto[bound] = [e for e, _ in self.evaluated.terms
                                         if bound is None or compare(e, bound) <= 0]
         return kept
-
-    def _cut(self, stage: Optional[int]) -> tuple[int, Optional[Exponent]]:
-        """The positions a stage keeps, and the bound of its rows."""
-        terms = self.evaluated.terms
-        if stage is None or not terms:
-            return len(terms), self.evaluated.truncation
-        m = min(stage, len(terms))
-        return m, terms[m - 1][0]
 
     def _entries(self, order: int, m: int) -> list:
         """The order-``order`` coefficients of the first ``m`` positions."""
@@ -230,22 +228,12 @@ class _Column:
                        for p in self._entries(order, m)[len(out):m])
         return out
 
-    def rows(self, stage: Optional[int], count: int) -> list[FormalSeries]:
-        kept = self._rows.setdefault(stage, [])
-        if len(kept) < count:
-            m, bound = self._cut(stage)
-            basis, terms = self.evaluated.basis, self.evaluated.terms
-            for order in range(len(kept), count):
-                entries = self._entries(order, m)
-                kept.append(FormalSeries(basis, tuple(
-                    (terms[i][0], p) for i, p in enumerate(entries[:m]) if p), bound))
-        return kept[:count]
-
     def dyadic_rows(self, stage: int, count: int) -> list["_NumSeries"]:
         kept = self._dyadic.setdefault(stage, [])
         if len(kept) < count:
-            m, bound = self._cut(stage)
             basis, terms = self.evaluated.basis, self.evaluated.terms
+            m = min(stage, len(terms))
+            bound = terms[m - 1][0] if m else self.evaluated.truncation
             for order in range(len(kept), count):
                 mantissas = self._mantissas_of(order, m)
                 kept.append(_NumSeries.from_mantissas(
@@ -254,12 +242,11 @@ class _Column:
         return kept[:count]
 
 
-def _wronskian_determinant(columns: Sequence[_Column], stage: Optional[int], screen: "_Screen"):
-    """The Wronskian determinant over the search's minor table for ``stage``:
-    of the exact rows for stage None, of the screen's dyadic rows otherwise."""
+def _wronskian_determinant(columns: Sequence[_Column], stage: int, screen: "_Screen"):
+    """The Wronskian determinant of the dyadic rows for ``stage``, over the
+    search's minor table for that stage."""
     k = len(columns)
-    rows = [col.rows(stage, k) if stage is None else col.dyadic_rows(stage, k)
-            for col in columns]
+    rows = [col.dyadic_rows(stage, k) for col in columns]
     matrix = [[col_rows[i] for col_rows in rows] for i in range(k)]
     return determinant(matrix, screen.table(stage), columns)
 
@@ -381,9 +368,9 @@ class _Screen:
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
     determinants of every subset: subsets with a common column suffix share
-    those minors.  The exact stage None and the probe stage serve every
-    subset size; a window stage serves one size and its table is dropped
-    when the search moves to the next size.
+    those minors.  The probe stage serves every subset size; a window stage
+    serves one size and its table is dropped when the search moves to the
+    next size.
     """
 
     def __init__(self, basis):
@@ -392,12 +379,12 @@ class _Screen:
                       for n in basis.symbols}
         self._tables: dict = {}
 
-    def table(self, stage: Optional[int]) -> dict:
+    def table(self, stage: int) -> dict:
         table = self._tables.get(stage)
         if table is None:
             # subsets come by increasing size, and a window stage serves one
             # size: a new one means the previous window table is done with
-            for old in [s for s in self._tables if s not in (None, _PROBE_TERMS)]:
+            for old in [s for s in self._tables if s != _PROBE_TERMS]:
                 del self._tables[old]
             table = self._tables[stage] = {}
         return table
@@ -432,11 +419,7 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
     ordered = sorted(exponents, key=basis.ordering_key)
 
     if exact:
-        # complete data: the exact determinant is small and authoritative
-        det = _wronskian_determinant(columns, None, screen)
-        if not det.is_zero:
-            e, _ = det.terms[0]
-            return Independent(e, det.truncation)
+        # complete data: the term matrix over every exponent decides
         window = ordered
     else:
         window = ordered[: k + _ROW_MARGIN]
@@ -473,6 +456,9 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
         if coeffs is not None and not _relation_holds(full, coeffs):
             raise AssertionError("null vector failed exact re-verification")
     if coeffs is None:
+        if exact and window:
+            # full column rank on complete data proves independence
+            return Independent(None, None)
         where = "identically" if exact else "up to the horizon"
         raise HorizonTooShort(
             f"determinant vanished {where} but the term matrix has full column "

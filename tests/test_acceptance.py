@@ -96,7 +96,7 @@ def _random_poly(rng):
         mono = (xdeg, tuple(sorted(powers.items())))
         c = Coefficient.from_fraction(rng.randint(-3, 3))
         terms[mono] = terms.get(mono, Coefficient.zero()) + c
-    return DiffPolynomial._from_dict(terms)
+    return DiffPolynomial.collect(terms.items())
 
 
 def test_02_elimination_soundness():

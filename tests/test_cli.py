@@ -1,5 +1,6 @@
 """Command-line front end: pipelines, exit codes, determinism, verify."""
 
+import hashlib
 import json
 import os
 import random
@@ -211,6 +212,26 @@ class TestMain:
         out = _run_cli(["derive-ade", "--series", str(geometric_file), *limits])
         assert out.returncode == EXIT_OK and out.stderr == ""
         assert out.stdout == "lam*f + lam*f^2 + f'\n"
+
+    def test_derive_ade_on_a_series_known_in_full(self, tmp_path):
+        # 2e^(-(a+b+1)s) + e^(-(2a+b+1)s) - 3/2 e^(-(2b+1)s) with no bound:
+        # every subset up to size 6 is decided by its term matrix alone, well
+        # inside the 20 s the runner allows
+        symbols = [{"name": "a", "value_decimal_string": "0.53"},
+                   {"name": "b", "value_decimal_string": "1.37"}]
+        terms = [({"a": "1", "b": "1", "ONE": "1"}, "2"),
+                 ({"a": "2", "b": "1", "ONE": "1"}, "1"),
+                 ({"b": "2", "ONE": "1"}, "-3/2")]
+        path = tmp_path / "x3.json"
+        path.write_text(json.dumps({
+            "basis": {"symbols": symbols, "precision_bits": 128,
+                      "independence_assumed": True},
+            "terms": [{"exponent": e, "coeff": c} for e, c in terms],
+            "truncation": None}))
+        out = _run_cli(["derive-ade", "--series", str(path), "--max-weight", "3"])
+        assert out.returncode == EXIT_OK and out.stderr == ""
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == \
+            "e3b11ca17814c076488119ed6b0eb41a1cd5332f25ef32bc3e9004d518481ac4"
 
     def test_config_key_the_command_does_not_read(self, geometric_file, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -186,7 +186,7 @@ def _random_poly(rng, max_xdeg=3, max_terms=4, nonzero=False, force_x=False):
         d = {}
         for m, c in terms:
             d[m] = d.get(m, Coefficient.zero()) + c
-        F = DiffPolynomial._from_dict(d)
+        F = DiffPolynomial.collect(d.items())
         if nonzero and F.is_zero:
             continue
         if force_x and F.x_degree == 0:

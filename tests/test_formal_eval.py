@@ -365,7 +365,7 @@ def _random_shiftfree_poly(rng, basis, max_order=2, max_terms=3):
             c = c * Coefficient.from_symbol("lam" if basis.has_symbol("lam") else "L2")
         if not c.is_zero:
             d[mono] = d.get(mono, Coefficient.zero()) + c
-    F = DiffPolynomial._from_dict(d)
+    F = DiffPolynomial.collect(d.items())
     return F if not F.is_zero else DiffPolynomial.from_indeterminate(
         DiffIndeterminate.make(0))
 
@@ -384,7 +384,7 @@ def _random_poly(rng):
         if rng.random() < 0.5:
             c = c * Coefficient.from_symbol("lam")
         d[mono] = d.get(mono, Coefficient.zero()) + c
-    return DiffPolynomial._from_dict({m: c for m, c in d.items() if not c.is_zero})
+    return DiffPolynomial.collect(d.items())
 
 
 def _substitute_oracle(F, phi):

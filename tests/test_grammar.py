@@ -108,7 +108,7 @@ def _random_diffpoly(rng):
                                   Fraction(rng.randint(-1, 1))))
             c = c + part
         terms[mono] = terms.get(mono, Coefficient.zero()) + c
-    return DiffPolynomial._from_dict(terms)
+    return DiffPolynomial.collect(terms.items())
 
 
 class TestRoundTrip:

@@ -143,11 +143,6 @@ class TestPrimeSupport:
             u = set(prime_support(s1).primes) | set(prime_support(s2).primes)
             assert set(prime_support(s1 + s2).primes) == u
 
-    def test_limit_strict_raises(self):
-        big = 1000003 * 1000033
-        with pytest.raises(FactorLimitExceeded):
-            prime_support([big], limit=100, strict=True)
-
     def test_limit_degrades_gracefully(self):
         big = 1000003 * 1000033
         ps = prime_support([6, big], limit=100)

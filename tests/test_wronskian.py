@@ -1,6 +1,7 @@
 """Power products, Wronskian dependence, equation search."""
 
 import gc
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -27,12 +28,13 @@ from dforge.series import (
     Coefficient,
     Exponent,
     SymbolBasis,
+    constant_series,
     differentiate_s,
     make_series,
     meet_bounds,
     prefix,
     product_bound,
-    series_neg,
+    series_sum,
     zero_series,
 )
 from dforge.wronskian import (
@@ -136,8 +138,11 @@ class TestDependence:
         c1 = _Column(PowerProduct.make({0: 1}).evaluate(phi))
         c2 = _Column(PowerProduct.make({0: 2}).evaluate(phi))
         screen = _Screen(lam_basis)
-        assert _wronskian_determinant([c1, c2], None, screen) == \
-            series_neg(_wronskian_determinant([c2, c1], None, screen))
+        d12 = _wronskian_determinant([c1, c2], 2 + _ROW_MARGIN, screen)
+        d21 = _wronskian_determinant([c2, c1], 2 + _ROW_MARGIN, screen)
+        assert d12.terms
+        assert _exact(d12) == _exact(-d21)
+        assert d12.bound == d21.bound
 
 
 class TestDeriveAde:
@@ -266,7 +271,7 @@ class TestSharedScreen:
             stage = rng.choice((_PROBE_TERMS, k + _ROW_MARGIN, rng.randint(1, 9)))
             rows = [col.dyadic_rows(stage, k) for col in cols]
             for col, converted in zip(cols, rows):
-                fresh_rows = [dyadic_series(s) for s in col.rows(stage, k)]
+                fresh_rows = [dyadic_series(s) for s in _chain_rows(col.evaluated, stage, k)]
                 assert [_exact(r) for r in converted] == [_exact(r) for r in fresh_rows]
                 assert [r.bound for r in converted] == [r.bound for r in fresh_rows]
             matrix = [[r[i] for r in rows] for i in range(k)]
@@ -387,9 +392,9 @@ class TestColumnTable:
 
     @staticmethod
     def _requests(rng):
-        # stages 1, 3, k + 4, past the term count and None, asked for in a
-        # seeded order and by growing counts, the dyadic form at times first
-        stages = (1, _PROBE_TERMS, 3 + _ROW_MARGIN, 50, None)
+        # stages 1, 3, k + 4 and past the term count, asked for in a seeded
+        # order and by growing counts, the other form at times first
+        stages = (1, _PROBE_TERMS, 3 + _ROW_MARGIN, 50)
         out = [(stage, count, rng.random() < 0.5)
                for stage in stages for count in (2, TestColumnTable._ORDERS)]
         rng.shuffle(out)
@@ -399,23 +404,22 @@ class TestColumnTable:
     def test_rows_match_the_chain(self, family):
         rng = random.Random(1801)
         for col in self._columns(family):
+            terms = col.evaluated.terms
             for stage, count, dyadic_first in self._requests(rng):
-                if dyadic_first and stage is not None:
+                if dyadic_first:
                     col.dyadic_rows(stage, count)
-                want = _chain_rows(col.evaluated, stage, count)
-                got = col.rows(stage, count)
-                assert [r.terms for r in got] == [r.terms for r in want]
-                assert [r.truncation for r in got] == [r.truncation for r in want]
+                m = min(stage, len(terms))
+                got = [tuple((terms[i][0], p) for i, p in enumerate(col._entries(order, m)[:m])
+                             if p) for order in range(count)]
+                assert got == [r.terms for r in _chain_rows(col.evaluated, stage, count)]
 
     @pytest.mark.parametrize("family", ["zeta", "geometric", "empty"])
     def test_dyadic_rows_match_fresh_conversions(self, family):
         rng = random.Random(1802)
         for col in self._columns(family):
-            for stage, count, rows_first in self._requests(rng):
-                if stage is None:
-                    continue
-                if rows_first:
-                    col.rows(stage, count)
+            for stage, count, entries_first in self._requests(rng):
+                if entries_first:
+                    col._entries(count - 1, min(stage, len(col.evaluated.terms)))
                 fresh = [dyadic_series(r) for r in _chain_rows(col.evaluated, stage, count)]
                 got = col.dyadic_rows(stage, count)
                 assert [(r.terms, r.scale, r.bound) for r in got] == \
@@ -426,11 +430,11 @@ class TestColumnTable:
         # the rows past order 0 hold no term but keep the finite bound
         col = self._columns("zeta")[0]
         assert col.evaluated.terms[0][0] is Exponent.zero()
-        rows = col.rows(1, self._ORDERS)
+        rows = col.dyadic_rows(1, self._ORDERS)
         assert len(rows[0].terms) == 1
         for row in rows[1:]:
-            assert not row.terms and row.truncation is Exponent.zero()
-        assert [len(r.terms) for r in col.rows(3, 3)] == [3, 2, 2]
+            assert not row.terms and row.bound is Exponent.zero()
+        assert [len(r.terms) for r in col.dyadic_rows(3, 3)] == [3, 2, 2]
 
     @pytest.mark.parametrize("family", ["zeta", "geometric"])
     def test_one_numeric_evaluation_per_entry(self, family, monkeypatch):
@@ -464,6 +468,58 @@ class TestColumnTable:
         assert len(calls) == len(entries)
         # stages share entries: one conversion per stage would make more
         assert len(per_stage) > len(entries)
+
+
+class TestExactDecision:
+    """On series known in full, the term matrix alone decides: a subset is
+    Independent, with no witness, exactly when its exact Wronskian
+    determinant over the differentiated chain is nonzero."""
+
+    @staticmethod
+    def _draw(rng, basis):
+        # 1-3 terms at multiples of a plus one constant offset, int and
+        # Fraction coefficients, one of them damped by exp(-a)
+        n = rng.randint(1, 3)
+        offset = rng.choice((0, 1, Fraction(1, 2)))
+        damped = rng.randrange(n)
+        spec = []
+        for t, i in enumerate(rng.sample(range(1, 5), n)):
+            c = Coefficient.from_fraction(rng.choice(
+                (rng.choice((-2, -1, 1, 3)), Fraction(rng.choice((-3, 1, 3)), 2))))
+            if t == damped:
+                c = c * Coefficient.damping(Exponent.of("a"))
+            spec.append((Exponent.make({"a": i}, offset), c))
+        return make_series(spec, basis, None)
+
+    def test_independent_exactly_when_the_wronskian_is_nonzero(self):
+        basis = SymbolBasis.from_pairs([("a", "0.53")], precision=PREC)
+        products = enumerate_products(3)
+        rng = random.Random(8)
+        kinds, sizes = set(), set()
+        for _ in range(6):
+            phi = self._draw(rng, basis)
+            sizes.add(len(phi.terms))
+            memo = {}
+            columns = [_Column(p.evaluate(phi, memo)) for p in products]
+            screen, table = _Screen(basis), {}
+            for k in range(2, 5):
+                for idx in itertools.combinations(range(len(products)), k):
+                    cols = [columns[i] for i in idx]
+                    verdict = _decide(cols, screen)
+                    rows = [_chain_rows(col.evaluated, None, k) for col in cols]
+                    wronskian = determinant([[r[i] for r in rows] for i in range(k)],
+                                            table, cols)
+                    if wronskian.is_zero:
+                        assert isinstance(verdict, Dependent) and verdict.complete
+                        combination = series_sum(basis, [
+                            constant_series(basis, c) * col.evaluated
+                            for c, col in zip(verdict.coefficients, cols)])
+                        assert combination.is_zero
+                    else:
+                        assert verdict == Independent(None, None)
+                    kinds.add(type(verdict).__name__)
+        assert kinds == {"Independent", "Dependent"}
+        assert sizes == {1, 2, 3}
 
 
 _UNKNOWN = object()
@@ -564,7 +620,8 @@ class TestIntegerScreen:
             cols = [columns[i] for i in sorted(rng.sample(range(len(columns)), k))]
             stage = rng.choice((_PROBE_TERMS, k + _ROW_MARGIN, rng.randint(1, 9)))
             det = _wronskian_determinant(cols, stage, screen)
-            rows = [[_FractionSeries.from_series(s) for s in col.rows(stage, k)] for col in cols]
+            rows = [[_FractionSeries.from_series(s) for s in _chain_rows(col.evaluated, stage, k)]
+                    for col in cols]
             for col, ref in zip(cols, rows):
                 assert [_exact(r) for r in col.dyadic_rows(stage, k)] == [r.terms for r in ref]
             ref = determinant([[r[i] for r in rows] for i in range(k)])
