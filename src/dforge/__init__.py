@@ -70,7 +70,6 @@ from .transforms import (
 )
 from .wronskian import (
     NotFoundWithinW,
-    PowerProduct,
     derive_ade,
     enumerate_products,
     wronskian_dependence,

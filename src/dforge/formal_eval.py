@@ -71,19 +71,21 @@ class Residual:
         return f"{NONZERO}(({p}) e^(-({e})s))"
 
 
-def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries) -> FormalSeries:
-    def argument(ind: DiffIndeterminate) -> FormalSeries:
-        return shift_s(differentiate_s(phi, ind.order), ind.shift)
+def evaluate_powers(powers, phi: FormalSeries, memo: dict) -> FormalSeries:
+    """The product of ``f^(order)(s + shift) ** k`` over a monomial's
+    ``(DiffIndeterminate, k)`` pairs on ``phi``; the constant 1 for none.
+    Monomials sharing ``memo`` over one ``phi`` share each factor and each
+    common prefix (:func:`~dforge.series.power_product`)."""
+    part = power_product(powers, lambda ind: shift_s(differentiate_s(phi, ind.order),
+                                                     ind.shift), memo)
+    return constant_series(phi.basis, 1) if part is None else part
 
-    basis = phi.basis
+
+def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries) -> FormalSeries:
     memo: dict = {}
-    parts = []
-    for (xdeg, powers), coeff in F.terms:
-        part = power_product(powers, argument, memo)
-        if part is None:
-            part = constant_series(basis, 1)
-        parts.append(series_scale_xpoly(part, XPoly.monomial(xdeg, coeff)))
-    return series_sum(basis, parts)
+    return series_sum(phi.basis, [
+        series_scale_xpoly(evaluate_powers(powers, phi, memo), XPoly.monomial(xdeg, coeff))
+        for (xdeg, powers), coeff in F.terms])
 
 
 def max_safe_horizon(F: DiffPolynomial, phi: FormalSeries) -> Optional[Exponent]:
@@ -253,8 +255,8 @@ def exp_poly_root_bound(L: ExpPolynomial) -> RootBound:
             return RootBound(Fraction(0), (t_star, k_star), "0", _SUM_LIMIT, prec)
         B = Fraction(1)
         for _ in range(512):
-            if _dominance_holds(L, others, kv_star, t_star, c_star_abs, B):
-                total = _ratio_sum(L, others, kv_star, t_star, c_star_abs, B)
+            total = _dominance_holds(L, others, kv_star, t_star, c_star_abs, B)
+            if total is not None:
                 return RootBound(B, (t_star, k_star), mpmath.nstr(total, 12),
                                  _SUM_LIMIT, prec)
             B *= 2
@@ -274,7 +276,8 @@ def _ratio_sum(L: ExpPolynomial, others, kv_star, t_star, c_star_abs, B: Fractio
         return total
 
 
-def _dominance_holds(L, others, kv_star, t_star, c_star_abs, B: Fraction) -> bool:
+def _dominance_holds(L, others, kv_star, t_star, c_star_abs, B: Fraction):
+    """The ratio sum at ``B`` when dominance holds from ``B`` on, else None."""
     basis = L.basis
     with workprec(basis.precision):
         Bv = fraction_to_mpf(B, basis.precision)
@@ -284,13 +287,13 @@ def _dominance_holds(L, others, kv_star, t_star, c_star_abs, B: Fraction) -> boo
             if delta == 0:
                 # same rate, smaller power: ratio B^(t-t*) decreasing for B>0
                 if d >= 0:
-                    return False
+                    return None
             else:
                 # need B*delta >= d+1 so each ratio decreases beyond B
                 if Bv * delta < d + 1:
-                    return False
-        return _ratio_sum(L, others, kv_star, t_star, c_star_abs, B) <= \
-            fraction_to_mpf(_SUM_LIMIT, basis.precision)
+                    return None
+        total = _ratio_sum(L, others, kv_star, t_star, c_star_abs, B)
+        return total if total <= fraction_to_mpf(_SUM_LIMIT, basis.precision) else None
 
 
 def certify_root_bound(L: ExpPolynomial, bound: Fraction) -> bool:
@@ -303,7 +306,7 @@ def certify_root_bound(L: ExpPolynomial, bound: Fraction) -> bool:
         except PrecisionTie:
             return False
         return not others or (bound > 0 and _dominance_holds(
-            L, others, kv_star, t_star, c_star_abs, bound))
+            L, others, kv_star, t_star, c_star_abs, bound) is not None)
 
 
 # ---------------------------------------------------------------------------

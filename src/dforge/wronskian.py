@@ -1,6 +1,8 @@
-"""Power products of a function and its derivatives, Wronskian dependence
-testing over formal series, and derivation of a differential equation from a
-detected dependence.
+"""Products of a function and its derivatives, Wronskian dependence testing
+over formal series, and derivation of a differential equation from a
+detected dependence.  A product is a one-monomial ``DiffPolynomial`` with
+coefficient 1, evaluated by ``formal_eval.evaluate_powers`` as in
+``substitute``.
 
 On truncated data, the Wronskian determinant of a subset's leading window,
 at precision P, screens for independence.  Past it, and at once for a series
@@ -20,7 +22,8 @@ from typing import Optional, Sequence, Union
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import HorizonTooShort
-from .formal_eval import Residual, substitute
+from .formal_eval import Residual, evaluate_powers, substitute
+from .grammar import pretty
 from .linalg import determinant, ring_echelon, ring_nullspace_vector
 from .series import (
     Coefficient,
@@ -28,64 +31,15 @@ from .series import (
     FormalSeries,
     _mul_into,
     _past,
-    differentiate_s,
     meet_bounds,
-    power_product,
     product_bound,
     truncate,
 )
 
 
-@dataclass(frozen=True)
-class PowerProduct:
-    """Monomial in a function and its derivatives, graded by weight.
-
-    ``powers`` maps derivative order to a positive multiplicity; the weight
-    of one factor of order i is i+1, so only finitely many products exist
-    below any weight.
-    """
-
-    powers: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def make(powers: dict[int, int]) -> "PowerProduct":
-        canon = tuple(sorted((o, k) for o, k in powers.items() if k))
-        if not canon:
-            raise ValueError("a power product must contain at least one factor")
-        if any(o < 0 or k < 0 for o, k in canon):
-            raise ValueError("orders and powers must be non-negative")
-        return PowerProduct(canon)
-
-    @property
-    def weight(self) -> int:
-        return sum((o + 1) * k for o, k in self.powers)
-
-    def evaluate(self, phi: FormalSeries, memo: Optional[dict] = None) -> FormalSeries:
-        """The product on ``phi``, multiplied out factor by factor.
-
-        A ``memo`` shared by products over the same ``phi`` keeps every
-        derivative (keyed by order) and every partial product (keyed by the
-        tuple of factor orders multiplied so far), so products reuse a
-        common prefix; the operations are the same as without one.
-        """
-        return power_product(self.powers, lambda order: differentiate_s(phi, order),
-                             {} if memo is None else memo)
-
-    def as_diffpoly(self, coefficient=None) -> DiffPolynomial:
-        mono = (0, tuple((DiffIndeterminate(0, o), k) for o, k in self.powers))
-        c = Coefficient.one() if coefficient is None else coefficient
-        return DiffPolynomial(((mono, c),))
-
-    def __str__(self) -> str:
-        parts = []
-        for o, k in self.powers:
-            body = "f" + "'" * o
-            parts.append(body if k == 1 else f"{body}^{k}")
-        return "*".join(parts)
-
-
-def enumerate_products(max_weight: int) -> list[PowerProduct]:
-    """All power products of weight <= max_weight, graded then lexicographic.
+def enumerate_products(max_weight: int) -> list[DiffPolynomial]:
+    """All products of f and its derivatives of weight <= max_weight, as
+    one-monomial polynomials with coefficient 1, graded then lexicographic.
 
     Within one weight the listing puts more multiplicity on lower derivative
     orders first (f^3 before f*f', before f'').  The count per weight equals
@@ -93,12 +47,20 @@ def enumerate_products(max_weight: int) -> list[PowerProduct]:
     """
     if max_weight < 1:
         raise ValueError("max weight must be at least 1")
-    out: list[PowerProduct] = []
+    one = Coefficient.one()
+    out: list[DiffPolynomial] = []
     for w in range(1, max_weight + 1):
-        bucket = [PowerProduct.make(dict(p)) for p in _partitions_as_orders(w)]
-        bucket.sort(key=_graded_lex_key)
-        out.extend(bucket)
+        for orders in sorted(_partitions_as_orders(w), key=_graded_lex_key):
+            mono = (0, tuple((DiffIndeterminate(0, o), k) for o, k in orders))
+            out.append(DiffPolynomial(((mono, one),)))
     return out
+
+
+def weight(product: DiffPolynomial) -> int:
+    """The weight of a one-monomial product: order + 1 per factor of f, so
+    only finitely many products exist below any weight."""
+    (_, powers), _ = product.terms[0]
+    return sum((ind.order + 1) * k for ind, k in powers)
 
 
 def _partitions_as_orders(w: int) -> list[tuple[tuple[int, int], ...]]:
@@ -124,10 +86,9 @@ def _extend_partitions(remaining: int, max_part: int, acc: dict, results: list) 
             del acc[p]
 
 
-def _graded_lex_key(p: PowerProduct):
-    max_order = p.powers[-1][0]
-    dense = [0] * (max_order + 1)
-    for o, k in p.powers:
+def _graded_lex_key(orders: tuple[tuple[int, int], ...]):
+    dense = [0] * (orders[-1][0] + 1)
+    for o, k in orders:
         dense[o] = k
     return tuple(-k for k in dense)
 
@@ -142,13 +103,11 @@ class Independent:
 
     On truncated data the precision-P Wronskian screen certifies it:
     ``witness_exponent`` is the least exponent at which the determinant
-    clears 2^(-P/2), and the determinant is valid to ``valid_to``.  On a
-    series known in full the term matrix's full column rank over every
-    exponent certifies it, and both fields are None.
+    clears 2^(-P/2).  On a series known in full the term matrix's full
+    column rank over every exponent certifies it, and the witness is None.
     """
 
     witness_exponent: Optional[Exponent]
-    valid_to: Optional[Exponent]
 
 
 @dataclass(frozen=True)
@@ -161,8 +120,6 @@ class Dependent:
     """
 
     coefficients: tuple[Coefficient, ...]
-    wronskian_valid_to: Optional[Exponent]
-    rows_used: int
     complete: bool
 
 
@@ -436,7 +393,7 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
             det = _wronskian_determinant(columns, stage, screen)
             hits = det.hits()
             if hits:
-                return Independent(min(hits, key=basis.ordering_key), det.bound)
+                return Independent(min(hits, key=basis.ordering_key))
 
         if len(window) < k + _ROW_MARGIN:
             # A relation certified by barely more constraints than unknowns is
@@ -458,12 +415,12 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
     if coeffs is None:
         if exact and window:
             # full column rank on complete data proves independence
-            return Independent(None, None)
+            return Independent(None)
         where = "identically" if exact else "up to the horizon"
         raise HorizonTooShort(
             f"determinant vanished {where} but the term matrix has full column "
             "rank", max_safe=common, details="determinant-vanished")
-    return Dependent(tuple(coeffs), common, len(ordered), exact)
+    return Dependent(tuple(coeffs), exact)
 
 
 def _working_series(phi: FormalSeries, horizon: Optional[Exponent]) -> FormalSeries:
@@ -474,23 +431,36 @@ def _working_series(phi: FormalSeries, horizon: Optional[Exponent]) -> FormalSer
     return truncate(phi, bound)
 
 
-def wronskian_dependence(products: Sequence[PowerProduct], phi: FormalSeries,
+def _columns(products: Sequence[DiffPolynomial], phi: FormalSeries,
+             horizon: Optional[Exponent]) -> list[_Column]:
+    """The products evaluated on ``phi`` cut to ``horizon``, over one memo."""
+    work = _working_series(phi, horizon)
+    memo: dict = {}
+    columns = [_Column(evaluate_powers(p.terms[0][0][1], work, memo)) for p in products]
+    if any(q.degree not in (0, None) for col in columns for _, q in col.evaluated.terms):
+        raise ValueError("equation search expects univariate series")
+    return columns
+
+
+def wronskian_dependence(products: Sequence[DiffPolynomial], phi: FormalSeries,
                          horizon: Optional[Exponent] = None) -> Union[Independent, Dependent]:
     """Decide linear dependence of the products evaluated on ``phi``.
 
-    Raises :class:`HorizonTooShort` when the determinant vanished on the
-    available data but the term matrix cannot settle a relation (full rank
-    within the window, or too few exponents to test at all).
+    Each product is one monomial in f and its derivatives, shifted or not,
+    with coefficient 1 and no ``x``; another raises ``ValueError``.  Raises
+    :class:`HorizonTooShort` when the determinant vanished on the available
+    data but the term matrix cannot settle a relation (full rank within the
+    window, or too few exponents to test at all).
     """
     if len(products) < 2:
         raise ValueError("dependence testing needs at least two products")
-    work = _working_series(phi, horizon)
-    memo: dict = {}
-    evaluated = [p.evaluate(work, memo) for p in products]
-    for s in evaluated:
-        if any(p.degree not in (0, None) for _, p in s.terms):
-            raise ValueError("dependence testing expects univariate series")
-    return _decide([_Column(s) for s in evaluated], _Screen(phi.basis))
+    one = Coefficient.one()
+    for p in products:
+        powers = p.terms[0][0][1] if p.terms else ()
+        if not powers or p.terms != (((0, powers), one),):
+            raise ValueError(f"a product must be one monomial in f with coefficient 1 "
+                             f"and no x, not {pretty(p)}")
+    return _decide(_columns(products, phi, horizon), _Screen(phi.basis))
 
 
 def _coeff_at(s: FormalSeries, e: Exponent) -> Coefficient:
@@ -584,7 +554,7 @@ def derive_ade(phi: FormalSeries, max_weight: int,
 def search_ade(phi: FormalSeries, max_weight: int,
                horizon: Optional[Exponent] = None,
                max_k: Optional[int] = None) -> Union[Residual, NotFoundWithinW]:
-    """Search power-product subsets for a differential equation phi satisfies.
+    """Search product subsets for a differential equation phi satisfies.
 
     Subsets are visited by increasing size, then total weight, then the
     graded enumeration order.  The horizon caps the dependence-detection
@@ -608,20 +578,15 @@ def search_ade(phi: FormalSeries, max_weight: int,
             raise _too_many_subsets(max_weight, comb(n, 2), 2)
     products = enumerate_products(max_weight)
     top = len(products) if max_k is None else min(max_k, len(products))
-    work = _working_series(phi, horizon)
-    memo: dict = {}
-    columns = [_Column(p.evaluate(work, memo)) for p in products]
-    for col in columns:
-        if any(p.degree not in (0, None) for _, p in col.evaluated.terms):
-            raise ValueError("equation search expects univariate series")
+    columns = _columns(products, phi, horizon)
     searched = 0
     decided = 0
     refuted: list[str] = []
     skipped: list[str] = []
     inconclusive: list[str] = []
     screen = _Screen(phi.basis)
-    names = [str(p) for p in products]
-    weights = [p.weight for p in products]
+    names = [pretty(p) for p in products]
+    weights = [weight(p) for p in products]
     visits = 0
     for k in range(2, top + 1):
         visits += comb(len(products), k)
@@ -630,7 +595,6 @@ def search_ade(phi: FormalSeries, max_weight: int,
         combos = sorted(itertools.combinations(range(len(products)), k),
                         key=lambda idx: (sum(weights[i] for i in idx), idx))
         for idx in combos:
-            subset = [products[i] for i in idx]
             label = " , ".join(names[i] for i in idx)
             searched += 1
             try:
@@ -644,9 +608,8 @@ def search_ade(phi: FormalSeries, max_weight: int,
             decided += 1
             if isinstance(verdict, Independent):
                 continue
-            candidate = DiffPolynomial.zero()
-            for p, c in zip(subset, verdict.coefficients):
-                candidate = candidate + p.as_diffpoly(c)
+            candidate = DiffPolynomial.collect(
+                (products[i].terms[0][0], c) for i, c in zip(idx, verdict.coefficients))
             residual = substitute(candidate, phi)
             if residual.is_zero:
                 return residual

@@ -186,6 +186,18 @@ class TestRootBound:
         assert certify_root_bound(L, rb.bound)
         _assert_sign_constant(L, rb.bound, 10 ** 6)
 
+    def test_ratio_sum_once_per_tried_bound(self, unit_basis, monkeypatch):
+        # l^2 - 4: the ratio sum 4/B^2 first meets 1/2 at B = 4; the sum
+        # accepted there is the one the bound prints, not summed again
+        calls = []
+        ratio_sum = formal_eval._ratio_sum
+        monkeypatch.setattr(formal_eval, "_ratio_sum",
+                            lambda *args: calls.append(args[-1]) or ratio_sum(*args))
+        L = ExpPolynomial.make([(2, Fraction(0), 1), (0, Fraction(0), -4)], unit_basis)
+        rb = exp_poly_root_bound(L)
+        assert calls == [1, 2, 4]
+        assert (rb.bound, rb.ratio_sum_at_bound) == (4, "0.25")
+
     def test_exponential_dominates_linear(self, unit_basis):
         # e^l - l has no real roots at all: minimum value 1 at l = 0
         L = ExpPolynomial.make([(0, Fraction(1), 1), (1, Fraction(0), -1)], unit_basis)

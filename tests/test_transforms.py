@@ -184,6 +184,15 @@ class TestHilbert:
         assert cert.evidence["checks"] == 18
         assert len(calls) == len(set(calls)) == 10
 
+    def test_passing_grid_builds_no_difference(self, monkeypatch):
+        # each identity is decided by equality of its canonical sides; the
+        # difference series is built only for a failure's message
+        def refuse(a, b):
+            raise AssertionError("difference built on a passing check")
+
+        monkeypatch.setattr(transforms, "series_sub", refuse)
+        assert verify_hilbert_zeta(12, 2, 2, 1).evidence["checks"] == 18
+
     def test_first_failure_in_grid_order(self, monkeypatch):
         # with x d/dx as the identity the first failing check is the first
         # with mu = 1: nu = 0, d = 0

@@ -1,4 +1,4 @@
-"""Power products, Wronskian dependence, equation search."""
+"""Products of f and its derivatives, Wronskian dependence, equation search."""
 
 import gc
 import itertools
@@ -18,8 +18,9 @@ from conftest import (
     rand_fraction,
 )
 from dforge import wronskian
+from dforge.diffpoly import DiffPolynomial
 from dforge.errors import HorizonTooShort, PrecisionTieWarning
-from dforge.formal_eval import substitute
+from dforge.formal_eval import evaluate_powers, substitute
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.lattice import log_basis_for_indices
 from dforge.linalg import determinant, determinant_leibniz, ring_nullspace_vector
@@ -44,7 +45,6 @@ from dforge.wronskian import (
     Dependent,
     Independent,
     NotFoundWithinW,
-    PowerProduct,
     _coeff_at,
     _Column,
     _decide,
@@ -56,8 +56,15 @@ from dforge.wronskian import (
     derive_ade,
     enumerate_products,
     search_ade,
+    weight,
     wronskian_dependence,
 )
+
+
+def _evaluate(p, phi, memo=None):
+    """A one-monomial product on ``phi``, through the evaluator ``substitute``
+    uses."""
+    return evaluate_powers(p.terms[0][0][1], phi, {} if memo is None else memo)
 
 
 def _partition_count_oracle(w):
@@ -84,18 +91,18 @@ class TestEnumerate:
 
     def test_counts_match_partition_oracle(self):
         for w in range(1, 9):
-            got = len([p for p in enumerate_products(w) if p.weight == w])
+            got = len([p for p in enumerate_products(w) if weight(p) == w])
             assert got == _partition_count_oracle(w)
 
     def test_weights(self):
-        p = PowerProduct.make({0: 2, 2: 1})
-        assert p.weight == 2 * 1 + 1 * 3
+        p = parse_diffpoly("f^2*f''")
+        assert weight(p) == 2 * 1 + 1 * 3
 
 
 class TestDependence:
     def test_exponential_pair_dependent(self, unit_basis):
         phi = exact_exponential(unit_basis, Exponent.constant(1))
-        products = [PowerProduct.make({0: 1}), PowerProduct.make({1: 1})]
+        products = [parse_diffpoly("f"), parse_diffpoly("f'")]
         verdict = wronskian_dependence(products, phi)
         assert isinstance(verdict, Dependent)
         assert [c.as_fraction() for c in verdict.coefficients] == [1, 1]
@@ -104,15 +111,14 @@ class TestDependence:
     def test_two_exponentials_independent(self, unit_basis):
         phi = make_series([(Exponent.constant(1), 1), (Exponent.constant(2), 1)],
                           unit_basis, Exponent.constant(2))
-        products = [PowerProduct.make({0: 1}), PowerProduct.make({1: 1})]
+        products = [parse_diffpoly("f"), parse_diffpoly("f'")]
         verdict = wronskian_dependence(products, phi)
         assert isinstance(verdict, Independent)
         assert verdict.witness_exponent == Exponent.constant(3)
 
     def test_geometric_riccati_dependence(self, lam_basis):
         phi = geometric_series(lam_basis, 14)
-        products = [PowerProduct.make({0: 1}), PowerProduct.make({0: 2}),
-                    PowerProduct.make({1: 1})]
+        products = [parse_diffpoly("f"), parse_diffpoly("f^2"), parse_diffpoly("f'")]
         verdict = wronskian_dependence(products, phi)
         assert isinstance(verdict, Dependent)
         lam = Coefficient.from_symbol("lam")
@@ -120,14 +126,13 @@ class TestDependence:
 
     def test_requires_two_products(self, lam_basis):
         with pytest.raises(ValueError):
-            wronskian_dependence([PowerProduct.make({0: 1})],
+            wronskian_dependence([parse_diffpoly("f")],
                                  geometric_series(lam_basis, 4))
 
     def test_underdetermined_horizon(self, unit_basis):
         # one stored exponent cannot settle three products
         phi = make_series([(Exponent.constant(1), 1)], unit_basis, Exponent.constant(1))
-        products = [PowerProduct.make({0: 1}), PowerProduct.make({1: 1}),
-                    PowerProduct.make({2: 1})]
+        products = [parse_diffpoly("f"), parse_diffpoly("f'"), parse_diffpoly("f''")]
         with pytest.raises(HorizonTooShort) as err:
             wronskian_dependence(products, phi)
         assert err.value.details == "underdetermined"
@@ -135,14 +140,48 @@ class TestDependence:
     def test_antisymmetry_of_determinant(self, lam_basis):
         from dforge.wronskian import _Column
         phi = geometric_series(lam_basis, 6)
-        c1 = _Column(PowerProduct.make({0: 1}).evaluate(phi))
-        c2 = _Column(PowerProduct.make({0: 2}).evaluate(phi))
+        c1 = _Column(_evaluate(parse_diffpoly("f"), phi))
+        c2 = _Column(_evaluate(parse_diffpoly("f^2"), phi))
         screen = _Screen(lam_basis)
         d12 = _wronskian_determinant([c1, c2], 2 + _ROW_MARGIN, screen)
         d21 = _wronskian_determinant([c2, c1], 2 + _ROW_MARGIN, screen)
         assert d12.terms
         assert _exact(d12) == _exact(-d21)
         assert d12.bound == d21.bound
+
+
+class TestProductInput:
+    """What the search and ``wronskian_dependence`` accept: univariate
+    series, and products that are one monomial with coefficient 1."""
+
+    @staticmethod
+    def _x_series(basis):
+        lam = Exponent.of("lam")
+        return make_series([(lam, 1), (lam * 2, 1, 1), (lam * 3, 1)], basis, lam * 3)
+
+    def test_series_with_x_refused(self, lam_basis):
+        phi = self._x_series(lam_basis)
+        with pytest.raises(ValueError, match="univariate"):
+            search_ade(phi, 2)
+        with pytest.raises(ValueError, match="univariate"):
+            wronskian_dependence([parse_diffpoly("f"), parse_diffpoly("f'")], phi)
+
+    @pytest.mark.parametrize("text", ["f + f'", "2*f", "lam*f", "x*f", "1"])
+    def test_product_not_one_plain_monomial_refused(self, lam_basis, text):
+        products = [parse_diffpoly("f^2"), parse_diffpoly(text, lam_basis)]
+        with pytest.raises(ValueError, match="one monomial"):
+            wronskian_dependence(products, geometric_series(lam_basis, 12))
+
+    def test_shifted_products_as_substitute_evaluates_them(self, lam_basis):
+        # f(s+1) + (1 - e^-lam)*f*f(s+1) - e^-lam*f = 0 on the geometric series
+        phi = geometric_series(lam_basis, 12)
+        products = [parse_diffpoly(t) for t in ("f(s+1)", "f*f(s+1)", "f")]
+        verdict = wronskian_dependence(products, phi)
+        assert isinstance(verdict, Dependent)
+        F = DiffPolynomial.collect((p.terms[0][0], c)
+                                   for p, c in zip(products, verdict.coefficients))
+        assert F.has_shifts() and F.total_degree == 2
+        assert substitute(F, phi).is_zero
 
 
 class TestDeriveAde:
@@ -247,7 +286,7 @@ class TestEvaluateMemo:
         phi = geometric_series(lam_basis, 9)
         memo = {}
         for p in enumerate_products(4):
-            assert p.evaluate(phi, memo) == p.evaluate(phi)
+            assert _evaluate(p, phi, memo) == _evaluate(p, phi)
 
 
 class TestSharedScreen:
@@ -261,7 +300,7 @@ class TestSharedScreen:
         else:
             basis, phi = _geometric_family()
         memo = {}
-        columns = [_Column(p.evaluate(phi, memo)) for p in enumerate_products(4)]
+        columns = [_Column(_evaluate(p, phi, memo)) for p in enumerate_products(4)]
         screen = _Screen(basis)
         rng = random.Random(20261018)
         nonzero = 0
@@ -288,7 +327,7 @@ class TestSharedScreen:
         basis, _, phi = _zeta(40)
         memo = {}
         products = enumerate_products(4)
-        cols = [_Column(products[i].evaluate(phi, memo)) for i in (2, 3, 8, 9, 10)]
+        cols = [_Column(_evaluate(products[i], phi, memo)) for i in (2, 3, 8, 9, 10)]
         rows = [col.dyadic_rows(1, len(cols)) for col in cols]
         matrix = [[r[i] for r in rows] for i in range(len(cols))]
         assert any(not entry.terms and entry for row in matrix for entry in row)
@@ -313,7 +352,7 @@ class TestSharedScreen:
         for horizon in horizons:
             work = _working_series(phi, horizon)
             memo = {}
-            columns = [_Column(p.evaluate(work, memo)) for p in products]
+            columns = [_Column(_evaluate(p, work, memo)) for p in products]
             screen = _Screen(basis)
             subsets = [sorted(rng.sample(range(len(products)), rng.randint(2, 5)))
                        for _ in range(15)]
@@ -388,7 +427,7 @@ class TestColumnTable:
             return [_Column(zero_series(basis, Exponent.of("lam", 3))),
                     _Column(zero_series(basis))]
         memo = {}
-        return [_Column(p.evaluate(phi, memo)) for p in enumerate_products(3)]
+        return [_Column(_evaluate(p, phi, memo)) for p in enumerate_products(3)]
 
     @staticmethod
     def _requests(rng):
@@ -500,7 +539,7 @@ class TestExactDecision:
             phi = self._draw(rng, basis)
             sizes.add(len(phi.terms))
             memo = {}
-            columns = [_Column(p.evaluate(phi, memo)) for p in products]
+            columns = [_Column(_evaluate(p, phi, memo)) for p in products]
             screen, table = _Screen(basis), {}
             for k in range(2, 5):
                 for idx in itertools.combinations(range(len(products)), k):
@@ -516,7 +555,7 @@ class TestExactDecision:
                             for c, col in zip(verdict.coefficients, cols)])
                         assert combination.is_zero
                     else:
-                        assert verdict == Independent(None, None)
+                        assert verdict == Independent(None)
                     kinds.add(type(verdict).__name__)
         assert kinds == {"Independent", "Dependent"}
         assert sizes == {1, 2, 3}
@@ -611,7 +650,7 @@ class TestIntegerScreen:
         else:
             basis, phi = _geometric_family()
         memo = {}
-        columns = [_Column(p.evaluate(phi, memo)) for p in enumerate_products(4)]
+        columns = [_Column(_evaluate(p, phi, memo)) for p in enumerate_products(4)]
         screen = _Screen(basis)
         rng = random.Random(1302)
         witnesses = 0
@@ -806,7 +845,7 @@ class TestModularImage:
         phi = make_series([(vecs[n], rng.choice((1, -1, 2))) for n in range(1, 41)],
                           basis, vecs[40])
         products = enumerate_products(4)
-        evaluated = [products[i].evaluate(phi) for i in sorted(rng.sample(range(11), 8))]
+        evaluated = [_evaluate(products[i], phi) for i in sorted(rng.sample(range(11), 8))]
         exponents = sorted({e for s in evaluated for e, _ in s.terms}, key=basis.ordering_key)
         matrix = [[_coeff_at(s, e) for s in evaluated] for e in exponents[:8 + _ROW_MARGIN]]
 
