@@ -44,6 +44,12 @@ RationalLike = Union[int, Fraction]
 ONE = "ONE"
 
 
+def damping_key(name: str) -> str:
+    """The key of the damping factor e^(-name) in a ``Coefficient.residue``
+    point; ``damping_key(ONE)`` is the key of e^(-1)."""
+    return "exp:" + name
+
+
 def _as_rational(v) -> RationalLike:
     """The exact rational ``v`` as stored: an ``int`` when it is integral,
     else a ``Fraction`` (an integral value needs no gcd per operation)."""
@@ -630,16 +636,31 @@ class Coefficient(SparsePoly):
             return total
 
     def residue(self, point: Mapping[str, int], p: int) -> Optional[int]:
-        """The value mod the prime ``p`` with each symbol at ``point[name]``;
-        None when a damping factor, a symbol not in ``point`` or a
-        denominator that ``p`` divides leaves it without one."""
+        """The value mod the prime ``p`` with each symbol at ``point[name]``
+        and each damping factor e^(-nu) at the product over nu's coordinates
+        ``q`` of ``point[damping_key(name)] ** q`` (``damping_key(ONE)`` for
+        the constant), a negative power an inverse.  None when a symbol or
+        damping key not in ``point``, a rational damping coordinate, a
+        point with no inverse or a denominator that ``p`` divides leaves it
+        without one.  Over the coefficients with an image this is a ring
+        map, so a nonzero image proves a nonzero coefficient."""
         total = 0
         for (syms, damp), q in self.terms:
-            if not damp.is_zero or q.denominator % p == 0 or any(n not in point for n, _ in syms):
+            if q.denominator % p == 0:
                 return None
             v = q.numerator * pow(q.denominator, -1, p)
             for n, k in syms:
-                v = v * pow(point[n], k, p) % p
+                t = point.get(n)
+                if t is None:
+                    return None
+                v = v * pow(t, k, p) % p
+            if damp is not _ZERO:
+                const = ((ONE, damp.const),) if damp.const else ()
+                for n, k in damp.coords + const:
+                    t = point.get(damping_key(n))
+                    if t is None or k.denominator != 1 or k < 0 and t % p == 0:
+                        return None
+                    v = v * pow(t, k, p) % p
             total += v
         return total % p
 

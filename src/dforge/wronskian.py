@@ -4,11 +4,14 @@ detected dependence.  A product is a one-monomial ``DiffPolynomial`` with
 coefficient 1, evaluated by ``formal_eval.evaluate_powers`` as in
 ``substitute``.
 
-On truncated data, the Wronskian determinant of a subset's leading window,
-at precision P, screens for independence.  Past it, and at once for a series
-known in full, the decision is exact: a full-rank image of the term matrix
-mod a prime proves there is no relation, and otherwise exact elimination
-finds one or proves there is none.
+On truncated data, the Wronskian determinant of a subset's leading window
+screens for independence, computed mod the prime p = 2^61 - 1 at one point
+per search: a nonzero residue is the image of a nonzero exact coefficient
+under a ring map, so it certifies independence (Schwartz 1980; Zippel
+1979).  Past it, and at once for a series known in full, the decision is
+exact: a full-rank image of the term matrix mod p proves there is no
+relation, and otherwise exact elimination finds one or proves there is
+none.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from .formal_eval import Residual, evaluate_powers, substitute
 from .grammar import pretty
 from .linalg import determinant, ring_echelon, ring_nullspace_vector
 from .series import (
+    ONE,
     Coefficient,
     Exponent,
     FormalSeries,
     _mul_into,
+    damping_key,
     _past,
     meet_bounds,
     product_bound,
@@ -101,10 +106,11 @@ def _graded_lex_key(orders: tuple[tuple[int, int], ...]):
 class Independent:
     """Independence, certified within a validity.
 
-    On truncated data the precision-P Wronskian screen certifies it:
-    ``witness_exponent`` is the least exponent at which the determinant
-    clears 2^(-P/2).  On a series known in full the term matrix's full
-    column rank over every exponent certifies it, and the witness is None.
+    On truncated data the Wronskian screen mod p certifies it:
+    ``witness_exponent`` is the least exponent at which the determinant's
+    residue is nonzero, so its exact coefficient there is nonzero.  On a
+    series known in full the term matrix's full column rank over every
+    exponent certifies it, and the witness is None.
     """
 
     witness_exponent: Optional[Exponent]
@@ -132,20 +138,21 @@ class _Column:
 
     Entry (j, i) of the table is the order-j coefficient of the evaluated
     series' i-th term, derived once from entry (j-1, i), and beside it the
-    precision-P mantissa of that coefficient, made when the screen first
-    reads it.  A stage m cuts at base positions, not at the terms of each
-    row: row (m, j) holds the nonzero entries among the first m positions
-    and is valid to the exponent of position m-1, as ``prefix`` gives it.
-    A term at exponent 0 vanishes at every order >= 1, so an order-j row
-    may hold fewer than m terms.  Dyadic rows and the exponents up to each
-    common bound are kept, so a search makes each once per column.
+    residue of that coefficient at the screen's point, made when the screen
+    first reads it.  A stage m cuts at base positions, not at the terms of
+    each row: row (m, j) holds the nonzero entries among the first m
+    positions and is valid to the exponent of position m-1, as ``prefix``
+    gives it.  A term at exponent 0 vanishes at every order >= 1, so an
+    order-j row may hold fewer than m terms.  Residue rows and the exponents
+    up to each common bound are kept, so a search makes each once per
+    column; a column serves one search, and so one screen.
     """
 
     def __init__(self, evaluated: FormalSeries):
         self.evaluated = evaluated
         self._orders: list = [[p for _, p in evaluated.terms]]   # order -> entries
-        self._mantissas: list = []   # order -> (mantissa, binary exponent) or None
-        self._dyadic: dict = {}
+        self._residues: list = []   # order -> residues of the entries, None: no image
+        self._rows: dict = {}       # stage -> residue rows, None: an entry has no image
         self._upto: dict = {}
 
     def exponents_upto(self, bound: Optional[Exponent]) -> list[Exponent]:
@@ -172,134 +179,151 @@ class _Column:
                    for i, p in enumerate(below[len(out):m], len(out)))
         return out
 
-    def _mantissas_of(self, order: int, m: int) -> list:
-        """The mantissas of the first ``m`` order-``order`` entries; None
-        marks an entry that is exactly zero."""
-        mantissas = self._mantissas
-        while len(mantissas) <= order:
-            mantissas.append([])
-        out = mantissas[order]
+    def _residues_of(self, order: int, m: int, point: dict) -> list:
+        """The residues of the first ``m`` order-``order`` entries at
+        ``point``; an exact zero entry reads 0 and is never stored."""
+        residues = self._residues
+        while len(residues) <= order:
+            residues.append([])
+        out = residues[order]
         if len(out) < m:
-            basis = self.evaluated.basis
-            out.extend(_mantissa(p, basis) if p else None
+            out.extend(p.constant().residue(point, _MODULUS) if p else 0
                        for p in self._entries(order, m)[len(out):m])
         return out
 
-    def dyadic_rows(self, stage: int, count: int) -> list["_NumSeries"]:
-        kept = self._dyadic.setdefault(stage, [])
-        if len(kept) < count:
-            basis, terms = self.evaluated.basis, self.evaluated.terms
-            m = min(stage, len(terms))
-            bound = terms[m - 1][0] if m else self.evaluated.truncation
-            for order in range(len(kept), count):
-                mantissas = self._mantissas_of(order, m)
-                kept.append(_NumSeries.from_mantissas(
-                    [(terms[i][0], v) for i, v in enumerate(mantissas[:m]) if v is not None],
-                    bound, basis))
+    def screen_rows(self, stage: int, count: int, screen: "_Screen") -> Optional[list]:
+        """The first ``count`` rows of ``stage`` as residue series, or None
+        when one of their entries has no image.  Every nonzero entry is
+        stored, its residue 0 included, so each row holds the exact row's
+        exponents."""
+        kept = self._rows.setdefault(stage, [])
+        if kept is None:
+            return None
+        terms = self.evaluated.terms
+        m = min(stage, len(terms))
+        bound = terms[m - 1][0] if m else self.evaluated.truncation
+        for order in range(len(kept), count):
+            entries = self._entries(order, m)
+            residues = self._residues_of(order, m, screen.point)
+            row = {terms[i][0]: residues[i] for i in range(m) if entries[i]}
+            if None in row.values():
+                self._rows[stage] = None
+                return None
+            kept.append(_NumSeries(row, bound, screen.memos))
         return kept[:count]
 
 
 def _wronskian_determinant(columns: Sequence[_Column], stage: int, screen: "_Screen"):
-    """The Wronskian determinant of the dyadic rows for ``stage``, over the
-    search's minor table for that stage."""
+    """The Wronskian determinant of the residue rows for ``stage``, over the
+    search's minor table for that stage; None when an entry has no image."""
     k = len(columns)
-    rows = [col.dyadic_rows(stage, k) for col in columns]
+    rows = [col.screen_rows(stage, k, screen) for col in columns]
+    if any(r is None for r in rows):
+        return None
     matrix = [[col_rows[i] for col_rows in rows] for i in range(k)]
     return determinant(matrix, screen.table(stage), columns)
 
 
-def _mantissa(p, basis) -> tuple[int, int]:
-    """The precision-P value of ``p``'s constant coefficient as an exact
-    pair ``(signed mantissa, binary exponent)``."""
-    sign, man, exp, _ = p.constant().numeric(basis)._mpf_
-    return -int(man) if sign else int(man), exp
-
-
+_MODULUS = 2 ** 61 - 1  # a Mersenne prime
 _UNKNOWN = object()
 
 
 class _NumSeries:
-    """Leading-window series with exact dyadic coefficients, for the screen.
+    """Leading-window series mod ``_MODULUS``, for the screen.
 
-    Coefficients are evaluated numerically once (precision P); after that
-    every operation is exact integer arithmetic: the coefficient at ``e`` is
-    ``terms[e] / 2**scale``, with one scale per series.  So the determinant
-    screen is deterministic and free of any global floating-point context.
+    ``terms`` maps each exponent to the residue of its coefficient at the
+    screen's point.  A residue 0 of a nonzero exact entry stays stored, and
+    so does a sum that cancels: the stored exponents, ``least`` and so every
+    bound follow the exact support, never the image's.  Residues form a
+    ring map, so each stored residue is the image of the exact coefficient
+    at its exponent.
     """
 
-    __slots__ = ("terms", "scale", "bound", "basis", "_least")
+    __slots__ = ("terms", "bound", "memos", "_least")
 
-    def __init__(self, terms: dict, scale: int, bound: Optional[Exponent], basis):
-        self.terms = terms  # Exponent -> int mantissa
-        self.scale = scale  # >= 0
+    def __init__(self, terms: dict, bound: Optional[Exponent], memos: "_Memos"):
+        self.terms = terms  # Exponent -> int in [0, _MODULUS)
         self.bound = bound
-        self.basis = basis
+        self.memos = memos
         self._least = _UNKNOWN
-
-    @staticmethod
-    def from_mantissas(parts: list, bound: Optional[Exponent], basis) -> "_NumSeries":
-        """The series of ``(exponent, (mantissa, binary exponent))`` parts,
-        kept exactly: each mantissa shifted onto the least power of two they
-        all share."""
-        scale = max([0] + [-exp for _, (_, exp) in parts])
-        return _NumSeries({e: m << (exp + scale) for e, (m, exp) in parts}, scale,
-                          bound, basis)
 
     def least(self) -> Optional[Exponent]:
         """Least stored exponent, or the bound when no term is stored."""
         if self._least is _UNKNOWN:
-            self._least = (min(self.terms, key=self.basis.ordering_key) if self.terms
+            self._least = (min(self.terms, key=self.memos.basis.ordering_key) if self.terms
                            else self.bound)
         return self._least
 
     def hits(self) -> list[Exponent]:
-        """Exponents whose coefficient exceeds 2^(-P/2) in absolute value:
-        |m| / 2^scale > 2^-(P//2) as an int compare."""
-        half, one = self.basis.precision // 2, 1 << self.scale
-        return [e for e, m in self.terms.items() if abs(m) << half > one]
+        """Exponents with a nonzero residue: their exact coefficients are
+        nonzero."""
+        return [e for e, v in self.terms.items() if v]
 
     def __bool__(self) -> bool:
         """False only for the exact zero: no term and no bound."""
         return bool(self.terms) or self.bound is not None
 
     def __add__(self, other: "_NumSeries") -> "_NumSeries":
-        basis = self.basis
-        bound = meet_bounds(basis, self.bound, other.bound)
-        scale = max(self.scale, other.scale)
-        shift = scale - self.scale
-        out = {e: m << shift for e, m in self.terms.items()}
-        shift = scale - other.scale
-        for e, m in other.terms.items():
-            m <<= shift
-            out[e] = out[e] + m if e in out else m
-        if bound is not None:
-            past = _past(basis, bound)
-            out = {e: m for e, m in out.items() if not past(e)}
-        return _NumSeries(out, scale, bound, basis)
+        memos = self.memos
+        bound = meet_bounds(memos.basis, self.bound, other.bound)
+        out = dict(self.terms)
+        for e, v in other.terms.items():
+            out[e] = out[e] + v if e in out else v
+        past = memos.past[bound]
+        return _NumSeries({e: v % _MODULUS for e, v in out.items() if not past[e]}, bound,
+                          memos)
 
     def __neg__(self) -> "_NumSeries":
-        return _NumSeries({e: -m for e, m in self.terms.items()}, self.scale,
-                          self.bound, self.basis)
+        return _NumSeries({e: -v % _MODULUS for e, v in self.terms.items()}, self.bound,
+                          self.memos)
 
     def __mul__(self, other: "_NumSeries") -> "_NumSeries":
-        basis = self.basis
+        memos = self.memos
         if not self or not other:
-            return _NumSeries({}, 0, None, basis)
-        bound = product_bound(basis, self.bound, self.least(), other.bound, other.least())
-        past = None if bound is None else _past(basis, bound)
-        sums = basis.exponent_sums()
+            return _NumSeries({}, None, memos)
+        bound = product_bound(memos.basis, self.bound, self.least(), other.bound, other.least())
+        past = memos.past[bound]
         out: dict = {}
-        for ea, ma in self.terms.items():
-            for eb, mb in other.terms.items():
-                e = sums[ea, eb]
+        for ea, va in self.terms.items():
+            sums = memos.sums[ea]
+            for eb, vb in other.terms.items():
+                e = sums[eb]
                 if e in out:
-                    out[e] += ma * mb
-                elif past is None or not past(e):
-                    out[e] = ma * mb
-        return _NumSeries(out, self.scale + other.scale, bound, basis)
+                    out[e] += va * vb
+                elif not past[e]:
+                    out[e] = va * vb
+        return _NumSeries({e: v % _MODULUS for e, v in out.items()}, bound, memos)
 
 
-_MODULUS = 2 ** 61 - 1  # a Mersenne prime
+class _Memo(dict):
+    """``memo[key] == fn(key)``, each value computed once."""
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
+
+
+class _Memos:
+    """The exponent work of one search's screen products, each piece done
+    once: ``sums[a][b] == a + b``, and ``past[bound][e]``, whether ``e`` is
+    past ``bound`` by ``series._past`` (never, for no bound), so a tie
+    within 2^-P against a bound warns once per search.  Each is a dict
+    lookup after the first time."""
+
+    __slots__ = ("basis", "sums", "past")
+
+    def __init__(self, basis):
+        self.basis = basis
+        pairs = basis.exponent_sums()
+        self.sums = _Memo(lambda a: _Memo(lambda b: pairs[a, b]))
+        self.past = _Memo(lambda bound: _Memo(
+            (lambda e: False) if bound is None else _past(basis, bound)))
 
 
 class _ModP(int):
@@ -319,8 +343,11 @@ class _ModP(int):
 
 
 class _Screen:
-    """State of the screens for one search: the precision-P determinant, and
-    the image mod ``_MODULUS`` with each symbol at the sha256 of its name.
+    """State of the screens for one search: the point mod ``_MODULUS`` where
+    the Wronskian screen and the term-matrix image read every coefficient,
+    with each symbol, and each damping factor e^(-name) and e^(-1) under
+    its ``damping_key``, at the sha256 of its key; the exponent memos of its
+    products; and the minor tables.
 
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
@@ -332,8 +359,10 @@ class _Screen:
 
     def __init__(self, basis):
         self.basis = basis
+        keys = basis.symbols + tuple(damping_key(n) for n in basis.symbols + (ONE,))
         self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
-                      for n in basis.symbols}
+                      for n in keys}
+        self.memos = _Memos(basis)
         self._tables: dict = {}
 
     def table(self, stage: int) -> dict:
@@ -386,11 +415,14 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
                 f"{k} products cannot be tested", max_safe=common,
                 details="underdetermined")
 
-        # Precision-P screen of the window determinant: the entries are
-        # precision-P evaluations, all arithmetic on them is exact, and the
-        # least exponent whose coefficient clears 2^(-P/2) is the witness.
+        # Screen of the window determinant mod p: a nonzero residue is the
+        # image of a nonzero exact coefficient, and the least exponent with
+        # one is the witness.  An entry with no image leaves the subset to
+        # the term matrix.
         for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
             det = _wronskian_determinant(columns, stage, screen)
+            if det is None:
+                break
             hits = det.hits()
             if hits:
                 return Independent(min(hits, key=basis.ordering_key))
@@ -492,7 +524,9 @@ def _relation(matrix, screen: _Screen) -> Optional[list[Coefficient]]:
 
 
 def _normalize(vec: list[Coefficient]) -> list[Coefficient]:
-    """Divide by the rational content and fix the sign deterministically."""
+    """Divide by the rational content and by the common damping factor
+    e^(-mu), mu the coordinatewise least damping exponent of the terms, and
+    fix the sign deterministically."""
     fracs = [q for c in vec for _, q in c.terms]
     if not fracs:
         return vec
@@ -502,6 +536,12 @@ def _normalize(vec: list[Coefficient]) -> list[Coefficient]:
         num = gcd(num, q.numerator)
         den = den * q.denominator // gcd(den, q.denominator)
     content = Fraction(num, den) if num else Fraction(1)
+    dampings = {damp for c in vec for (_, damp), _ in c.terms}
+    names = {n for damp in dampings for n in damp.symbols()}
+    mu = Exponent.make({n: min(damp.coord(n) for damp in dampings) for n in names},
+                       min(damp.const for damp in dampings))
+    if not mu.is_zero:
+        vec = [c * Coefficient.damping(-mu) for c in vec]
     lead = next((c for c in vec if not c.is_zero), None)
     if lead is not None and lead.terms[0][1] < 0:
         content = -content

@@ -15,7 +15,7 @@ from dforge.series import (
     XPoly,
     make_series,
 )
-from dforge.wronskian import _NumSeries
+from dforge.wronskian import _MODULUS, _NumSeries, _Screen
 
 PREC = 128
 
@@ -61,17 +61,11 @@ def convolve_oracle(a: FormalSeries, b: FormalSeries):
     return {e: p for e, p in out.items() if not p.is_zero}
 
 
-def dyadic_series(s: FormalSeries) -> _NumSeries:
-    """The screen's form of ``s``, converted term by term: precision-P values
-    of the coefficients, kept exactly: each mpf's mantissa, shifted onto the
-    least power of two they all share."""
-    parts = []
-    for e, p in s.terms:
-        sign, man, exp, _ = p.constant().numeric(s.basis)._mpf_
-        parts.append((e, -int(man) if sign else int(man), exp))
-    scale = max([0] + [-exp for _, _, exp in parts])
-    return _NumSeries({e: m << (exp + scale) for e, m, exp in parts}, scale,
-                      s.truncation, s.basis)
+def residue_series(s: FormalSeries, screen: _Screen) -> _NumSeries:
+    """The screen's form of ``s``, converted term by term: the residue of
+    each coefficient at the screen's point, stored for every term."""
+    return _NumSeries({e: p.constant().residue(screen.point, _MODULUS) for e, p in s.terms},
+                      s.truncation, screen.memos)
 
 
 def series_terms_dict(s: FormalSeries):

@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from conftest import PREC, convolve_oracle, dyadic_series, geometric_series, rand_fraction
+from conftest import PREC, convolve_oracle, geometric_series, rand_fraction, residue_series
 from dforge import series
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
@@ -34,7 +34,7 @@ from dforge.obstruction import (
     substitution_certificate,
 )
 from dforge.transforms import verify_hilbert_zeta, verify_rescale_invariance
-from dforge.wronskian import search_ade
+from dforge.wronskian import _Screen, search_ade
 from dforge.numeric import (
     decimal_str_to_mpf,
     decimal_text,
@@ -1339,7 +1339,8 @@ class TestOneBoundTest:
             assert got.terms == want.terms
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            num = dyadic_series(left) * dyadic_series(right)
+            screen = _Screen(basis)
+            num = residue_series(left, screen) * residue_series(right, screen)
         assert [w.category for w in caught] == [PrecisionTieWarning]
         assert sorted(num.terms, key=basis.ordering_key) == expected
 
