@@ -8,10 +8,13 @@ On truncated data, the Wronskian determinant of a subset's leading window
 screens for independence, computed mod the prime p = 2^61 - 1 at one point
 per search: a nonzero residue is the image of a nonzero exact coefficient
 under a ring map, so it certifies independence (Schwartz 1980; Zippel
-1979).  Past it, and at once for a series known in full, the decision is
-exact: a full-rank image of the term matrix mod p proves there is no
-relation, and otherwise exact elimination finds one or proves there is
-none.
+1979).  Before a screen determinant is expanded, ``_cannot_hit`` tries a
+cheap exact proof, from the Cauchy-Binet expansion of the Wronskian, that
+it has no nonzero residue; a proved stage is passed over as one with no
+hit, so every verdict is the same.  Past the screen, and at once for a
+series known in full, the decision is exact: a full-rank image of the
+term matrix mod p proves there is no relation, and otherwise exact
+elimination finds one or proves there is none.
 """
 
 from __future__ import annotations
@@ -224,6 +227,75 @@ def _wronskian_determinant(columns: Sequence[_Column], stage: int, screen: "_Scr
     return determinant(matrix, screen.table(stage), columns)
 
 
+#: The least subset size whose screen stages are first tried for a proof
+#: that they cannot hit: below it the proofs cost about what the
+#: determinants do.
+_PROOF_MIN_K = 4
+
+
+def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bool:
+    """Whether ``_wronskian_determinant(columns, stage, screen)`` provably
+    stores no nonzero residue, shown without expanding it.
+
+    Row i of a column holds c_e (-e)^i at each exponent e of its order-0
+    row, so by Cauchy-Binet the determinant is the sum over k-sets U of
+    distinct exponents in the union of the order-0 rows of
+    V(U) det(C_U) e^(-(sum U) s): V the Vandermonde of the -e, C_U the
+    order-0 coefficients on U.  Two facts each prove no hit:
+
+    - valuation: a nonzero coefficient sits at some sum of U, at least the
+      sum L of the k least union exponents, while every stored term is at
+      most the expansion's bound.  A product's bound is at most the
+      minor's bound plus the entry's least exponent, and a sum's is their
+      meet, so that bound is at most the last column's bound T plus the
+      least exponent of one row for each other column, rows distinct.  The
+      rows of order >= 1 share the least exponent l1 of the order-1 row;
+      the order-0 row's, l0 <= l1, goes to one column only:
+      UB = T + sum l1 + min(l0 - l1), over the columns before the last.
+      L > UB is decided on float shadows only outside
+      ``SymbolBasis._apart``'s margin, so no ``compare`` runs and no tie
+      warns;
+    - rank: fewer than k union exponents, or order-0 residues of rank below
+      k, make every det(C_U) 0 mod p.  The stored residues, images under a
+      ring map, are then 0, provided each row's residue is the order-0
+      residue times the residue of -e to its order: so no union exponent's
+      -e may lack an image.
+
+    No proof is given when an entry has no image or is the exact zero.
+    """
+    k = len(columns)
+    rows = [col.screen_rows(stage, k, screen) for col in columns]
+    # the rows of a column share its bound: an entry is the exact zero only
+    # when that bound is None
+    if None in rows or any(col_rows[0].bound is None for col_rows in rows):
+        return False
+    union: dict = {}
+    for col_rows in rows:
+        union.update(dict.fromkeys(col_rows[0].terms))
+    if len(union) < k:
+        return True
+    basis, sums = screen.basis, screen.memos.sums
+    key = basis.ordering_key
+    least = sorted(union, key=key)[:k]
+    low = least[0]
+    for e in least[1:]:
+        low = sums[low][e]
+    # UB, with the order-0 row in the column where it reaches lowest by
+    # the shadows; any one column would give a bound
+    gaps = [key(r[0].least())[0] - key(r[1].least())[0] for r in rows[:-1]]
+    lowest = gaps.index(min(gaps))
+    high = rows[-1][0].bound
+    for c, col_rows in enumerate(rows[:-1]):
+        high = sums[high][col_rows[0 if c == lowest else 1].least()]
+    fl, fh = key(low)[0], key(high)[0]
+    if fl > fh and basis._apart(fl, fh):
+        return True
+    if not all(screen.has_image[e] for e in union):
+        return False
+    image = [[_ModP(col_rows[0].terms.get(e, 0)) for col_rows in rows] for e in union]
+    return len(ring_echelon(image)[1]) < k
+
+
 _MODULUS = 2 ** 61 - 1  # a Mersenne prime
 _UNKNOWN = object()
 
@@ -347,7 +419,7 @@ class _Screen:
     the Wronskian screen and the term-matrix image read every coefficient,
     with each symbol, and each damping factor e^(-name) and e^(-1) under
     its ``damping_key``, at the sha256 of its key; the exponent memos of its
-    products; and the minor tables.
+    products; which exponents' -e have an image; and the minor tables.
 
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
@@ -363,6 +435,10 @@ class _Screen:
         self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
                       for n in keys}
         self.memos = _Memos(basis)
+        # whether -e has an image: each symbol of e is in the point, so
+        # exactly when p divides no coordinate's denominator
+        self.has_image = _Memo(lambda e: all(
+            Fraction(q).denominator % _MODULUS for q in (e.const, *(q for _, q in e.coords))))
         self._tables: dict = {}
 
     def table(self, stage: int) -> dict:
@@ -389,6 +465,11 @@ class _Screen:
 
 
 def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, Dependent]:
+    """The verdict on one subset.  On truncated data the probe and window
+    stages are screened first: a stage of a subset of ``_PROOF_MIN_K`` or
+    more columns that ``_cannot_hit`` proves to have no hit is passed over
+    unexpanded, and each other stage's determinant is formed, its least hit
+    the witness.  With no hit, the term matrix decides."""
     basis = screen.basis
     k = len(columns)
     evaluated = [col.evaluated for col in columns]
@@ -417,11 +498,16 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
 
         # Screen of the window determinant mod p: a nonzero residue is the
         # image of a nonzero exact coefficient, and the least exponent with
-        # one is the witness.  An entry with no image leaves the subset to
-        # the term matrix.
+        # one is the witness.  A stage proved to have no hit is not
+        # expanded.  An entry with no image leaves the subset to the term
+        # matrix.
+        imaged = True
         for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
+            if k >= _PROOF_MIN_K and _cannot_hit(columns, stage, screen):
+                continue
             det = _wronskian_determinant(columns, stage, screen)
             if det is None:
+                imaged = False
                 break
             hits = det.hits()
             if hits:
@@ -448,10 +534,14 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
         if exact and window:
             # full column rank on complete data proves independence
             return Independent(None)
-        where = "identically" if exact else "up to the horizon"
-        raise HorizonTooShort(
-            f"determinant vanished {where} but the term matrix has full column "
-            "rank", max_safe=common, details="determinant-vanished")
+        if exact:
+            why = "determinant vanished identically"
+        elif imaged:
+            why = "determinant vanished up to the horizon"
+        else:
+            why = "the screen had no image mod p"
+        raise HorizonTooShort(f"{why} but the term matrix has full column rank",
+                              max_safe=common, details="determinant-vanished")
     return Dependent(tuple(coeffs), exact)
 
 

@@ -702,10 +702,140 @@ class TestResidueScreen:
         with pytest.raises(HorizonTooShort) as err:
             wronskian_dependence(products, phi)
         assert err.value.details == "determinant-vanished"
+        assert str(err.value) == \
+            "the screen had no image mod p but the term matrix has full column rank"
         assert not calls
         products[0] = parse_diffpoly("f(s+1)")
         assert isinstance(wronskian_dependence(products, phi), Independent)
         assert calls
+
+
+def _proof_family(name):
+    """The basis and columns of one family for the screen-proof oracle."""
+    rng = random.Random(name)
+    if name in ("zeta", "random"):
+        basis, vecs = log_basis_for_indices(range(1, 31), PREC)
+        coeff = (lambda n: 1) if name == "zeta" else (lambda n: rand_fraction(rng))
+        phi = make_series([(vecs[n], coeff(n)) for n in range(1, 31)], basis, vecs[30])
+        products = enumerate_products(4)
+    elif name == "two-exponential":
+        basis = SymbolBasis.from_pairs([("a", "0.53"), ("b", "1.37")], precision=PREC)
+        a, b = Exponent.of("a"), Exponent.of("b")
+        phi = make_series([(a, 1), (b, rand_fraction(rng) or 1)], basis, b * 4)
+        products = enumerate_products(4)
+    else:
+        basis, phi = _geometric_family()
+        products = _shifted_products() if name == "shifted" else enumerate_products(4)
+    memo = {}
+    return basis, [_Column(_evaluate(p, phi, memo)) for p in products]
+
+
+class TestScreenProof:
+    """``_cannot_hit``, the proof that a screen stage has no hit, against
+    the expanded determinant: whenever it fires, the determinant stores no
+    nonzero residue.  Seeded subsets at the probe and window stages, and
+    planted columns where one side of each argument is needed."""
+
+    @pytest.mark.parametrize("family", ["zeta", "geometric", "two-exponential",
+                                        "random", "shifted"])
+    def test_a_proof_is_never_followed_by_a_hit(self, family):
+        basis, columns = _proof_family(family)
+        screen = _Screen(basis)
+        rng = random.Random(family)
+        fired = hit = 0
+        for _ in range(40):
+            k = rng.randint(2, 6)
+            cols = [columns[i] for i in sorted(rng.sample(range(len(columns)), k))]
+            for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
+                proved = wronskian._cannot_hit(cols, stage, screen)
+                det = _wronskian_determinant(cols, stage, screen)
+                hits = det.hits() if det is not None else []
+                assert not (proved and hits), (family, k, stage)
+                fired += proved
+                hit += bool(hits)
+        # neither side is vacuous: of the 80 stages, the proof settles at
+        # least a quarter, and at least a quarter have a hit it had to leave
+        assert fired >= 20 and hit >= 20, (fired, hit)
+
+    @staticmethod
+    def _columns(basis, *terms):
+        """Columns of series given as {exponent: coefficient}, each cut at
+        its last exponent."""
+        return [_Column(make_series(list(t.items()), basis, max(t, key=basis.ordering_key)))
+                for t in terms]
+
+    @pytest.mark.parametrize("gap, proved", [(Fraction(1), True),
+                                             (Fraction(1, 10 ** 12), False)])
+    def test_valuation_is_decided_outside_the_margin(self, unit_basis, gap, proved):
+        # the two least exponents sum to 2 + gap, and the expansion's bound
+        # is at most 1 + 1, the last column's bound plus the first column's
+        # least exponent: a gap inside the float margin gives no proof, and
+        # the order-0 residues have full rank, so no other argument gives one
+        one, two = Exponent.constant(1), Exponent.constant(1 + gap)
+        cols = self._columns(unit_basis, {one: 1, two: 1}, {one: 1})
+        screen = _Screen(unit_basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionTieWarning)
+            assert wronskian._cannot_hit(cols, _PROBE_TERMS, screen) is proved
+        assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == []
+
+    def test_one_column_takes_its_order_zero_row(self, unit_basis):
+        # 1 + e^(-s) against 2 cut at 0: the two least exponents sum to 1,
+        # and the expansion's bound is 0 + 0, through the first column's
+        # order-0 row, which alone holds the exponent 0; through its order-1
+        # row it would be 1.  The exact Wronskian, 2 e^(-s), lies past it.
+        zero, one = Exponent.zero(), Exponent.constant(1)
+        cols = self._columns(unit_basis, {zero: 1, one: 1}, {zero: 2})
+        screen = _Screen(unit_basis)
+        assert wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
+        det = _wronskian_determinant(cols, _PROBE_TERMS, screen)
+        assert det.bound == zero and det.hits() == []
+
+    def test_rank_reads_the_order_zero_rows(self, unit_basis):
+        # 1 + e^(-s) against 1 + 2 e^(-s): the order-1 rows are proportional,
+        # the order-0 rows are not, and the Wronskian -e^(-s) hits
+        zero, one = Exponent.zero(), Exponent.constant(1)
+        cols = self._columns(unit_basis, {zero: 1, one: 1}, {zero: 1, one: 2})
+        screen = _Screen(unit_basis)
+        assert not wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
+        assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == [one]
+
+    def test_an_exponent_whose_negation_has_no_image_gives_no_proof(self, unit_basis):
+        # p e^(-s/p): its order-0 residue is 0 and its order-1 entry, -1, is
+        # not that times the residue of -1/p, which has none; the order-0
+        # residues have rank 1, yet the determinant hits
+        tiny, one = Exponent.constant(Fraction(1, _MODULUS)), Exponent.constant(1)
+        cols = self._columns(unit_basis, {tiny: _MODULUS}, {one: 1})
+        screen = _Screen(unit_basis)
+        assert Coefficient.from_exponent(-tiny).residue(screen.point, _MODULUS) is None
+        assert not screen.has_image[tiny] and screen.has_image[one]
+        assert not wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
+        assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == [tiny + one]
+
+    def test_fewer_exponents_than_columns_is_a_proof(self, unit_basis):
+        exps = [Exponent.constant(i) for i in (1, 2)]
+        cols = self._columns(unit_basis, {exps[0]: 1, exps[1]: 3}, {exps[0]: 2},
+                             {exps[1]: 5})
+        screen = _Screen(unit_basis)
+        assert wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
+        assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == []
+
+    def test_an_entry_with_no_image_gives_no_proof(self, lam_basis):
+        phi = geometric_series(lam_basis, 12)
+        cols = [_Column(_evaluate(parse_diffpoly(t), phi)) for t in ("f(s+1/2)", "f", "f^2")]
+        assert not wronskian._cannot_hit(cols, _PROBE_TERMS, _Screen(lam_basis))
+
+    def test_zeta_weight_four_expands_few_determinants(self, monkeypatch):
+        # the acceptance-6 search: 2662 screen determinants were expanded
+        # before the proofs; the subset lists are unchanged
+        basis, vecs, phi = _zeta(100)
+        calls = []
+        monkeypatch.setattr(wronskian, "determinant",
+                            lambda *args: calls.append(1) or determinant(*args))
+        result = derive_ade(phi, 4, horizon=vecs[6])
+        assert len(calls) == 555
+        assert not_found_digest(result) == \
+            "23113f7364fa06feab8b26da2aa477a2a7c1aeacdd418fc37e6a2baf9308b646"
 
 
 class TestBoundTest:
