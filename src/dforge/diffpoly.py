@@ -10,6 +10,7 @@ Sylvester resultant of F and its total derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from .errors import DegenerateInput, ResultantVanished
 from .linalg import determinant
 from .series import (
@@ -175,13 +176,55 @@ def sylvester_matrix(A: DiffPolynomial, B: DiffPolynomial) -> list[list[DiffPoly
 
 
 def sylvester_resultant(A: DiffPolynomial, B: DiffPolynomial) -> DiffPolynomial:
-    """Res_x(A, B): zero iff A and B share a root over the fraction field."""
+    """Res_x(A, B): zero iff A and B share a root over the fraction field.
+
+    Most Sylvester entries are nonzero rational constants (x-coefficients
+    with no f): ``_pivoted_determinant`` pivots on them first and expands
+    minors only on the block left.  It divides only by nonzero rationals,
+    and the determinant is unique, so the terms are the full expansion's.
+    """
     da, db = A.x_degree, B.x_degree
     if da == 0 and db == 0:
         raise DegenerateInput("both inputs are constant in x")
     if A.is_zero or B.is_zero:
         raise DegenerateInput("resultant of the zero polynomial is degenerate")
-    return determinant(sylvester_matrix(A, B))
+    return _pivoted_determinant(sylvester_matrix(A, B))
+
+
+def _pivoted_determinant(matrix: list[list[DiffPolynomial]]) -> DiffPolynomial:
+    """Exact Gaussian steps on rational pivots, then ``linalg.determinant``.
+
+    While more than one row is left, the first unit p (a nonzero rational
+    constant) in row-major order is swapped to the corner, each row or
+    column swap flipping the sign, and every other row r becomes
+    r - (r[0]/p) * pivot row: a Schur complement, p times whose determinant
+    is the matrix's.  The block left with no unit is expanded by minors.
+    """
+    matrix = [list(row) for row in matrix]
+    factor = 1   # the sign of the swaps times the product of the pivots
+    while len(matrix) > 1:
+        corner = next(((i, j) for i, row in enumerate(matrix) for j, e in enumerate(row)
+                       if len(e.terms) == 1 and e.terms[0][0] == DiffPolynomial._UNIT
+                       and e.terms[0][1].is_rational), None)
+        if corner is None:
+            break
+        i, j = corner
+        if i:
+            matrix[0], matrix[i] = matrix[i], matrix[0]
+            factor = -factor
+        if j:
+            for row in matrix:
+                row[0], row[j] = row[j], row[0]
+            factor = -factor
+        pivot, *rest = matrix
+        p = pivot[0].terms[0][1].as_fraction()
+        factor *= p
+        inverse = Fraction(1, 1) / p
+        matrix = []
+        for row in rest:
+            q = row[0].scale(inverse)
+            matrix.append([e - q * pe if q and pe else e for e, pe in zip(row[1:], pivot[1:])])
+    return determinant(matrix).scale(factor)
 
 
 def split_x_monomial_content(F: DiffPolynomial) -> tuple[int, DiffPolynomial]:

@@ -3,9 +3,11 @@
 Matrix entries bring their own arithmetic: ``+``, unary ``-``, ``*``, and
 truthiness that is False only for an exact zero.  A series that is zero
 only up to a finite bound is truthy, so its bound reaches the result.
-Determinants use memoized minor expansion (matrices here are tiny, and the
-entries, difference-differential polynomials in a Sylvester matrix and the
-equation search's screen series, have no cheap division).  Nullspaces over
+Determinants use memoized minor expansion: the entries, difference-
+differential polynomials in a Sylvester matrix and the equation search's
+screen series, have no cheap division.  The Sylvester resultant first
+eliminates exactly, dividing only by its nonzero rational entries, and
+expands minors only on the block left.  Nullspaces over
 a polynomial ring use cross-multiplication elimination, which never
 divides and therefore stays exact in any integral domain.
 """

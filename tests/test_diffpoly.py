@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dforge.diffpoly
 from dforge.diffpoly import (
     DiffIndeterminate,
     DiffPolynomial,
@@ -18,10 +19,11 @@ from dforge.diffpoly import (
     total_derivative_s,
     total_derivative_x,
     x_coefficients,
+    _pivoted_determinant,
 )
 from dforge.errors import DegenerateInput, ResultantVanished
 from dforge.grammar import parse_diffpoly, pretty
-from dforge.linalg import determinant_leibniz
+from dforge.linalg import determinant, determinant_leibniz
 from dforge.series import Coefficient, XPoly
 
 
@@ -101,6 +103,132 @@ class TestSylvester:
             lhs = sylvester_resultant(A, B * C)
             rhs = sylvester_resultant(A, B) * sylvester_resultant(A, C)
             assert lhs == rhs
+
+
+def _units_at(matrix):
+    return [(i, j) for i, row in enumerate(matrix) for j, e in enumerate(row)
+            if len(e.terms) == 1 and e.terms[0][0] == (0, ()) and e.terms[0][1].is_rational]
+
+
+def _random_rational(rng):
+    n = rng.choice([k for k in range(-6, 7) if k])
+    return n if rng.random() < 0.6 else Fraction(n, rng.randint(2, 5))
+
+
+def _random_x_coefficient(rng, leading=False):
+    """Rational constant, a-multiples and f, f', f(s+1) terms; a leading
+    coefficient is nonzero and carries f or a about a third of the time."""
+    inds = [DiffPolynomial.from_indeterminate(DiffIndeterminate.make(o, h))
+            for o, h in ((0, 0), (1, 0), (0, 1))]
+    a = DiffPolynomial.from_coefficient(Coefficient.from_symbol("a"))
+    while True:
+        c = DiffPolynomial.zero()
+        if rng.random() < (0.6 if leading else 0.5):
+            c = c + DiffPolynomial.from_coefficient(_random_rational(rng))
+        if rng.random() < (0.35 if leading else 0.2):
+            c = c + rng.choice(inds + [a]).scale(_random_rational(rng))
+        if rng.random() < 0.1:
+            c = c + (a * rng.choice(inds)).scale(_random_rational(rng))
+        if c or not leading:
+            return c
+
+
+def _random_in_x(rng, degree):
+    F = DiffPolynomial.x_power(degree) * _random_x_coefficient(rng, leading=True)
+    for k in range(degree):
+        F = F + DiffPolynomial.x_power(k) * _random_x_coefficient(rng)
+    return F
+
+
+def _random_pair(rng, derivative):
+    """(F, dF/dx) or two independent polynomials, x-degrees 1 to 5, at most
+    9 Sylvester rows: the oracle's minor expansion grows as n * 2^n."""
+    while True:
+        if derivative:
+            A = _random_in_x(rng, rng.randint(1, 5))
+            B = total_derivative_x(A)
+        else:
+            da = rng.randint(1, 5)
+            A, B = _random_in_x(rng, da), _random_in_x(rng, rng.randint(1, 6 - da))
+        if A.x_degree + B.x_degree <= 9:
+            return A, B
+
+
+def _record_blocks(monkeypatch):
+    """Sizes of the blocks the resultant leaves to the minor expansion."""
+    sizes = []
+
+    def recording(matrix, *args):
+        sizes.append(len(matrix))
+        return determinant(matrix, *args)
+
+    monkeypatch.setattr(dforge.diffpoly, "determinant", recording)
+    return sizes
+
+
+class TestUnitPivotResultant:
+    """Gaussian steps on rational pivots against the full minor expansion."""
+
+    def test_random_pairs_match_the_minor_expansion(self, monkeypatch):
+        rng = random.Random(2323)
+        sizes = _record_blocks(monkeypatch)
+        leibniz = pivoted_down = left_over = 0
+        for case in range(200):
+            A, B = _random_pair(rng, derivative=case % 2)
+            matrix = sylvester_matrix(A, B)
+            res = sylvester_resultant(A, B)
+            assert res == determinant(matrix), (A, B)
+            if len(matrix) <= 6:
+                assert res == determinant_leibniz(matrix), (A, B)
+                leibniz += 1
+            if sizes[-1] == 1:
+                pivoted_down += 1
+            elif sizes[-1] < len(matrix):
+                left_over += 1
+        assert leibniz >= 100 and pivoted_down >= 40 and left_over >= 40
+
+    def test_anti_diagonal_units(self):
+        rng = random.Random(61)
+        f = P("f")
+        for n in range(2, 7):
+            for filled in (False, True):
+                M = [[f.scale(_random_rational(rng)) if filled and i + j < n - 1
+                      else DiffPolynomial.zero() for j in range(n)] for i in range(n)]
+                for i in range(n):
+                    M[i][n - 1 - i] = DiffPolynomial.from_coefficient(_random_rational(rng))
+                assert _units_at(M)[0] == (0, n - 1)
+                assert _pivoted_determinant(M) == determinant_leibniz(M) == determinant(M)
+
+    def test_first_unit_off_the_diagonal(self):
+        M = [[P("f"), P("a"), P("f' + 1"), P("2*f(s+1)")],
+             [P("a*f"), P("f - 3"), P("5/2"), P("f'")],
+             [P("7"), P("f"), P("-1"), P("a")],
+             [P("f'"), P("0"), P("f*f'"), P("-4")]]
+        assert _units_at(M)[0] == (1, 2)
+        assert _pivoted_determinant(M) == determinant_leibniz(M) == determinant(M)
+
+    def test_no_unit_expands_the_whole_matrix(self, monkeypatch):
+        sizes = _record_blocks(monkeypatch)
+        M = [[P("f"), P("a"), P("f' + 1")],
+             [P("a*f"), P("0"), P("2*a")],
+             [P("f(s+1) - 1"), P("f'"), P("f^2")]]
+        assert _units_at(M) == []
+        assert _pivoted_determinant(M) == determinant_leibniz(M)
+        assert sizes == [3]
+
+    def test_input_matrix_is_left_as_it_was(self):
+        M = [[P("f"), P("2")], [P("3"), P("f'")]]
+        before = [list(row) for row in M]
+        assert _pivoted_determinant(M) == P("f*f' - 6")
+        assert M == before
+
+    def test_degree_five_elimination_expands_at_most_four_rows(self, monkeypatch):
+        sizes = _record_blocks(monkeypatch)
+        F = P("2*f + f' + 7 + 4*x - 11*x^2 - 6*x^3 + 10*x^4 + 4*x^5")
+        R = eliminate_x(F)
+        matrix = sylvester_matrix(F, total_derivative_x(F))
+        assert len(matrix) == 9 and sizes and max(sizes) <= 4
+        assert R == determinant(matrix)
 
 
 class TestEliminateX:
