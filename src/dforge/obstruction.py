@@ -162,8 +162,10 @@ def finite_basis_certificate(exponents: Sequence[Exponent], rank_bound: int,
     coordinates, which equals the rank of the numeric exponents only when
     the basis assumes the symbol values independent; without that
     assumption an exceeded bound is reported as ``rank_exceeded_unassumed``
-    and refutes nothing.
+    and refutes nothing.  A bound below 1 raises ``ValueError``.
     """
+    if rank_bound < 1:
+        raise ValueError(f"rank bound must be positive, got {rank_bound}")
     scan = Lattice(basis)
     exceeded_at = None
     for e in exponents:

@@ -207,16 +207,17 @@ def _interned(coords: tuple, const: RationalLike) -> Exponent:
 _ZERO = _interned((), 0)
 
 
-class _ExponentSums(dict):
-    """Memo ``sums[a, b] == a + b``: products add the same exponent pairs
-    over and over."""
+class _Memo(dict):
+    """``memo[key] == fn(key)``, each value computed once."""
 
-    __slots__ = ()
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        self._fn = fn
 
     def __missing__(self, key):
-        a, b = key
-        e = self[key] = a + b
-        return e
+        value = self[key] = self._fn(key)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,7 @@ class SymbolBasis:
     precision: int = DEFAULT_PRECISION
     independence_assumed: bool = True
     _symbol_values: dict = field(init=False, compare=False, repr=False)
-    _sums: _ExponentSums = field(init=False, compare=False, repr=False)
+    _sums: _Memo = field(init=False, compare=False, repr=False)   # a -> b -> a + b
     _cache: dict = field(init=False, compare=False, repr=False)   # Exponent -> key
     _terms: dict = field(init=False, compare=False, repr=False)   # coordinate -> raw value
     _factors: dict = field(init=False, compare=False, repr=False)   # (Exponent, k) -> (-e)^k
@@ -262,7 +263,7 @@ class SymbolBasis:
             if not 0 < value < float("inf"):
                 raise BadBasis(f"symbol {name!r} must have a finite, strictly positive value")
         object.__setattr__(self, "_symbol_values", values)
-        object.__setattr__(self, "_sums", _ExponentSums())
+        object.__setattr__(self, "_sums", _Memo(lambda a: _Memo(lambda b: a + b)))
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_terms", {})
         object.__setattr__(self, "_factors", {})
@@ -349,8 +350,9 @@ class SymbolBasis:
         self.check_tie(a, b)
         return 1 if ka > kb else -1
 
-    def exponent_sums(self) -> _ExponentSums:
-        """The table of exponent sums shared by every product over this basis."""
+    def exponent_sums(self) -> _Memo:
+        """The memo ``sums[a][b] == a + b`` shared by every product over this
+        basis, the screen's too."""
         return self._sums
 
     def derivative_factor(self, e: Exponent, k: int) -> "Coefficient":
@@ -857,13 +859,13 @@ def _build(basis: SymbolBasis, accum: dict, truncation: Optional[Exponent],
            past=None) -> FormalSeries:
     """The one step that orders a series: sort, check ties, cut at the bound
     with ``past``, the bound test ``_past(basis, truncation)`` unless one is
-    given: ``series_mul`` passes the one it tested each exponent with, whose
-    kept answers make a tie warn once."""
+    given: ``series_mul`` and ``make_series`` pass the one they tested each
+    exponent with, whose kept answers make a tie warn once."""
     terms = _sorted_terms(basis, accum)
     if truncation is not None:
         if past is None:
             past = _past(basis, truncation)
-        terms = tuple((e, p) for e, p in terms if not past(e))
+        terms = tuple((e, p) for e, p in terms if not past[e])
     return FormalSeries(basis, terms, truncation)
 
 
@@ -875,6 +877,7 @@ def make_series(spec, basis: SymbolBasis, truncation: Optional[Exponent]) -> For
     :class:`BadBound` for terms beyond the truncation bound.
     """
     accum: dict = {}
+    past = None if truncation is None else _past(basis, truncation)
     for item in spec:
         if len(item) == 2:
             e, c = item
@@ -892,10 +895,10 @@ def make_series(spec, basis: SymbolBasis, truncation: Optional[Exponent]) -> For
                 if not basis.has_symbol(n):
                     raise BadBasis(f"coefficient references unknown symbol {n!r}")
             poly = XPoly.monomial(xdeg, c)
-        if truncation is not None and basis.compare(e, truncation) > 0:
+        if past is not None and past[e]:
             raise BadBound(f"term exponent ({e}) exceeds the truncation bound ({truncation})")
         accum.setdefault(e, []).extend(poly.terms)
-    return _build(basis, _group(accum), truncation)
+    return _build(basis, _group(accum), truncation, past)
 
 
 def zero_series(basis: SymbolBasis, truncation: Optional[Exponent] = None) -> FormalSeries:
@@ -962,7 +965,7 @@ def product_bound(basis: SymbolBasis, a_bound: Optional[Exponent], a_least: Opti
     bound: Optional[Exponent] = None
     for t, least in ((a_bound, b_least), (b_bound, a_least)):
         if t is not None and least is not None:
-            candidate = basis.exponent_sums()[t, least]
+            candidate = basis.exponent_sums()[t][least]
             bound = candidate if bound is None else meet_bounds(basis, bound, candidate)
     return bound
 
@@ -981,11 +984,12 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     memo: dict = {}
     accum: dict = {}   # exponent -> x-degree -> flat accumulator; None: past the bound
     for ea, pa in a.terms:
+        sums_a = sums[ea]
         for eb, pb in b.terms:
-            e = sums[ea, eb]
+            e = sums_a[eb]
             polys = accum.get(e, _UNSEEN)
             if polys is _UNSEEN:   # the bound test, once per exponent
-                polys = accum[e] = None if past is not None and past(e) else {}
+                polys = accum[e] = None if past is not None and past[e] else {}
             if polys is None:
                 continue
             for ka, ca in pa.terms:
@@ -1002,30 +1006,10 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
 _UNSEEN = object()
 
 
-def _past(basis: SymbolBasis, bound: Exponent):
-    """The test ``basis.compare(e, bound) > 0`` for one bound, reading the
-    bound's ``ordering_key`` once.  Float shadows decide alone when they are
-    farther apart than ``margin``, which is at least ``basis._apart``'s
-    margin: with ``B = max(1, |fb|)``, a shadow at distance ``d > 2e-9 B``
-    from ``fb`` has ``1e-9 max(1, |fe|, |fb|) <= 1e-9 (B + d) < d``.  Every
-    other exponent goes to ``compare`` once, its answer kept, so a tie
-    within 2^-P warns once per returned ``past``, as it does in ``compare``."""
-    key, compare = basis.ordering_key, basis.compare
-    fb = key(bound)[0]
-    margin = max(2e-9 * max(1.0, abs(fb)), 2.0 ** (1 - basis.precision))
-    near: dict = {}
-
-    def past(e: Exponent) -> bool:
-        d = key(e)[0] - fb
-        if d > margin:
-            return True
-        if d < -margin:
-            return False
-        out = near.get(e)
-        if out is None:
-            out = near[e] = compare(e, bound) > 0
-        return out
-    return past
+def _past(basis: SymbolBasis, bound: Exponent) -> _Memo:
+    """``past[e] == basis.compare(e, bound) > 0``, each answer kept: a tie
+    within 2^-P warns once per memo, as it does in ``compare``."""
+    return _Memo(lambda e: basis.compare(e, bound) > 0)
 
 
 def differentiate_s(a: FormalSeries, k: int = 1) -> FormalSeries:

@@ -295,6 +295,9 @@ def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
     """
     if ds_max is None:
         ds_max = nu_max
+    if min(nu_max, mu_max, ds_max) < 0:
+        raise ValueError(f"the grid counts must be non-negative: max_shift={nu_max}, "
+                         f"max_weight_ops={mu_max}, max_s_derivatives={ds_max}")
     basis, exponents = log_basis_for_indices(range(1, N + 1), precision)
     # d-th s-derivative of the shift's prefix, keyed (shift, d); (shift, 0)
     # is the prefix itself, so each prefix is built and differentiated once

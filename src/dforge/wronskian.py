@@ -36,6 +36,7 @@ from .series import (
     Coefficient,
     Exponent,
     FormalSeries,
+    _Memo,
     _mul_into,
     damping_key,
     _past,
@@ -243,6 +244,8 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
     V(U) det(C_U) e^(-(sum U) s): V the Vandermonde of the -e, C_U the
     order-0 coefficients on U.  Two facts each prove no hit:
 
+    - few exponents: fewer than k union exponents leave no k-set U, so
+      every exact coefficient, and each stored residue, is 0;
     - valuation: a nonzero coefficient sits at some sum of U, at least the
       sum L of the k least union exponents, while every stored term is at
       most the expansion's bound.  A product's bound is at most the
@@ -254,12 +257,7 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
       UB = T + sum l1 + min(l0 - l1), over the columns before the last.
       L > UB is decided on float shadows only outside
       ``SymbolBasis._apart``'s margin, so no ``compare`` runs and no tie
-      warns;
-    - rank: fewer than k union exponents, or order-0 residues of rank below
-      k, make every det(C_U) 0 mod p.  The stored residues, images under a
-      ring map, are then 0, provided each row's residue is the order-0
-      residue times the residue of -e to its order: so no union exponent's
-      -e may lack an image.
+      warns.
 
     No proof is given when an entry has no image or is the exact zero.
     """
@@ -288,12 +286,7 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
     for c, col_rows in enumerate(rows[:-1]):
         high = sums[high][col_rows[0 if c == lowest else 1].least()]
     fl, fh = key(low)[0], key(high)[0]
-    if fl > fh and basis._apart(fl, fh):
-        return True
-    if not all(screen.has_image[e] for e in union):
-        return False
-    image = [[_ModP(col_rows[0].terms.get(e, 0)) for col_rows in rows] for e in union]
-    return len(ring_echelon(image)[1]) < k
+    return fl > fh and basis._apart(fl, fh)
 
 
 _MODULUS = 2 ** 61 - 1  # a Mersenne prime
@@ -367,35 +360,19 @@ class _NumSeries:
         return _NumSeries({e: v % _MODULUS for e, v in out.items()}, bound, memos)
 
 
-class _Memo(dict):
-    """``memo[key] == fn(key)``, each value computed once."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self._fn(key)
-        return value
-
-
 class _Memos:
     """The exponent work of one search's screen products, each piece done
-    once: ``sums[a][b] == a + b``, and ``past[bound][e]``, whether ``e`` is
-    past ``bound`` by ``series._past`` (never, for no bound), so a tie
-    within 2^-P against a bound warns once per search.  Each is a dict
-    lookup after the first time."""
+    once: ``sums``, the basis's ``exponent_sums``, and ``past[bound]``, the
+    memo ``series._past`` (never past, for no bound) kept for the search, so
+    a tie within 2^-P against a bound warns once per search."""
 
     __slots__ = ("basis", "sums", "past")
 
     def __init__(self, basis):
         self.basis = basis
-        pairs = basis.exponent_sums()
-        self.sums = _Memo(lambda a: _Memo(lambda b: pairs[a, b]))
-        self.past = _Memo(lambda bound: _Memo(
-            (lambda e: False) if bound is None else _past(basis, bound)))
+        self.sums = basis.exponent_sums()
+        self.past = _Memo(lambda bound: _Memo(lambda e: False) if bound is None
+                          else _past(basis, bound))
 
 
 class _ModP(int):
@@ -419,7 +396,7 @@ class _Screen:
     the Wronskian screen and the term-matrix image read every coefficient,
     with each symbol, and each damping factor e^(-name) and e^(-1) under
     its ``damping_key``, at the sha256 of its key; the exponent memos of its
-    products; which exponents' -e have an image; and the minor tables.
+    products; and the minor tables.
 
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
@@ -435,10 +412,6 @@ class _Screen:
         self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
                       for n in keys}
         self.memos = _Memos(basis)
-        # whether -e has an image: each symbol of e is in the point, so
-        # exactly when p divides no coordinate's denominator
-        self.has_image = _Memo(lambda e: all(
-            Fraction(q).denominator % _MODULUS for q in (e.const, *(q for _, q in e.coords))))
         self._tables: dict = {}
 
     def table(self, stage: int) -> dict:

@@ -258,6 +258,24 @@ class TestMain:
                      "--max-nu", "2", "--out", str(out)]) == EXIT_OK
         assert verify_certificate(out).ok
 
+    @pytest.mark.parametrize("flag", ["--max-mu", "--max-nu", "--max-ds"])
+    def test_verify_hilbert_negative_count(self, flag, capsys):
+        assert main(["verify", "hilbert", "--n", "3", flag, "-1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[bad-input]: ")
+        assert captured.err.count("\n") == 1
+
+    def test_verify_cert_refuses_an_empty_hilbert_grid(self, tmp_path, capsys):
+        out = tmp_path / "hilbert.cert.json"
+        assert main(["verify", "hilbert", "--n", "3", "--max-mu", "1", "--max-nu", "1",
+                     "--out", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        obj["evidence"].update(max_weight_ops=-1, checks=0)
+        out.write_text(json.dumps(obj))
+        assert main(["verify", "cert", str(out)]) == EXIT_ERROR
+        assert "rebuild failed" in capsys.readouterr().out
+
     def test_verify_rescale_cli(self, geometric_file, capsys):
         assert main(["verify", "rescale", "--series", str(geometric_file),
                      "--eq", "f' + lam*f + lam*f^2", "--c", "1/2"]) == EXIT_OK

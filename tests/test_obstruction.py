@@ -450,6 +450,21 @@ class TestTamper:
             with pytest.raises(SchemaError):
                 Certificate.from_obj(obj)
 
+    def test_rank_bound_below_one_is_rejected(self, genuine):
+        # the evidence the builder would give for bound 0: exceeded at the
+        # first rank step, a refutation if the bound were accepted
+        cert, _ = genuine["finite_basis"]
+        obj = cert.to_obj()
+        ev = obj["evidence"]
+        ev.update(rank_bound=0, exceeded_at=ev["rank_history"][0][0])
+        assert ev["outcome"] == "rank_exceeded"
+        result = recheck(Certificate.from_obj(obj))
+        assert not result.ok and result.mismatches[0].startswith("rebuild failed")
+        basis, vecs = log_basis_for_indices(range(1, 20), PREC)
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                finite_basis_certificate([vecs[n] for n in range(1, 20)], bound, basis)
+
     def test_failing_rebuild_is_a_mismatch(self, genuine):
         cert, _ = genuine["signflip"]
         obj = cert.to_obj()

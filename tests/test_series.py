@@ -348,8 +348,8 @@ class TestCheapExponentArithmetic:
                               rand_fraction(rng, -1, 1)) for _ in range(12)]
         for a in exps:
             for b in exps:
-                assert sums[a, b] == a + b
-                assert sums[a, b] is sums[b, a]  # one object per distinct sum
+                assert sums[a][b] == a + b
+                assert sums[a][b] is sums[b][a]  # one object per distinct sum
 
     @pytest.mark.parametrize("pairs,precision", [
         ([("a", "0.5"), ("b", "1.0")], PREC),             # exact ties
@@ -1189,7 +1189,7 @@ def _pairwise_series_mul(a, b):
     accum: dict = {}
     for ea, pa in a.terms:
         for eb, pb in b.terms:
-            e = sums[ea, eb]
+            e = sums[ea][eb]
             if bound is not None and basis.compare(e, bound) > 0:
                 continue
             accum.setdefault(e, []).extend(

@@ -10,7 +10,7 @@ from dforge import transforms
 from dforge.errors import DforgeError, NotInLatticeError, ShiftPresent, ZeroScalar
 from dforge.grammar import parse_diffpoly
 from dforge.lattice import integer_basis, log_basis_for_indices
-from dforge.obstruction import recheck
+from dforge.obstruction import Certificate, recheck
 from dforge.series import (
     Coefficient,
     Exponent,
@@ -168,6 +168,20 @@ class TestHilbert:
         assert cert.evidence["residuals_all_zero"] is True
         assert cert.evidence["checks"] == 27
         assert recheck(cert).ok
+
+    @pytest.mark.parametrize("counts", [(-1, 2, 1), (2, -1, 1), (2, 2, -1)])
+    def test_negative_count_raises(self, counts):
+        # a negative count would make an empty grid, 0 checks "all zero"
+        nu, mu, ds = counts
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_hilbert_zeta(6, nu, mu, ds)
+
+    def test_certificate_of_an_empty_grid_fails_its_rebuild(self):
+        cert = verify_hilbert_zeta(6, 1, 1)
+        obj = cert.to_obj()
+        obj["evidence"].update(max_weight_ops=-1, checks=0)
+        result = recheck(Certificate.from_obj(obj))
+        assert not result.ok and result.mismatches[0].startswith("rebuild failed")
 
     def test_each_prefix_derivative_taken_once(self, monkeypatch):
         # mu = nu = 2 and d <= 1 give 18 checks over shifts 0..4: ten
