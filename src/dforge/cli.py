@@ -32,6 +32,7 @@ from .io import (
     load_series,
     obj_to_exponent,
     parse_frac,
+    parse_json,
     read_corpus,
     series_to_obj,
 )
@@ -84,7 +85,7 @@ class AnalysisConfig:
         error rather than a silent no-op."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                obj = json.load(fh)
+                obj = parse_json(fh.read())
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(obj, dict):
@@ -338,7 +339,7 @@ def _load_config(args) -> AnalysisConfig:
                  if f.name != "horizon"}   # flags are named after the fields
     if getattr(args, "horizon", None):
         try:
-            overrides["horizon"] = json.loads(args.horizon)
+            overrides["horizon"] = parse_json(args.horizon)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--horizon is not JSON: {exc}") from None
     env = os.environ.get("DFORGE_PRECISION")

@@ -11,6 +11,14 @@
     rational := uint ('/' uint)?
     ident    := a symbol name from the basis
 
+Tokens: a ``uint`` is a run of decimal digits (``\\d``, so ``٣`` reads as 3
+but ``²`` is an unexpected character); an identifier starts with a letter or
+``_`` and runs on over letters, digits and ``_``; whitespace separates tokens
+and is otherwise skipped.  Errors give a 1-based line and column, and only
+``\\n`` starts a line.  The argument of ``exp(...)`` is free of x and f,
+linear in the symbols, and holds no ``exp``.  Parentheses, those of ``exp(``
+included, nest at most :data:`MAX_NESTING` deep.
+
 Examples: ``f'' - 1``, ``f'^2 - 4*f``, ``f(s+1) - 2*f``, ``x^2*f'' + f``,
 ``f' + L*f + L*f^2``.  The pretty printer emits canonical text whose parse
 reproduces the polynomial exactly.
@@ -18,69 +26,47 @@ reproduces the polynomial exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import ExprSyntaxError, UnknownSymbol
 from .series import Coefficient, Exponent, RationalLike, SymbolBasis, _as_rational, _join_signed
 
-_KEYWORDS = {"x", "f", "s", "exp"}
+# deepest nesting of parentheses a parse accepts: past it, a syntax error
+# at the opening parenthesis rather than a RecursionError
+MAX_NESTING = 100
+
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<uint>\d+)|(?P<ident>\w+)|(?P<quote>')"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'uint' | 'ident' | 'op' | 'quote' | 'end'
     text: str
     line: int
     column: int
 
+    def error(self, message: str) -> ExprSyntaxError:
+        return ExprSyntaxError(message, self.line, self.column)
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("uint", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            tokens.append(_Token("quote", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind, word, start = m.lastgroup, m.group(), m.start()
+        column = start - line_start + 1
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = start + word.rindex("\n") + 1
+        elif kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+            raise ExprSyntaxError(f"unexpected character {word[0]!r}", line, column)
+        else:
+            tokens.append(_Token(kind, word, line, column))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -88,6 +74,7 @@ class _Parser:
     def __init__(self, text: str, basis: Optional[SymbolBasis]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.basis = basis
 
     def peek(self) -> _Token:
@@ -98,125 +85,104 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
+    def accept(self, *ops: str) -> Optional[str]:
+        """Consume the next token and return its text when it is one of ``ops``."""
+        if self.peek().text in ops:
+            return self.advance().text
+        return None
+
+    def expect(self, text: Optional[str] = None) -> _Token:
+        """Consume the next token, which must be ``text`` (a ``uint`` when None)."""
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ExprSyntaxError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                                  tok.line, tok.column)
+        if (tok.text != text) if text else (tok.kind != "uint"):
+            raise tok.error(f"expected {text or 'uint'!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
     def parse(self) -> DiffPolynomial:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column)
+            raise tok.error(f"trailing input {tok.text!r}")
         return value
 
     def expr(self) -> DiffPolynomial:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
+        sign = self.accept("+", "-")
         value = self.term()
-        if sign < 0:
+        if sign == "-":
             value = -value
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+        while op := self.accept("+", "-"):
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def term(self) -> DiffPolynomial:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                value = value * self.factor()
-            else:
-                return value
+        while self.accept("*"):
+            value = value * self.factor()
+        return value
 
     def factor(self) -> DiffPolynomial:
         value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "^":
-                self.advance()
-                power = self.expect("uint")
-                value = value ** int(power.text)
-            else:
-                return value
+        while self.accept("^"):
+            value = value ** int(self.expect().text)
+        return value
 
     def rational(self) -> RationalLike:
-        num = self.expect("uint")
-        value = int(num.text)
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "/":
-            self.advance()
-            den = self.expect("uint")
+        value = int(self.expect().text)
+        if self.accept("/"):
+            den = self.expect()
             if int(den.text) == 0:
-                raise ExprSyntaxError("zero denominator", den.line, den.column)
+                raise den.error("zero denominator")
             value = _as_rational(Fraction(value, int(den.text)))
+        return value
+
+    def nested(self, open_tok: _Token) -> DiffPolynomial:
+        """The ``expr`` after the consumed ``open_tok`` '(', and its ')'."""
+        if self.depth == MAX_NESTING:
+            raise open_tok.error(f"parentheses nest deeper than {MAX_NESTING}")
+        self.depth += 1
+        value = self.expr()
+        self.depth -= 1
+        self.expect(")")
         return value
 
     def atom(self) -> DiffPolynomial:
         tok = self.peek()
         if tok.kind == "uint":
             return DiffPolynomial.from_coefficient(self.rational())
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            value = self.expr()
-            self.expect("op", ")")
-            return value
-        if tok.kind == "ident":
-            if tok.text == "x":
-                self.advance()
-                return DiffPolynomial.x_power(1)
-            if tok.text == "f":
-                return self.deriv()
-            if tok.text == "exp":
-                return self.expfac()
-            if tok.text == "s":
-                raise ExprSyntaxError("'s' is only valid inside a shift f(...)",
-                                      tok.line, tok.column)
-            self.advance()
-            if self.basis is not None and not self.basis.has_symbol(tok.text):
-                raise UnknownSymbol(tok.text)
-            return DiffPolynomial.from_coefficient(Coefficient.from_symbol(tok.text))
-        raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
-                              tok.line, tok.column)
+        if self.accept("("):
+            return self.nested(tok)
+        if tok.kind != "ident":
+            raise tok.error(f"unexpected {tok.text or 'end of input'!r}")
+        if tok.text == "s":
+            raise tok.error("'s' is only valid inside a shift f(...)")
+        self.advance()
+        if tok.text == "f":
+            return self.deriv()
+        if tok.text == "exp":
+            open_tok = self.expect("(")
+            nu = _linear_exponent(self.nested(open_tok), open_tok)
+            return DiffPolynomial.from_coefficient(Coefficient.damping(-nu))
+        if tok.text == "x":
+            return DiffPolynomial.x_power(1)
+        if self.basis is not None and not self.basis.has_symbol(tok.text):
+            raise UnknownSymbol(tok.text)
+        return DiffPolynomial.from_coefficient(Coefficient.from_symbol(tok.text))
 
     def deriv(self) -> DiffPolynomial:
-        self.expect("ident", "f")
+        """The rest of an f-atom after its 'f'."""
         order = 0
-        while self.peek().kind == "quote":
-            self.advance()
+        while self.accept("'"):
             order += 1
         shift = 0
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            self.expect("ident", "s")
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
+        if self.accept("("):
+            self.expect("s")
+            sign = self.accept("+", "-")
+            if sign:
                 q = self.rational()
-                shift = q if tok.text == "+" else -q
-            self.expect("op", ")")
+                shift = q if sign == "+" else -q
+            self.expect(")")
         return DiffPolynomial.from_indeterminate(DiffIndeterminate(shift, order))
-
-    def expfac(self) -> DiffPolynomial:
-        self.expect("ident", "exp")
-        open_tok = self.expect("op", "(")
-        arg = self.expr()
-        self.expect("op", ")")
-        nu = _linear_exponent(arg, open_tok)
-        return DiffPolynomial.from_coefficient(Coefficient.damping(-nu))
 
 
 def _linear_exponent(poly: DiffPolynomial, tok: _Token) -> Exponent:
@@ -225,20 +191,17 @@ def _linear_exponent(poly: DiffPolynomial, tok: _Token) -> Exponent:
     const = 0
     for (xdeg, powers), coeff in poly.terms:
         if xdeg != 0 or powers:
-            raise ExprSyntaxError("exp() argument must not contain x or f",
-                                  tok.line, tok.column)
+            raise tok.error("exp() argument must not contain x or f")
         for (syms, damp), q in coeff.terms:
             if not damp.is_zero:
-                raise ExprSyntaxError("exp() argument must not nest exp()",
-                                      tok.line, tok.column)
+                raise tok.error("exp() argument must not nest exp()")
             if not syms:
                 const += q
             elif len(syms) == 1 and syms[0][1] == 1:
                 name = syms[0][0]
                 coords[name] = coords.get(name, 0) + q
             else:
-                raise ExprSyntaxError("exp() argument must be linear in the symbols",
-                                      tok.line, tok.column)
+                raise tok.error("exp() argument must be linear in the symbols")
     return Exponent.make(coords, const)
 
 
@@ -253,16 +216,10 @@ def parse_diffpoly(text: str, basis: Optional[SymbolBasis] = None) -> DiffPolyno
 
 def parse_coefficient(text: str, basis: Optional[SymbolBasis] = None) -> Coefficient:
     """Parse an f-free, x-free expression as a plain coefficient."""
-    poly = _Parser(text, basis).parse()
-    if poly.is_zero:
-        return Coefficient.zero()
-    for (xdeg, powers), _ in poly.terms:
-        if xdeg != 0 or powers:
-            raise ExprSyntaxError("coefficient must not contain x or f", 1, 1)
-    total = Coefficient.zero()
-    for _, c in poly.terms:
-        total = total + c
-    return total
+    terms = _Parser(text, basis).parse().terms
+    if any(mono != (0, ()) for mono, _ in terms):
+        raise ExprSyntaxError("coefficient must not contain x or f", 1, 1)
+    return terms[0][1] if terms else Coefficient.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,18 @@ def obj_to_series(obj: dict) -> FormalSeries:
         raise SchemaError(f"bad series spec: {exc}") from None
 
 
+def parse_json(text: str):
+    """``json.loads``; nesting past the decoder's recursion limit is a
+    ``JSONDecodeError`` like any other malformed JSON, not a ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def load_series(path) -> FormalSeries:
     with open(path, "r", encoding="utf-8") as fh:
-        return obj_to_series(json.load(fh))
+        return obj_to_series(parse_json(fh.read()))
 
 
 def dump_series(s: FormalSeries, path) -> None:

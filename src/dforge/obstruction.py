@@ -34,6 +34,7 @@ from .io import (
     obj_to_exponent,
     obj_to_series,
     parse_frac,
+    parse_json,
     series_to_obj,
 )
 from .lattice import Lattice, factorize, gap_ratios, integer_basis
@@ -106,7 +107,7 @@ class Certificate:
     def load(path) -> "Certificate":
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                obj = json.load(fh)
+                obj = parse_json(fh.read())
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"not a certificate file: {exc}") from None
         return Certificate.from_obj(obj)

@@ -13,6 +13,7 @@ import pytest
 
 import dforge
 from conftest import geometric_series
+from dforge import grammar
 from dforge.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -371,6 +372,74 @@ class TestErrorCodes:
     def test_scalar_count_is_bad_input(self, geometric_file, capsys):
         assert main(["rescale", "--series", str(geometric_file), "--c", "1/2,3"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error[bad-input]: expected 1 scalars, got 2\n"
+
+    def test_non_decimal_digit_is_syntax_error(self, capsys):
+        assert main(["eliminate-x", "--eq", "f^\u00b2"]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error[syntax-error]: unexpected character '\u00b2' (line 1, column 3)\n"
+
+    @pytest.mark.parametrize("via", ["eq", "series", "cert"])
+    def test_equation_nesting_cap(self, via, geometric_file, tmp_path, capsys):
+        # each path that parses an equation or a coefficient: at the cap the
+        # text parses, past it (400 levels as well) it is one error line
+        # rather than a RecursionError
+        cert = tmp_path / "sub.cert.json"
+        assert main(["substitute", "--series", str(geometric_file),
+                     "--eq", "f' + lam*f + lam*f^2", "--out", str(cert)]) == EXIT_OK
+
+        def run(opening, depth):
+            def wrap(text):
+                return opening * depth + text + ")" * depth
+            if via == "eq":
+                argv = ["eliminate-x", "--eq", wrap("f + x^2")]
+            elif via == "series":
+                obj = json.loads(geometric_file.read_text())
+                obj["terms"][0]["coeff"] = wrap("1" if opening == "(" else "lam")
+                path = tmp_path / "deep.series.json"
+                path.write_text(json.dumps(obj))
+                argv = ["substitute", "--series", str(path), "--eq", "f' + lam*f + lam*f^2"]
+            else:
+                obj = json.loads(cert.read_text())
+                obj["evidence"]["equation"] = wrap(obj["evidence"]["equation"]
+                                                   if opening == "(" else "lam")
+                path = tmp_path / "deep.cert.json"
+                path.write_text(json.dumps(obj))
+                argv = ["verify", "cert", str(path)]
+            capsys.readouterr()
+            code = main(argv)
+            return code, capsys.readouterr()
+
+        depth = grammar.MAX_NESTING
+        code, out = run("(", depth)
+        if via == "cert":   # parsed, then refused for its reworded equation
+            assert code == EXIT_ERROR and out.err == ""
+            assert out.out.startswith("Mismatch:\n  equation: recomputed ")
+        else:
+            assert code == EXIT_OK and "error" not in out.err
+        prefix = "error[schema-error]: unreadable FormalSatisfaction payload: " \
+            if via == "cert" else "error[syntax-error]: "
+        for opening, deep in [("(", depth + 1), ("(", 400), ("exp(", 300)]:
+            code, out = run(opening, deep)
+            assert code == EXIT_ERROR
+            assert out.err == (f"{prefix}parentheses nest deeper than {depth} "
+                               f"(line 1, column {len(opening) * (depth + 1)})\n")
+
+    @pytest.mark.parametrize("via, error", [("series", "io"), ("cert", "schema-error"),
+                                            ("config", "config"), ("horizon", "config")])
+    def test_json_nested_past_the_decoder_limit(self, via, error, geometric_file, tmp_path,
+                                                capsys):
+        deep = "[" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text('{"horizon": ' + deep if via == "config" else deep)
+        substitute = ["substitute", "--series", str(geometric_file), "--eq", "f"]
+        argv = {"series": ["substitute", "--series", str(path), "--eq", "f"],
+                "cert": ["verify", "cert", str(path)],
+                "config": substitute + ["--config", str(path)],
+                "horizon": substitute + ["--horizon", deep]}[via]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
 
     def test_missing_file_stays_io(self, tmp_path, capsys):
         assert main(["substitute", "--series", str(tmp_path / "none.json"),

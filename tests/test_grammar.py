@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import PREC
+from dforge import grammar
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import ExprSyntaxError, UnknownSymbol
-from dforge.grammar import parse_coefficient, parse_diffpoly, pretty
+from dforge.grammar import _tokenize, parse_coefficient, parse_diffpoly, pretty
 from dforge.series import Coefficient, Exponent, SymbolBasis
 
 
@@ -70,6 +71,63 @@ class TestErrors:
     def test_zero_denominator(self):
         with pytest.raises(ExprSyntaxError):
             parse_diffpoly("1/0")
+
+    @pytest.mark.parametrize("parse, text, column", [(parse_diffpoly, "f^\u00b2", 3),
+                                                     (parse_coefficient, "3\u00b2", 2),
+                                                     (parse_diffpoly, "\u2460 + f", 1)])
+    def test_non_decimal_digit_is_an_unexpected_character(self, parse, text, column):
+        # str.isdigit accepts superscripts and circled digits, int() does not
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == \
+            f"unexpected character {text[column - 1]!r} (line 1, column {column})"
+
+    @pytest.mark.parametrize("opening", ["(", "exp("])
+    def test_nesting_cap(self, opening):
+        depth = grammar.MAX_NESTING
+        assert not parse_diffpoly("(" * depth + "f" + ")" * depth).is_zero
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_diffpoly(opening * (depth + 1) + "L" + ")" * (depth + 1))
+        assert str(err.value) == (f"parentheses nest deeper than {depth} "
+                                  f"(line 1, column {len(opening) * (depth + 1)})")
+
+    def test_deep_exp_is_refused_as_nested_exp_inside_the_cap(self):
+        depth = grammar.MAX_NESTING
+        with pytest.raises(ExprSyntaxError, match="must not nest exp"):
+            parse_diffpoly("exp(" * depth + "L" + ")" * depth)
+
+
+class TestTokens:
+    @pytest.mark.parametrize("text, tokens", [
+        ("f +\r\n2", [("ident", "f", 1, 1), ("op", "+", 1, 3), ("uint", "2", 2, 1),
+                       ("end", "", 2, 2)]),
+        ("\tf\t*\tx", [("ident", "f", 1, 2), ("op", "*", 1, 4), ("ident", "x", 1, 6),
+                       ("end", "", 1, 7)]),
+        ("f\u00a0+\u3000x", [("ident", "f", 1, 1), ("op", "+", 1, 3), ("ident", "x", 1, 5),
+                            ("end", "", 1, 6)]),
+        ("lam2*f'", [("ident", "lam2", 1, 1), ("op", "*", 1, 5), ("ident", "f", 1, 6),
+                     ("quote", "'", 1, 7), ("end", "", 1, 8)]),
+        ("\u00e9", [("ident", "\u00e9", 1, 1), ("end", "", 1, 2)]),
+        ("a\u00b2", [("ident", "a\u00b2", 1, 1), ("end", "", 1, 3)]),
+        ("_b1 + f", [("ident", "_b1", 1, 1), ("op", "+", 1, 5), ("ident", "f", 1, 7),
+                     ("end", "", 1, 8)]),
+        ("\u0663*f", [("uint", "\u0663", 1, 1), ("op", "*", 1, 2), ("ident", "f", 1, 3),
+                      ("end", "", 1, 4)]),
+        ("f\n", [("ident", "f", 1, 1), ("end", "", 2, 1)]),
+        ("", [("end", "", 1, 1)]),
+    ])
+    def test_kinds_texts_and_positions(self, text, tokens):
+        assert [(t.kind, t.text, t.line, t.column) for t in _tokenize(text)] == tokens
+
+    @pytest.mark.parametrize("text, line, column", [("e\u0301", 1, 2), ("f +\n  # 2", 2, 3),
+                                                    ("\u00bd", 1, 1)])
+    def test_unexpected_character_position(self, text, line, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            _tokenize(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_arabic_indic_digit_reads_as_decimal(self):
+        assert parse_coefficient("\u0663/2").as_fraction() == Fraction(3, 2)
 
 
 class TestCoefficientParsing:
