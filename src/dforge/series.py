@@ -236,7 +236,7 @@ class SymbolBasis:
     It keeps write-once memo tables, fresh per instance: the symbol values
     at precision P, each coordinate's raw value, each exponent's
     ``ordering_key``, the exponent sums and the derivative factors
-    ``(-e)^k``.
+    ``(-e)^k``; and, computed once, the float margin floor 2^(1-P).
     """
 
     symbols: tuple[str, ...]
@@ -248,6 +248,7 @@ class SymbolBasis:
     _cache: dict = field(init=False, compare=False, repr=False)   # Exponent -> key
     _terms: dict = field(init=False, compare=False, repr=False)   # coordinate -> raw value
     _factors: dict = field(init=False, compare=False, repr=False)   # (Exponent, k) -> (-e)^k
+    _floor: float = field(init=False, compare=False, repr=False)   # 2^(1-P), _apart's least margin
 
     def __post_init__(self):
         if len(self.symbols) != len(set(self.symbols)):
@@ -267,6 +268,7 @@ class SymbolBasis:
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_terms", {})
         object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_floor", 2.0 ** (1 - self.precision))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]],
@@ -323,7 +325,7 @@ class SymbolBasis:
     def _apart(self, fa: float, fb: float) -> bool:
         """Shadows this far apart order their values with no tie: the margin
         dwarfs the double rounding and is at least twice 2^-P."""
-        return abs(fa - fb) > max(1e-9 * max(1.0, abs(fa), abs(fb)), 2.0 ** (1 - self.precision))
+        return abs(fa - fb) > max(1e-9 * max(1.0, abs(fa), abs(fb)), self._floor)
 
     def check_tie(self, a: Exponent, b: Exponent) -> None:
         """Warn when distinct ``a`` and ``b`` have values within 2^-P: the one

@@ -8,12 +8,14 @@ On truncated data, the Wronskian determinant of a subset's leading window
 screens for independence, computed mod the prime p = 2^61 - 1 at one point
 per search: a nonzero residue is the image of a nonzero exact coefficient
 under a ring map, so it certifies independence (Schwartz 1980; Zippel
-1979).  Before a screen determinant is expanded, ``_cannot_hit`` tries a
-cheap exact proof, from the Cauchy-Binet expansion of the Wronskian, that
-it has no nonzero residue; a proved stage is passed over as one with no
-hit, so every verdict is the same.  Past the screen, and at once for a
-series known in full, the decision is exact: a full-rank image of the
-term matrix mod p proves there is no relation, and otherwise exact
+1979).  The same map builds the rows: each term's coefficient is mapped
+once, and a derivative multiplies its residue by that of -e.  Before a
+screen determinant is expanded, ``_cannot_hit`` tries a cheap exact
+proof, from the Cauchy-Binet expansion of the Wronskian, that it has no
+nonzero residue; a proved stage is passed over as one with no hit, so
+every verdict is the same.  Past the screen, and at once for a series
+known in full, the decision is exact: a full-rank image of the term
+matrix mod p proves there is no relation, and otherwise exact
 elimination finds one or proves there is none.
 """
 
@@ -138,24 +140,23 @@ _PROBE_TERMS = 3
 
 
 class _Column:
-    """One evaluated product with its derivative table, grown lazily.
-
-    Entry (j, i) of the table is the order-j coefficient of the evaluated
-    series' i-th term, derived once from entry (j-1, i), and beside it the
-    residue of that coefficient at the screen's point, made when the screen
-    first reads it.  A stage m cuts at base positions, not at the terms of
-    each row: row (m, j) holds the nonzero entries among the first m
-    positions and is valid to the exponent of position m-1, as ``prefix``
-    gives it.  A term at exponent 0 vanishes at every order >= 1, so an
-    order-j row may hold fewer than m terms.  Residue rows and the exponents
-    up to each common bound are kept, so a search makes each once per
-    column; a column serves one search, and so one screen.
+    """One evaluated product: ``coefficients`` maps each exponent e to its
+    order-0 coefficient c_e for the term matrix, and the screen's residue
+    rows grow lazily.  A stage m cuts at base positions, not at the terms
+    of each row: row (m, j) holds the residues of c_e (-e)^j over the first
+    m positions and is valid to the exponent of position m-1, as ``prefix``
+    then ``differentiate_s`` give it.  Row 0 maps each c_e once; row j is
+    row j-1 times the residue of -e, without the exponent 0, whose term
+    vanishes at every order >= 1.  An entry whose -e has no residue is
+    formed exactly and mapped.  Rows and the exponents up to each common
+    bound are kept, so a search makes each once per column; a column
+    serves one search, and so one screen.
     """
 
     def __init__(self, evaluated: FormalSeries):
         self.evaluated = evaluated
-        self._orders: list = [[p for _, p in evaluated.terms]]   # order -> entries
-        self._residues: list = []   # order -> residues of the entries, None: no image
+        self.coefficients = {e: p.constant() for e, p in evaluated.terms}
+        self._residues: list = []   # position -> residue of c_e, None: no image
         self._rows: dict = {}       # stage -> residue rows, None: an entry has no image
         self._upto: dict = {}
 
@@ -168,33 +169,6 @@ class _Column:
                                         if bound is None or compare(e, bound) <= 0]
         return kept
 
-    def _entries(self, order: int, m: int) -> list:
-        """The order-``order`` coefficients of the first ``m`` positions."""
-        orders = self._orders
-        if order < len(orders) and len(orders[order]) >= m:
-            return orders[order]
-        below = self._entries(order - 1, m)
-        if order == len(orders):
-            orders.append([])
-        out = orders[order]
-        factor = self.evaluated.basis.derivative_factor
-        terms = self.evaluated.terms
-        out.extend(p.scale(factor(terms[i][0], 1)) if p else p
-                   for i, p in enumerate(below[len(out):m], len(out)))
-        return out
-
-    def _residues_of(self, order: int, m: int, point: dict) -> list:
-        """The residues of the first ``m`` order-``order`` entries at
-        ``point``; an exact zero entry reads 0 and is never stored."""
-        residues = self._residues
-        while len(residues) <= order:
-            residues.append([])
-        out = residues[order]
-        if len(out) < m:
-            out.extend(p.constant().residue(point, _MODULUS) if p else 0
-                       for p in self._entries(order, m)[len(out):m])
-        return out
-
     def screen_rows(self, stage: int, count: int, screen: "_Screen") -> Optional[list]:
         """The first ``count`` rows of ``stage`` as residue series, or None
         when one of their entries has no image.  Every nonzero entry is
@@ -206,10 +180,23 @@ class _Column:
         terms = self.evaluated.terms
         m = min(stage, len(terms))
         bound = terms[m - 1][0] if m else self.evaluated.truncation
+        residues, point = self._residues, screen.point
+        residues.extend(self.coefficients[e].residue(point, _MODULUS)
+                        for e, _ in terms[len(residues):m])
         for order in range(len(kept), count):
-            entries = self._entries(order, m)
-            residues = self._residues_of(order, m, screen.point)
-            row = {terms[i][0]: residues[i] for i in range(m) if entries[i]}
+            if order == 0:
+                row = {terms[i][0]: residues[i] for i in range(m)}
+            else:
+                row = {}
+                for e, v in kept[-1].terms.items():
+                    if e.is_zero:
+                        continue
+                    negated = screen.negated(e)
+                    if negated is None:   # the exact entry may still have an image
+                        factor = self.evaluated.basis.derivative_factor(e, order)
+                        row[e] = (self.coefficients[e] * factor).residue(point, _MODULUS)
+                    else:
+                        row[e] = v * negated % _MODULUS
             if None in row.values():
                 self._rows[stage] = None
                 return None
@@ -396,7 +383,8 @@ class _Screen:
     the Wronskian screen and the term-matrix image read every coefficient,
     with each symbol, and each damping factor e^(-name) and e^(-1) under
     its ``damping_key``, at the sha256 of its key; the exponent memos of its
-    products; and the minor tables.
+    products; the residue of each negated exponent the rows read; and the
+    minor tables.
 
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
@@ -413,6 +401,14 @@ class _Screen:
                       for n in keys}
         self.memos = _Memos(basis)
         self._tables: dict = {}
+        self._negated: dict = {}   # Exponent -> residue of its negation, None: no image
+
+    def negated(self, e: Exponent) -> Optional[int]:
+        """The residue of -e at the point, the factor one derivative puts on
+        the residue of a term at e; None when it has none."""
+        if e not in self._negated:
+            self._negated[e] = Coefficient.from_exponent(-e).residue(self.point, _MODULUS)
+        return self._negated[e]
 
     def table(self, stage: int) -> dict:
         table = self._tables.get(stage)
@@ -445,13 +441,13 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
     the witness.  With no hit, the term matrix decides."""
     basis = screen.basis
     k = len(columns)
-    evaluated = [col.evaluated for col in columns]
     common: Optional[Exponent] = None
     exact = True
-    for s in evaluated:
-        if s.truncation is not None:
+    for col in columns:
+        cut = col.evaluated.truncation
+        if cut is not None:
             exact = False
-            common = s.truncation if common is None else meet_bounds(basis, common, s.truncation)
+            common = cut if common is None else meet_bounds(basis, common, cut)
 
     exponents: dict = {}
     for col in columns:
@@ -459,6 +455,10 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
     ordered = sorted(exponents, key=basis.ordering_key)
 
     if exact:
+        if not ordered:
+            # every column is the exact zero: a term matrix with no rows has
+            # rank 0, and every vector is a relation
+            return Dependent((Coefficient.one(),) + (Coefficient.zero(),) * (k - 1), True)
         # complete data: the term matrix over every exponent decides
         window = ordered
     else:
@@ -497,22 +497,19 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
 
     # every returned relation holds on all rows: a window relation that
     # fails beyond the window is replaced by one solved on every row
-    full = [[_coeff_at(s, e) for s in evaluated] for e in ordered]
-    coeffs = _relation(full[: len(window)], screen) if window else None
+    zero = Coefficient.zero()
+    full = [[col.coefficients.get(e, zero) for col in columns] for e in ordered]
+    coeffs = _relation(full[: len(window)], screen)
     if coeffs is not None and not _relation_holds(full, coeffs):
         coeffs = _relation(full, screen)
         if coeffs is not None and not _relation_holds(full, coeffs):
             raise AssertionError("null vector failed exact re-verification")
     if coeffs is None:
-        if exact and window:
+        if exact:
             # full column rank on complete data proves independence
             return Independent(None)
-        if exact:
-            why = "determinant vanished identically"
-        elif imaged:
-            why = "determinant vanished up to the horizon"
-        else:
-            why = "the screen had no image mod p"
+        why = "determinant vanished up to the horizon" if imaged else \
+            "the screen had no image mod p"
         raise HorizonTooShort(f"{why} but the term matrix has full column rank",
                               max_safe=common, details="determinant-vanished")
     return Dependent(tuple(coeffs), exact)
@@ -556,13 +553,6 @@ def wronskian_dependence(products: Sequence[DiffPolynomial], phi: FormalSeries,
             raise ValueError(f"a product must be one monomial in f with coefficient 1 "
                              f"and no x, not {pretty(p)}")
     return _decide(_columns(products, phi, horizon), _Screen(phi.basis))
-
-
-def _coeff_at(s: FormalSeries, e: Exponent) -> Coefficient:
-    for ee, p in s.terms:
-        if ee == e:
-            return p.constant()
-    return Coefficient.zero()
 
 
 def _relation_holds(matrix, coeffs) -> bool:

@@ -234,6 +234,41 @@ class TestMain:
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == \
             "e3b11ca17814c076488119ed6b0eb41a1cd5332f25ef32bc3e9004d518481ac4"
 
+    def test_derive_ade_on_the_zero_series_known_in_full(self, tmp_path, capsys):
+        # no term and no bound: every product is the exact zero, so f = 0
+        # is the first relation, and its certificate re-verifies
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "basis": {"symbols": [], "precision_bits": 128, "independence_assumed": True},
+            "terms": [], "truncation": None}))
+        out = tmp_path / "zero.cert.json"
+        assert main(["derive-ade", "--series", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "f\n"
+        assert json.loads(out.read_text())["evidence"]["residual"] == "zero"
+        assert main(["verify", "cert", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "OK\n"
+
+    def test_corpus_drops_the_indices_it_cannot_factor(self, tmp_path, capsys):
+        # 1022117 = 1009 * 1013 has no factor below the limit 10: it is
+        # dropped, said so, and the rest is scanned
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("1 1\n2 1\n3 1\n1022117 1\n6 1\n")
+        assert main(["analyze", "--corpus", str(corpus), "--factor-limit", "10",
+                     "--out", str(tmp_path / "certs")]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["dropped_unfactored"] == [1022117]
+        assert summary["prime_support"] == {"primes": [2, 3], "sample_size": 5,
+                                            "unfactored": [1022117]}
+        assert summary["certificates"] == ["FiniteBasisRefutation", "GapCriterion"]
+        for path in summary["written"]:
+            cert = json.loads(Path(path).read_text())
+            assert cert["scanned"] == 4
+            assert verify_certificate(path).ok
+        corpus.write_text("1022117 1\n")
+        assert main(["analyze", "--corpus", str(corpus), "--factor-limit", "10"]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error[factor-limit]: could not factor 1022117 within the trial-division limit\n"
+
     def test_config_key_the_command_does_not_read(self, geometric_file, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"rank_bound": 5}))

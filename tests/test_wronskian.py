@@ -50,7 +50,6 @@ from dforge.wronskian import (
     Dependent,
     Independent,
     NotFoundWithinW,
-    _coeff_at,
     _Column,
     _decide,
     _normalize,
@@ -142,6 +141,46 @@ class TestDependence:
         with pytest.raises(HorizonTooShort) as err:
             wronskian_dependence(products, phi)
         assert err.value.details == "underdetermined"
+
+    def test_zero_series_known_in_full_is_dependent(self, lam_basis):
+        # every column is the exact zero: a term matrix with no rows has
+        # rank 0, every vector is a relation, and the first unit vector is
+        # returned
+        phi = make_series([], lam_basis, None)
+        products = [parse_diffpoly("f"), parse_diffpoly("f^2")]
+        assert wronskian_dependence(products, phi) == \
+            Dependent((Coefficient.one(), Coefficient.zero()), True)
+        assert derive_ade(phi, 3) == parse_diffpoly("f")
+
+    @pytest.mark.parametrize("other", ["f''", "f*f'"])
+    def test_derivatives_of_an_exact_constant_are_dependent(self, lam_basis, other):
+        phi = make_series([(Exponent.zero(), 3)], lam_basis, None)
+        products = [parse_diffpoly("f'"), parse_diffpoly(other)]
+        assert wronskian_dependence(products, phi) == \
+            Dependent((Coefficient.one(), Coefficient.zero()), True)
+        assert derive_ade(phi, 3) == parse_diffpoly("3*f - f^2")
+
+    def test_window_relation_failing_beyond_the_window_is_solved_again(
+            self, lam_basis, monkeypatch):
+        # 2 at n = 10 breaks the geometric law past the 7-row window of f,
+        # f^2, f': the window relation is found by one elimination and fails
+        # on the 12 rows, whose image has full rank, so no relation holds on
+        # every row and the subset is inconclusive
+        lam = Exponent.of("lam")
+        phi = make_series([(lam * n, 2 if n == 10 else 1) for n in range(1, 13)],
+                          lam_basis, lam * 12)
+        products = [parse_diffpoly(t) for t in ("f", "f^2", "f'")]
+        eliminations, images = [], []
+        full_rank_image = _Screen.full_rank_image
+        monkeypatch.setattr(wronskian, "ring_nullspace_vector",
+                            lambda m: eliminations.append(len(m)) or ring_nullspace_vector(m))
+        monkeypatch.setattr(_Screen, "full_rank_image",
+                            lambda screen, m: images.append(len(m)) or full_rank_image(screen, m))
+        with pytest.raises(HorizonTooShort) as err:
+            wronskian_dependence(products, phi)
+        assert err.value.details == "determinant-vanished"
+        assert eliminations == [3 + _ROW_MARGIN]
+        assert images == [3 + _ROW_MARGIN, 12]
 
     def test_antisymmetry_of_determinant(self, lam_basis):
         from dforge.wronskian import _Column
@@ -454,63 +493,72 @@ def _chain_rows(evaluated, stage, count):
     return chain[:count]
 
 
+def _residue_rows(evaluated, stage, count, screen):
+    """The oracle for a column's screen rows: the exact chain's rows, each
+    coefficient imaged at the screen's point; None when one has no image."""
+    rows = [residue_series(r, screen) for r in _chain_rows(evaluated, stage, count)]
+    return None if any(None in r.terms.values() for r in rows) else rows
+
+
 class TestColumnTable:
-    """A column's derivative table against the prefix-then-differentiate
-    chain, for every order, at stages below, at and past the term count."""
+    """A column's residue rows against the residues of the prefix, then
+    ``differentiate_s`` chain, for orders 0-5, at stages below, at and past
+    the term count."""
 
     _ORDERS = 6
+    _FAMILIES = ["zeta", "geometric", "empty", "shifted", "beyond-p"]
 
     @staticmethod
     def _columns(family):
-        """The family's columns and a screen over its basis."""
+        """The family's columns and a screen over its basis.  ``shifted``
+        puts damping factors e^(-h*lam) on entries; in ``beyond-p`` the
+        negation of the exponent 1/p has no residue, so its entries are
+        formed exactly, and some have no image at all."""
         if family == "zeta":
             basis, _, phi = _zeta(12)
-        elif family == "geometric":
+        elif family in ("geometric", "shifted"):
             basis, phi = _geometric_family()
+        elif family == "beyond-p":
+            basis = SymbolBasis.unit(PREC)
+            tiny, one, two = (Exponent.constant(q) for q in (Fraction(1, _MODULUS), 1, 2))
+            phi = make_series([(tiny, _MODULUS), (one, 1), (two, 3)], basis, two)
         else:
             basis = SymbolBasis.from_pairs([("lam", "0.7")], precision=PREC)
             return [_Column(zero_series(basis, Exponent.of("lam", 3))),
                     _Column(zero_series(basis))], _Screen(basis)
+        products = _shifted_products() if family == "shifted" else enumerate_products(3)
         memo = {}
-        return ([_Column(_evaluate(p, phi, memo)) for p in enumerate_products(3)],
-                _Screen(basis))
+        return [_Column(_evaluate(p, phi, memo)) for p in products], _Screen(basis)
 
     @staticmethod
-    def _requests(rng):
+    def _check(columns, screen, rng):
         # stages 1, 3, k + 4 and past the term count, asked for in a seeded
-        # order and by growing counts, the other form at times first
+        # order and by growing counts
         stages = (1, _PROBE_TERMS, 3 + _ROW_MARGIN, 50)
-        out = [(stage, count, rng.random() < 0.5)
-               for stage in stages for count in (2, TestColumnTable._ORDERS)]
-        rng.shuffle(out)
-        return sorted(out, key=lambda r: r[1])
-
-    @pytest.mark.parametrize("family", ["zeta", "geometric", "empty"])
-    def test_rows_match_the_chain(self, family):
-        rng = random.Random(1801)
-        columns, screen = self._columns(family)
+        counts = (2, 4, TestColumnTable._ORDERS)
+        requests = [(stage, count) for stage in stages for count in counts]
+        rng.shuffle(requests)
         for col in columns:
-            terms = col.evaluated.terms
-            for stage, count, residues_first in self._requests(rng):
-                if residues_first:
-                    col.screen_rows(stage, count, screen)
-                m = min(stage, len(terms))
-                got = [tuple((terms[i][0], p) for i, p in enumerate(col._entries(order, m)[:m])
-                             if p) for order in range(count)]
-                assert got == [r.terms for r in _chain_rows(col.evaluated, stage, count)]
-
-    @pytest.mark.parametrize("family", ["zeta", "geometric", "empty"])
-    def test_screen_rows_match_fresh_residues(self, family):
-        rng = random.Random(1802)
-        columns, screen = self._columns(family)
-        for col in columns:
-            for stage, count, entries_first in self._requests(rng):
-                if entries_first:
-                    col._entries(count - 1, min(stage, len(col.evaluated.terms)))
-                fresh = [residue_series(r, screen)
-                         for r in _chain_rows(col.evaluated, stage, count)]
+            for stage, count in sorted(requests, key=lambda r: r[1]):
                 got = col.screen_rows(stage, count, screen)
-                assert [(r.terms, r.bound) for r in got] == [(r.terms, r.bound) for r in fresh]
+                want = _residue_rows(col.evaluated, stage, count, screen)
+                if want is None:
+                    assert got is None
+                else:
+                    assert [(r.terms, r.bound) for r in got] == \
+                        [(r.terms, r.bound) for r in want]
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_rows_match_the_chain(self, family):
+        columns, screen = self._columns(family)
+        self._check(columns, screen, random.Random(1801))
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_screen_rows_match_fresh_residues(self, family):
+        # a point set after the screen is made is the one every row reads
+        columns, screen = self._columns(family)
+        screen.point = {n: (7 * v + 3) % _MODULUS for n, v in screen.point.items()}
+        self._check(columns, screen, random.Random(1802))
 
     def test_zeta_stage_one_cuts_at_positions(self):
         # n = 1 sits at exponent 0: its derivatives vanish, so at stage 1
@@ -523,6 +571,31 @@ class TestColumnTable:
         for row in rows[1:]:
             assert not row.terms and row.bound is Exponent.zero()
         assert [len(r.terms) for r in col.screen_rows(3, 3, screen)] == [3, 2, 2]
+
+    def test_rows_form_no_exact_entry(self, monkeypatch):
+        # every negated exponent of zeta 1..20 has a residue: the rows, the
+        # proofs and the determinants of the screen are made of residues
+        # alone, with no derivative factor and no Coefficient product
+        basis, _, phi = _zeta(20)
+        memo = {}
+        columns = [_Column(_evaluate(p, phi, memo)) for p in enumerate_products(4)]
+        screen = _Screen(basis)
+
+        def refuse(*args):
+            raise AssertionError("the screen formed an exact entry")
+
+        monkeypatch.setattr(SymbolBasis, "derivative_factor", refuse)
+        monkeypatch.setattr(Coefficient, "__mul__", refuse)
+        monkeypatch.setattr(Coefficient, "scale", refuse)
+        rng = random.Random(1803)
+        hits = 0
+        for _ in range(30):
+            k = rng.randint(2, 6)
+            cols = [columns[i] for i in sorted(rng.sample(range(len(columns)), k))]
+            for stage in (_PROBE_TERMS, k + _ROW_MARGIN):
+                wronskian._cannot_hit(cols, stage, screen)
+                hits += bool(_wronskian_determinant(cols, stage, screen).hits())
+        assert hits > 10
 
     @pytest.mark.parametrize("family", ["zeta", "geometric"])
     def test_one_residue_per_entry(self, family, monkeypatch):
@@ -559,16 +632,21 @@ class TestColumnTable:
         monkeypatch.setattr(_Column, "screen_rows", recorded)
         monkeypatch.setattr(_Screen, "full_rank_image", counted_image)
         search_ade(phi, 3, horizon)
-        entries, per_stage = set(), set()
+        terms, negated, per_stage = set(), set(), set()
         for col, stage, count in requests:
             for order, row in enumerate(_chain_rows(col.evaluated, stage, count)):
-                entries.update((id(col), order, e) for e, _ in row.terms)
+                if order:
+                    negated.update(e for e, _ in row.terms)
+                else:
+                    terms.update((id(col), e) for e, _ in row.terms)
                 per_stage.update((id(col), stage, order, e) for e, _ in row.terms)
         # the term-matrix image maps each of its entries once; the rest are
-        # the columns' residues
-        assert len(calls) - sum(image_entries) == len(entries)
-        # stages share entries: one conversion per stage would make more
-        assert len(per_stage) > len(entries)
+        # one residue per term a column's order-0 rows hold, and one per
+        # exponent whose negation the later rows read, over all columns
+        assert len(calls) - sum(image_entries) == len(terms) + len(negated)
+        # stages and orders share them: one residue per row entry would make
+        # more
+        assert len(per_stage) > len(terms) + len(negated)
 
 
 class TestExactDecision:
@@ -1058,9 +1136,11 @@ class TestModularImage:
         phi = make_series([(vecs[n], rng.choice((1, -1, 2))) for n in range(1, 41)],
                           basis, vecs[40])
         products = enumerate_products(4)
-        evaluated = [_evaluate(products[i], phi) for i in sorted(rng.sample(range(11), 8))]
-        exponents = sorted({e for s in evaluated for e, _ in s.terms}, key=basis.ordering_key)
-        matrix = [[_coeff_at(s, e) for s in evaluated] for e in exponents[:8 + _ROW_MARGIN]]
+        columns = [_Column(_evaluate(products[i], phi)) for i in sorted(rng.sample(range(11), 8))]
+        exponents = sorted({e for col in columns for e in col.coefficients},
+                           key=basis.ordering_key)
+        matrix = [[col.coefficients.get(e, Coefficient.zero()) for col in columns]
+                  for e in exponents[:8 + _ROW_MARGIN]]
 
         def refuse(m):
             raise AssertionError("the image should have decided")
