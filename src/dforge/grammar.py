@@ -32,11 +32,15 @@ from typing import NamedTuple, Optional
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import ExprSyntaxError, UnknownSymbol
+from .numeric import MAX_RATIONAL_DIGITS
 from .series import Coefficient, Exponent, RationalLike, SymbolBasis, _as_rational, _join_signed
 
 # deepest nesting of parentheses a parse accepts: past it, a syntax error
 # at the opening parenthesis rather than a RecursionError
 MAX_NESTING = 100
+
+# the bit length of 10^MAX_RATIONAL_DIGITS, the least integer of more digits
+_CAP_BITS = (10 ** MAX_RATIONAL_DIGITS).bit_length()
 
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<uint>\d+)|(?P<ident>\w+)|(?P<quote>')"
                     r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
@@ -124,7 +128,12 @@ class _Parser:
     def factor(self) -> DiffPolynomial:
         value = self.atom()
         while self.accept("^"):
-            value = value ** int(self.expect().text)
+            tok = self.expect()
+            k = int(tok.text)
+            if _power_too_wide(value, k):
+                raise tok.error(f"the power has a coefficient of more than "
+                                f"{MAX_RATIONAL_DIGITS} digits")
+            value = value ** k
         return value
 
     def rational(self) -> RationalLike:
@@ -183,6 +192,22 @@ class _Parser:
                 shift = q if sign == "+" else -q
             self.expect(")")
         return DiffPolynomial.from_indeterminate(DiffIndeterminate(shift, order))
+
+
+def _power_too_wide(value: DiffPolynomial, k: int) -> bool:
+    """Whether ``value ** k`` is one term whose rational q^k has a numerator
+    or denominator of more than MAX_RATIONAL_DIGITS digits, decided before
+    a wide power is formed."""
+    if len(value.terms) != 1 or len(value.terms[0][1].terms) != 1:
+        return False
+    q = value.terms[0][1].terms[0][1]
+    n = max(abs(q.numerator), q.denominator)
+    b = n.bit_length()
+    # 2^((b-1)k) <= n^k < 2^(bk): only between the two is n^k formed, and it
+    # then has fewer than twice the cap's bits
+    if b * k < _CAP_BITS:
+        return False
+    return (b - 1) * k >= _CAP_BITS or n ** k >= 10 ** MAX_RATIONAL_DIGITS
 
 
 def _linear_exponent(poly: DiffPolynomial, tok: _Token) -> Exponent:

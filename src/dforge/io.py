@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from .errors import SchemaError
 from .grammar import parse_coefficient
+from .numeric import MAX_RATIONAL_DIGITS
 from .series import (
     ONE,
     Exponent,
@@ -28,11 +29,6 @@ TOOL_VERSION = "dforge 0.1.0"
 
 def frac_str(q: RationalLike) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-# Python's default int <-> str limit: a rational wider than this could not be
-# printed back by ``frac_str``.
-MAX_RATIONAL_DIGITS = 4300
 
 
 def _digits(text: str) -> int:

@@ -35,6 +35,10 @@ DEFAULT_PRECISION = 128
 # and low enough that evaluations at it stay quick.
 MAX_PRECISION = 4096
 
+# Python's default int <-> str limit: a rational wider than this could not be
+# printed back, so inputs wider than it are refused before they are built.
+MAX_RATIONAL_DIGITS = 4300
+
 # Extra working bits so that P-bit decisions are not corrupted by the last
 # few rounding steps of an evaluation chain.
 GUARD_BITS = 16
@@ -82,6 +86,12 @@ def sum_value(terms: list, precision_bits: int) -> tuple:
     for t in terms[1:]:
         total = mpf_add(total, t, prec, round_nearest)
     return to_float(total, rnd=round_nearest), _make_mpf(total)
+
+
+def magnitude(terms: list) -> float:
+    """The sum of ``|t|`` over raw ``terms``, a double (inf past its range):
+    what rounding in ``sum_value`` is relative to, whatever cancels."""
+    return sum(abs(to_float(t, rnd=round_nearest)) for t in terms)
 
 
 def divide(a: mpmath.mpf, b: mpmath.mpf, precision_bits: int) -> mpmath.mpf:

@@ -24,14 +24,17 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
 from .numeric import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     check_precision,
     decimal_str_to_mpf,
     fraction_to_mpf,
+    magnitude,
     scaled_value,
     sum_value,
     tie_threshold,
@@ -220,6 +223,26 @@ class _Memo(dict):
         return value
 
 
+class _Sums(dict):
+    """``sums[a][b] == a + b``, one row per left operand.  A miss in row
+    ``a`` takes row ``b``'s entry for ``a`` when there is one: sums are
+    interned, so it is the same object, and each unordered pair is added
+    once.  Rows reach the table through a weak reference, so a row and the
+    table make no reference cycle."""
+
+    __slots__ = ("__weakref__",)
+
+    def __missing__(self, a):
+        row = self[a] = _Memo(partial(_sum, a, weakref.ref(self)))
+        return row
+
+
+def _sum(a: "Exponent", table: weakref.ref, b: "Exponent") -> "Exponent":
+    other = (table() or {}).get(b)
+    e = None if other is None else other.get(a)
+    return a + b if e is None else e
+
+
 # ---------------------------------------------------------------------------
 # Symbol basis
 # ---------------------------------------------------------------------------
@@ -235,8 +258,9 @@ class SymbolBasis:
 
     It keeps write-once memo tables, fresh per instance: the symbol values
     at precision P, each coordinate's raw value, each exponent's
-    ``ordering_key``, the exponent sums and the derivative factors
-    ``(-e)^k``; and, computed once, the float margin floor 2^(1-P).
+    ``ordering_key`` and ``_weight``, the exponent sums (one per unordered
+    pair) and the derivative factors ``(-e)^k``; and, computed once, the
+    float margin floor 2^(1-P) and ``_shadow_error``.
     """
 
     symbols: tuple[str, ...]
@@ -244,11 +268,16 @@ class SymbolBasis:
     precision: int = DEFAULT_PRECISION
     independence_assumed: bool = True
     _symbol_values: dict = field(init=False, compare=False, repr=False)
-    _sums: _Memo = field(init=False, compare=False, repr=False)   # a -> b -> a + b
+    _sums: _Sums = field(init=False, compare=False, repr=False)   # a -> b -> a + b
     _cache: dict = field(init=False, compare=False, repr=False)   # Exponent -> key
+    _weights: dict = field(init=False, compare=False, repr=False)   # Exponent -> _weight
     _terms: dict = field(init=False, compare=False, repr=False)   # coordinate -> raw value
     _factors: dict = field(init=False, compare=False, repr=False)   # (Exponent, k) -> (-e)^k
     _floor: float = field(init=False, compare=False, repr=False)   # 2^(1-P), _apart's least margin
+    # A shadow is within _shadow_error * _weight(e) of the value of e over the
+    # reals at the symbol values: 4 roundings per term and one per addition
+    # at P + GUARD_BITS (at most one per symbol), then one to a double.
+    _shadow_error: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.symbols) != len(set(self.symbols)):
@@ -264,11 +293,14 @@ class SymbolBasis:
             if not 0 < value < float("inf"):
                 raise BadBasis(f"symbol {name!r} must have a finite, strictly positive value")
         object.__setattr__(self, "_symbol_values", values)
-        object.__setattr__(self, "_sums", _Memo(lambda a: _Memo(lambda b: a + b)))
+        object.__setattr__(self, "_sums", _Sums())
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_weights", {})
         object.__setattr__(self, "_terms", {})
         object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_floor", 2.0 ** (1 - self.precision))
+        object.__setattr__(self, "_shadow_error", (len(self.symbols) + 5)
+                           * 2.0 ** -(self.precision + GUARD_BITS) + 2.0 ** -52)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]],
@@ -298,12 +330,22 @@ class SymbolBasis:
         key = self._cache.get(e)
         if key is None:
             # const + sum(q * value): as mpf arithmetic under workprec(P) does
-            coords, num, den = e._key
-            terms = [self._term(None, num, den)]
-            terms += [self._term(*c) for c in coords]
-            shadow, value = sum_value(terms, self.precision)
+            shadow, value = sum_value(self._raw_terms(e), self.precision)
             key = self._cache[e] = (shadow, value, e.sort_key())
         return key
+
+    def _weight(self, e: Exponent) -> float:
+        """|const| + sum of |q * value| over the coordinates of ``e``, a
+        double: it scales the rounding ``_shadow_error`` bounds, and it is
+        subadditive, ``_weight(a + b) <= _weight(a) + _weight(b)``."""
+        w = self._weights.get(e)
+        if w is None:
+            w = self._weights[e] = magnitude(self._raw_terms(e))
+        return w
+
+    def _raw_terms(self, e: Exponent) -> list:
+        coords, num, den = e._key
+        return [self._term(None, num, den)] + [self._term(*c) for c in coords]
 
     def _term(self, name: Optional[str], num: int, den: int) -> tuple:
         """Raw value of the coordinate ``num/den`` of ``name`` (the rational
@@ -325,7 +367,10 @@ class SymbolBasis:
     def _apart(self, fa: float, fb: float) -> bool:
         """Shadows this far apart order their values with no tie: the margin
         dwarfs the double rounding and is at least twice 2^-P."""
-        return abs(fa - fb) > max(1e-9 * max(1.0, abs(fa), abs(fb)), self._floor)
+        return abs(fa - fb) > self._margin(fa, fb)
+
+    def _margin(self, fa: float, fb: float) -> float:
+        return max(1e-9 * max(1.0, abs(fa), abs(fb)), self._floor)
 
     def check_tie(self, a: Exponent, b: Exponent) -> None:
         """Warn when distinct ``a`` and ``b`` have values within 2^-P: the one
@@ -352,9 +397,10 @@ class SymbolBasis:
         self.check_tie(a, b)
         return 1 if ka > kb else -1
 
-    def exponent_sums(self) -> _Memo:
+    def exponent_sums(self) -> _Sums:
         """The memo ``sums[a][b] == a + b`` shared by every product over this
-        basis, the screen's too."""
+        basis, the screen's and ``product_bound``'s too; ``sums[a][b]`` and
+        ``sums[b][a]`` are one addition and one object."""
         return self._sums
 
     def derivative_factor(self, e: Exponent, k: int) -> "Coefficient":
@@ -393,7 +439,14 @@ def _accumulate(acc: dict, pairs) -> dict:
 
 
 def merge_powers(a: tuple, b: tuple) -> tuple:
-    """Product of two sorted ``((factor, power), ...)`` tuples."""
+    """Product of two sorted ``((factor, power), ...)`` tuples.  Both are
+    canonical (sorted, no zero power), so when one is empty, a bare
+    monomial such as an undamped coefficient's or an f-free term's, the
+    other is the product as it stands."""
+    if not a:
+        return b
+    if not b:
+        return a
     powers = dict(a)
     for n, k in b:
         powers[n] = powers.get(n, 0) + k
@@ -973,7 +1026,39 @@ def product_bound(basis: SymbolBasis, a_bound: Optional[Exponent], a_least: Opti
 
 
 def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    """Cauchy product by exponent addition, truncated to the provable bound."""
+    """Cauchy product by exponent addition, truncated to the provable bound.
+
+    Only the kept part is worked, as in a short product (Mulders 2000).
+    Terms are sorted by ``ordering_key``, so once the sum of row ``ea`` and
+    column ``eb`` is past the bound, so are the later columns of that row
+    and those columns in every later row.  A sum whose shadow exceeds the
+    bound's by twice ``SymbolBasis._apart``'s margin plus the ``slack`` of
+    ``_clear_of`` stops its row and narrows every later row to the columns
+    before it.  A sum
+    past the bound but nearer to it is skipped alone, by the ``past`` memo.
+
+    A skipped pair (a', b') is one ``compare`` puts past the bound from the
+    shadows alone, with no ``check_tie``, so the kept terms and the tie
+    warnings stay those of the full product.  Let (a, b) be the pair that
+    stopped the row, V(e) the value of e over the reals at the symbol
+    values, additive in e, and d(e) = ``_shadow_error * _weight(e)``, which
+    bounds |shadow(e) - V(e)| with the rounding of the operands' own
+    shadows included.  Since a <= a' and b <= b' in the sorted order, so
+    are their shadows, and
+
+        shadow(a' + b') >= V(a') + V(b') - d(a' + b')
+                        >= shadow(a) + shadow(b) - d(a') - d(b') - d(a' + b')
+                        >= shadow(a + b) - D,
+
+    D the sum of the six d's of a, b, a', b', a + b and a' + b'.  The weight
+    is subadditive, so D is at most 4 * ``_shadow_error`` * (the greatest
+    weight in ``a`` + the greatest in ``b``), half of ``slack``.  The shadow
+    of a' + b' thus exceeds the bound's by more than twice the margin at
+    (a + b) plus D, and the margin grows by only 10^-9 per unit of shadow;
+    the doubling absorbs the rounding of the doubles that compute the test.
+    At P = 20 the margin is at least 2^-19, and ``slack`` about 2^-30 per
+    unit of weight over one symbol.
+    """
     basis = a.basis
     _require_basis(basis, b)
     # An exactly-zero factor annihilates everything, with full knowledge.
@@ -982,30 +1067,56 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     bound = product_bound(basis, a.truncation, _effective_min(a),
                           b.truncation, _effective_min(b))
     past = None if bound is None else _past(basis, bound)
+    clear = None if bound is None else _clear_of(basis, bound, a, b)
     sums = basis.exponent_sums()
     memo: dict = {}
-    accum: dict = {}   # exponent -> x-degree -> flat accumulator; None: past the bound
+    # exponent -> x-degree -> flat accumulator; None: past the bound; False:
+    # past it by the margin, so the rows stop there
+    accum: dict = {}
+    width = len(b.terms)   # later columns are past the bound in every later row
     for ea, pa in a.terms:
         sums_a = sums[ea]
-        for eb, pb in b.terms:
+        for j, (eb, pb) in enumerate(b.terms[:width]):
             e = sums_a[eb]
             polys = accum.get(e, _UNSEEN)
             if polys is _UNSEEN:   # the bound test, once per exponent
-                polys = accum[e] = None if past is not None and past[e] else {}
+                if past is None or not past[e]:
+                    polys = accum[e] = {}
+                else:
+                    polys = accum[e] = False if clear(e) else None
             if polys is None:
                 continue
+            if polys is False:
+                width = j
+                break
             for ka, ca in pa.terms:
                 for kb, cb in pb.terms:
                     acc = polys.get(ka + kb)
                     if acc is None:
                         acc = polys[ka + kb] = {}
                     _mul_into(acc, ca, cb, memo)
+        if not width:
+            break
     polys = {e: XPoly(XPoly._canonical(_coefficients(d)))
-             for e, d in accum.items() if d is not None}
+             for e, d in accum.items() if d}
     return _build(basis, polys, bound, past)
 
 
 _UNSEEN = object()
+
+
+def _clear_of(basis: SymbolBasis, bound: Exponent, a: FormalSeries, b: FormalSeries):
+    """The test that a sum of a term of ``a`` and one of ``b`` has a shadow
+    past the bound's by twice ``_apart``'s margin plus ``slack``, which
+    covers the rounding of every shadow involved (see ``series_mul``)."""
+    fb = basis.ordering_key(bound)[0]
+    slack = 8 * basis._shadow_error * sum(max(map(basis._weight, s.exponents()), default=0.0)
+                                          for s in (a, b))
+
+    def clear(e: Exponent) -> bool:
+        f = basis.ordering_key(e)[0]
+        return f - fb > 2 * basis._margin(f, fb) + slack
+    return clear
 
 
 def _past(basis: SymbolBasis, bound: Exponent) -> _Memo:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from dforge.cli import (
     verify_certificate,
 )
 from dforge.errors import SchemaError
-from dforge.io import dump_series, load_series, parse_frac, series_to_obj
+from dforge.io import MAX_RATIONAL_DIGITS, dump_series, load_series, parse_frac, series_to_obj
 from dforge.numeric import MAX_PRECISION
 from dforge.wronskian import MAX_SUBSETS
 
@@ -458,6 +459,53 @@ class TestErrorCodes:
             assert code == EXIT_ERROR
             assert out.err == (f"{prefix}parentheses nest deeper than {depth} "
                                f"(line 1, column {len(opening) * (depth + 1)})\n")
+
+    @pytest.mark.parametrize("via", ["eq", "series", "cert"])
+    def test_wide_constant_power(self, via, geometric_file, tmp_path, capsys):
+        # 9^99999999 has 95 million digits: on each path that parses an
+        # equation or a coefficient it is refused from the bit lengths, at
+        # once and in one error line, before it is formed; 9^1000 reads as
+        # its digits written out do
+        cert = tmp_path / "sub.cert.json"
+        assert main(["substitute", "--series", str(geometric_file),
+                     "--eq", "f' + lam*f + lam*f^2", "--out", str(cert)]) == EXIT_OK
+
+        def argv(text):
+            if via == "eq":
+                return ["eliminate-x", "--eq", text + " + f + x^2"]
+            if via == "series":
+                obj = json.loads(geometric_file.read_text())
+                obj["terms"][0]["coeff"] = text
+                path = tmp_path / "wide.series.json"
+                path.write_text(json.dumps(obj))
+                return ["substitute", "--series", str(path), "--eq", "f' + lam*f + lam*f^2"]
+            obj = json.loads(cert.read_text())
+            obj["evidence"]["equation"] = text + " + " + obj["evidence"]["equation"]
+            path = tmp_path / "wide.cert.json"
+            path.write_text(json.dumps(obj))
+            return ["verify", "cert", str(path)]
+
+        prefix = "error[schema-error]: unreadable FormalSatisfaction payload: " \
+            if via == "cert" else "error[syntax-error]: "
+        want = (f"{prefix}the power has a coefficient of more than {MAX_RATIONAL_DIGITS} "
+                "digits (line 1, column 3)\n")
+        out = _run_cli(argv("9^99999999"))
+        assert (out.returncode, out.stdout, out.stderr) == (EXIT_ERROR, "", want)
+        capsys.readouterr()
+        start = time.process_time()
+        assert main(argv("9^99999999")) == EXIT_ERROR
+        assert time.process_time() - start < 1
+        assert capsys.readouterr().err == want
+        outputs = []
+        for text in ("9^1000", str(9 ** 1000)):
+            code = main(argv(text))
+            out = capsys.readouterr()
+            # a certificate's equation mismatches its claimed text unless that
+            # is printed as the canonical form prints it
+            lines = [line for line in out.out.splitlines() if not line.startswith("  equation:")]
+            outputs.append((code, lines, out.err))
+        assert outputs[0] == outputs[1]
+        assert "error" not in outputs[0][2]
 
     @pytest.mark.parametrize("via, error", [("series", "io"), ("cert", "schema-error"),
                                             ("config", "config"), ("horizon", "config")])

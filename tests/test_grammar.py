@@ -9,6 +9,7 @@ from conftest import PREC
 from dforge import grammar
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import ExprSyntaxError, UnknownSymbol
+from dforge.io import MAX_RATIONAL_DIGITS
 from dforge.grammar import _tokenize, parse_coefficient, parse_diffpoly, pretty
 from dforge.series import Coefficient, Exponent, SymbolBasis
 
@@ -90,6 +91,29 @@ class TestErrors:
             parse_diffpoly(opening * (depth + 1) + "L" + ")" * (depth + 1))
         assert str(err.value) == (f"parentheses nest deeper than {depth} "
                                   f"(line 1, column {len(opening) * (depth + 1)})")
+
+    @pytest.mark.parametrize("text, column", [
+        ("10^4300*x + f", 4),        # 4301 digits
+        ("2^14285", 3),              # 4301 digits, settled by the bit lengths
+        ("(1/10)^4300", 8),          # the denominator
+        ("(-3*f)^9100", 8),          # one term: its coefficient
+        ("exp(2^14285*L2)", 7),
+        ("2^2^7143", 5),             # 4^7143
+    ])
+    def test_power_past_the_digit_cap(self, text, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_diffpoly(text)
+        assert str(err.value) == (
+            f"the power has a coefficient of more than {MAX_RATIONAL_DIGITS} digits "
+            f"(line 1, column {column})")
+
+    @pytest.mark.parametrize("text, value", [
+        ("10^4299", 10 ** 4299), ("2^14284", 2 ** 14284), ("(-1/9)^4000", Fraction(1, 9 ** 4000)),
+        ("1^99999999", 1), ("0^99999999", 0), ("(-1)^99999999", -1)])
+    def test_power_inside_the_digit_cap(self, text, value):
+        assert parse_coefficient(text) == Coefficient.from_fraction(value)
+        assert parse_coefficient(f"({text})*L2^99999999") == \
+            Coefficient.from_fraction(value) * Coefficient.from_symbol("L2", 99999999)
 
     def test_deep_exp_is_refused_as_nested_exp_inside_the_cap(self):
         depth = grammar.MAX_NESTING

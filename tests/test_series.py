@@ -1368,6 +1368,199 @@ class TestOneBoundTest:
             assert len(calls) == want
 
 
+def _row_major_warnings(basis, multiply, a, b):
+    """``multiply(a, b)`` and its warnings, with ``basis.compare`` keeping
+    each answer for the call, as ``series_mul``'s ``past`` memo keeps the
+    bound test's: the oracle then warns what the full product does."""
+    answers: dict = {}
+    compare = basis.compare
+
+    def once(x, y):
+        if (x, y) not in answers:
+            answers[x, y] = compare(x, y)
+        return answers[x, y]
+
+    object.__setattr__(basis, "compare", once)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = multiply(a, b)
+    finally:
+        object.__delattr__(basis, "compare")
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _staircase_series(rng, basis, exponent, most=12):
+    """A truncated (or, one time in five, exact) series of up to ``most``
+    terms at ``exponent(rng)``, with damped coefficients and x-degrees,
+    truncated at its last exponent or at a random one past it."""
+    exps = sorted({exponent(rng) for _ in range(rng.randint(1, most))}, key=basis.ordering_key)
+    bound = None
+    if rng.random() < 0.8:
+        bound = max([exps[-1], exponent(rng)], key=basis.ordering_key)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionTieWarning)
+        return make_series([(e, _MUL_MAKERS["XPoly"](rng)) for e in exps], basis, bound)
+
+
+def _geometric_product_counts(monkeypatch, n_terms, m_terms):
+    """The product of the ``n_terms`` and ``m_terms`` geometric series on a
+    fresh basis, its sums-table lookups and its ``Exponent.__add__`` calls."""
+    basis = SymbolBasis.from_pairs([("lam", "0.7")], precision=PREC)
+    g, h = geometric_series(basis, n_terms), geometric_series(basis, m_terms)
+    counts = {"lookups": 0, "adds": 0}
+    add = Exponent.__add__
+
+    def counted_add(x, y):
+        counts["adds"] += 1
+        return add(x, y)
+
+    class Row:
+        def __init__(self, row):
+            self.row = row
+
+        def __getitem__(self, e):
+            counts["lookups"] += 1
+            return self.row[e]
+
+    class Table:
+        def __getitem__(self, e):
+            return Row(basis._sums[e])
+
+    monkeypatch.setattr(Exponent, "__add__", counted_add)
+    monkeypatch.setattr(SymbolBasis, "exponent_sums", lambda self: Table())
+    product = series_mul(g, h)
+    monkeypatch.undo()
+    return product, counts
+
+
+class TestStaircase:
+    """``series_mul`` stops each row at its first sum past the bound by the
+    margin, and narrows the later rows: the same terms, printed forms, JSON
+    bytes and warnings as the pairwise oracle, with less work."""
+
+    def _check(self, basis, a, b):
+        for x, y in ((a, b), (b, a)):
+            want, want_warnings = _row_major_warnings(basis, _pairwise_series_mul, x, y)
+            got, got_warnings = _row_major_warnings(basis, series_mul, x, y)
+            assert got.truncation is want.truncation
+            _assert_same_product(got, want, _series_json)
+            assert got_warnings == want_warnings
+
+    def test_seeded_truncated_series(self, log_basis):
+        rng = random.Random(2701)
+
+        def exponent(rng):
+            # mostly positive coordinates; now and then a negative one or a
+            # constant, so that a sum's value is not the sum of its sizes
+            return Exponent.make({n: rng.choice([0, 1, 2, 3, Fraction(1, 2), -1])
+                                  for n in ("L2", "L3", "L5")}, rng.choice([0, 0, 0, 1, -1]))
+
+        for _ in range(60):
+            self._check(log_basis, _staircase_series(rng, log_basis, exponent),
+                        _staircase_series(rng, log_basis, exponent))
+
+    @pytest.mark.parametrize("precision", [20, 128])
+    @pytest.mark.parametrize("gap", [1, 2, 3, 5, 6, 7, 8, 10, 41])
+    def test_near_tie_operands_and_bounds(self, precision, gap):
+        # a = 1 + 10^-gap or 1 - 10^-gap: at P = 20 the ties start near
+        # gap = 7, at P = 128 near gap = 39; between, shadows are not apart
+        rng = random.Random(2702 + 100 * precision + gap)
+        for value in ("1." + "0" * (gap - 1) + "1", "0." + "9" * gap):
+            basis = SymbolBasis.from_pairs([("a", value)], precision=precision)
+
+            def exponent(rng):
+                return Exponent.make({"a": rng.choice([0, 0, 1, 1, 2, -1])},
+                                     Fraction(rng.randint(-10, 10), 5))
+
+            for _ in range(12):
+                self._check(basis, _staircase_series(rng, basis, exponent, 8),
+                            _staircase_series(rng, basis, exponent, 8))
+
+    @pytest.mark.parametrize("value,precision", [("1." + "0" * 40 + "1", 128),
+                                                 ("1.0000001", 20)])
+    def test_a_tie_past_the_bound_stops_no_row(self, value, precision):
+        # d = a - 1 is the bound; 2d in row 0 and 3d in row 1 are past it
+        # inside the 2^-P window, so each warns and neither may stop a row
+        basis = SymbolBasis.from_pairs([("a", value)], precision=precision)
+        d = Exponent.of("a") - Exponent.constant(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionTieWarning)
+            left = make_series([(Exponent(), 1), (d, 1)], basis, d)
+            right = make_series([(Exponent(), 1), (d * 2, 1)], basis, None)
+        self._check(basis, left, right)
+        got, caught = _row_major_warnings(basis, series_mul, left, right)
+        assert got.exponents() == (Exponent(), d)
+        assert [m for _, m in caught if "(3*a - 3) vs (a - 1)" in m]
+
+    def test_operands_rounded_far_from_their_values(self):
+        # s - t + 1/10^4 is 0 up to the rounding of t, yet at P = 20 the
+        # shadow of 10^6 or 10^7 times it is off by about 10^-4, far past the
+        # margin 2^-19, while a sum whose multiples cancel has an exact
+        # shadow: the cut must allow for the operands' own rounding (with no
+        # slack, 12 of these 300 products lose a kept term)
+        rng = random.Random(2714)
+        basis = SymbolBasis.from_pairs([("s", "1"), ("t", "1.0001")], precision=20)
+        scale = 10 ** rng.randint(6, 7)
+
+        def exponent(rng):
+            k = rng.choice([-1, 0, 1]) * scale
+            return Exponent.make({"s": k, "t": -k},
+                                 Fraction(rng.randint(0, 40), 10) + Fraction(k, 10 ** 4))
+
+        for _ in range(150):
+            scale = 10 ** rng.randint(6, 7)
+            self._check(basis, _staircase_series(rng, basis, exponent, 10),
+                        _staircase_series(rng, basis, exponent, 10))
+
+    def test_square_of_a_geometric_series_works_the_kept_pairs(self, monkeypatch):
+        n = 30
+        product, counts = _geometric_product_counts(monkeypatch, n, n)
+        # (i + j) lam with i, j in 1..30 is kept up to the bound 31 lam
+        kept = sum(1 for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n + 1)
+        assert kept == 465
+        assert [e for e, _ in product.terms] == [Exponent.of("lam") * k for k in range(2, n + 2)]
+        # one sum past the bound per row at most, plus product_bound's two
+        assert counts["lookups"] - 2 <= kept + n
+
+    def test_rows_past_the_bound_are_not_visited(self, monkeypatch):
+        # 30 by 5 terms, bound 6 lam: rows 2 to 6 each stop at the sum
+        # 7 lam, narrowing the later rows until row 6 has no column left
+        product, counts = _geometric_product_counts(monkeypatch, 30, 5)
+        kept = sum(1 for i in range(1, 31) for j in range(1, 6) if i + j <= 6)
+        assert kept == 15 and product.truncation == Exponent.of("lam", 6)
+        assert counts["lookups"] - 2 == kept + 5
+
+    def test_square_adds_each_unordered_pair_once(self, monkeypatch):
+        n = 30
+        product, counts = _geometric_product_counts(monkeypatch, n, n)
+        # the pairs worked: those kept, up to (n + 1) lam, and one past the
+        # bound per row, at (n + 2) lam; product_bound adds the bound and the
+        # least exponent once
+        unordered = {frozenset((i, j)) for i in range(1, n + 1) for j in range(1, n + 1)
+                     if i + j <= n + 2}
+        assert counts["adds"] <= len(unordered) + 1
+
+    def test_reversed_pair_reads_the_same_sum(self, monkeypatch):
+        basis = SymbolBasis.from_pairs([("L2", "0.69"), ("L3", "1.09")], precision=PREC)
+        sums = basis.exponent_sums()
+        a, b = Exponent.of("L2", Fraction(1, 2)), Exponent.make({"L3": 2}, -1)
+        adds = []
+        add = Exponent.__add__
+        monkeypatch.setattr(Exponent, "__add__", lambda x, y: adds.append(1) or add(x, y))
+        ab = sums[a][b]
+        assert sums[b][a] is ab and ab == add(a, b)
+        assert len(adds) == 1
+        # the rows reach their table weakly: the basis is freed with no cycle
+        gc.collect()
+        gc.disable()
+        try:
+            del basis, sums
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestTermwiseMaps:
     """The per-basis derivative factors and the termwise x log-derivative
     against the formulas they replace."""
