@@ -81,8 +81,9 @@ def evaluate_powers(powers, phi: FormalSeries, memo: dict) -> FormalSeries:
     return constant_series(phi.basis, 1) if part is None else part
 
 
-def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries) -> FormalSeries:
-    memo: dict = {}
+def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries,
+                        memo: Optional[dict] = None) -> FormalSeries:
+    memo = {} if memo is None else memo
     return series_sum(phi.basis, [
         series_scale_xpoly(evaluate_powers(powers, phi, memo), XPoly.monomial(xdeg, coeff))
         for (xdeg, powers), coeff in F.terms])
@@ -94,13 +95,16 @@ def max_safe_horizon(F: DiffPolynomial, phi: FormalSeries) -> Optional[Exponent]
 
 
 def substitute(F: DiffPolynomial, phi: FormalSeries,
-               horizon: Optional[Exponent] = None) -> Residual:
+               horizon: Optional[Exponent] = None, *,
+               memo: Optional[dict] = None) -> Residual:
     """Exact residual series of F under phi, valid up to the horizon.
 
-    Raises :class:`HorizonTooShort` (carrying the maximal safe bound) when
-    the requested horizon exceeds what the argument's truncation supports.
+    ``memo`` is an :func:`evaluate_powers` memo over ``phi`` whose products
+    are reused (a fresh one for None).  Raises :class:`HorizonTooShort`
+    (carrying the maximal safe bound) when the requested horizon exceeds
+    what the argument's truncation supports.
     """
-    raw = _evaluate_monomials(F, phi)
+    raw = _evaluate_monomials(F, phi, memo)
     return at_horizon(Residual(raw, F, phi, raw.truncation), horizon)
 
 

@@ -12,12 +12,14 @@
     ident    := a symbol name from the basis
 
 Tokens: a ``uint`` is a run of decimal digits (``\\d``, so ``٣`` reads as 3
-but ``²`` is an unexpected character); an identifier starts with a letter or
-``_`` and runs on over letters, digits and ``_``; whitespace separates tokens
-and is otherwise skipped.  Errors give a 1-based line and column, and only
-``\\n`` starts a line.  The argument of ``exp(...)`` is free of x and f,
-linear in the symbols, and holds no ``exp``.  Parentheses, those of ``exp(``
-included, nest at most :data:`MAX_NESTING` deep.
+but ``²`` is an unexpected character), refused past
+:data:`~dforge.numeric.MAX_RATIONAL_DIGITS` of them; an identifier starts
+with a letter or ``_`` and runs on over letters, digits and ``_``;
+whitespace separates tokens and is otherwise skipped.  Errors give a 1-based
+line and column, and only ``\\n`` starts a line.  The argument of
+``exp(...)`` is free of x and f, linear in the symbols, and holds no
+``exp``.  Parentheses, those of ``exp(`` included, nest at most
+:data:`MAX_NESTING` deep.
 
 Examples: ``f'' - 1``, ``f'^2 - 4*f``, ``f(s+1) - 2*f``, ``x^2*f'' + f``,
 ``f' + L*f + L*f^2``.  The pretty printer emits canonical text whose parse
@@ -102,6 +104,14 @@ class _Parser:
             raise tok.error(f"expected {text or 'uint'!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
+    def uint(self) -> tuple[_Token, int]:
+        """Consume a ``uint`` and return it with its value; one of more than
+        MAX_RATIONAL_DIGITS digits is refused at the token, before ``int``."""
+        tok = self.expect()
+        if len(tok.text) > MAX_RATIONAL_DIGITS:
+            raise tok.error(f"an integer of more than {MAX_RATIONAL_DIGITS} digits")
+        return tok, int(tok.text)
+
     def parse(self) -> DiffPolynomial:
         value = self.expr()
         tok = self.peek()
@@ -128,8 +138,7 @@ class _Parser:
     def factor(self) -> DiffPolynomial:
         value = self.atom()
         while self.accept("^"):
-            tok = self.expect()
-            k = int(tok.text)
+            tok, k = self.uint()
             if _power_too_wide(value, k):
                 raise tok.error(f"the power has a coefficient of more than "
                                 f"{MAX_RATIONAL_DIGITS} digits")
@@ -137,12 +146,12 @@ class _Parser:
         return value
 
     def rational(self) -> RationalLike:
-        value = int(self.expect().text)
+        _, value = self.uint()
         if self.accept("/"):
-            den = self.expect()
-            if int(den.text) == 0:
-                raise den.error("zero denominator")
-            value = _as_rational(Fraction(value, int(den.text)))
+            tok, den = self.uint()
+            if den == 0:
+                raise tok.error("zero denominator")
+            value = _as_rational(Fraction(value, den))
         return value
 
     def nested(self, open_tok: _Token) -> DiffPolynomial:

@@ -17,15 +17,23 @@ every verdict is the same.  Past the screen, and at once for a series
 known in full, the decision is exact: a full-rank image of the term
 matrix mod p proves there is no relation, and otherwise exact
 elimination finds one or proves there is none.
+
+A search sorts the exponents of all its products once, into one index
+(Knuth, TAOCP 4A, 7.1.3): a subset's exponents up to its common bound are
+then the bits of one integer, and a subset with fewer of them than
+products is counted out as underdetermined without being decided.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from hashlib import sha256
 from math import comb, gcd
+from operator import and_, or_
 from typing import Optional, Sequence, Union
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
@@ -148,9 +156,13 @@ class _Column:
     then ``differentiate_s`` give it.  Row 0 maps each c_e once; row j is
     row j-1 times the residue of -e, without the exponent 0, whose term
     vanishes at every order >= 1.  An entry whose -e has no residue is
-    formed exactly and mapped.  Rows and the exponents up to each common
-    bound are kept, so a search makes each once per column; a column
-    serves one search, and so one screen.
+    formed exactly and mapped.  Rows are kept, so a search makes each once
+    per column; a column serves one search, and so one screen.
+
+    The screen's exponent index gives a column ``positions``, the index
+    position of each term in order, ``mask``, the bits at those positions,
+    and ``cut``, the bits of the index exponents up to its truncation (-1,
+    every bit, for none).
     """
 
     def __init__(self, evaluated: FormalSeries):
@@ -158,16 +170,12 @@ class _Column:
         self.coefficients = {e: p.constant() for e, p in evaluated.terms}
         self._residues: list = []   # position -> residue of c_e, None: no image
         self._rows: dict = {}       # stage -> residue rows, None: an entry has no image
-        self._upto: dict = {}
 
-    def exponents_upto(self, bound: Optional[Exponent]) -> list[Exponent]:
-        """Exponents of the evaluated series up to ``bound`` (all if None)."""
-        kept = self._upto.get(bound)
-        if kept is None:
-            compare = self.evaluated.basis.compare
-            kept = self._upto[bound] = [e for e, _ in self.evaluated.terms
-                                        if bound is None or compare(e, bound) <= 0]
-        return kept
+    def stage_mask(self, stage: int) -> int:
+        """The index bits of the exponents of the order-0 row of ``stage``:
+        the first ``stage`` terms."""
+        m = min(stage, len(self.positions))
+        return self.mask & ((2 << self.positions[m - 1]) - 1) if m else 0
 
     def screen_rows(self, stage: int, count: int, screen: "_Screen") -> Optional[list]:
         """The first ``count`` rows of ``stage`` as residue series, or None
@@ -246,7 +254,9 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
       ``SymbolBasis._apart``'s margin, so no ``compare`` runs and no tie
       warns.
 
-    No proof is given when an entry has no image or is the exact zero.
+    The union is the OR of the columns' stage masks over the screen's
+    exponent index, whose low bits are its least exponents.  No proof is
+    given when an entry has no image or is the exact zero.
     """
     k = len(columns)
     rows = [col.screen_rows(stage, k, screen) for col in columns]
@@ -254,14 +264,14 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
     # when that bound is None
     if None in rows or any(col_rows[0].bound is None for col_rows in rows):
         return False
-    union: dict = {}
-    for col_rows in rows:
-        union.update(dict.fromkeys(col_rows[0].terms))
-    if len(union) < k:
+    union = 0
+    for col in columns:
+        union |= col.stage_mask(stage)
+    least = screen.lowest(union, k)
+    if len(least) < k:
         return True
     basis, sums = screen.basis, screen.memos.sums
     key = basis.ordering_key
-    least = sorted(union, key=key)[:k]
     low = least[0]
     for e in least[1:]:
         low = sums[low][e]
@@ -382,9 +392,19 @@ class _Screen:
     """State of the screens for one search: the point mod ``_MODULUS`` where
     the Wronskian screen and the term-matrix image read every coefficient,
     with each symbol, and each damping factor e^(-name) and e^(-1) under
-    its ``damping_key``, at the sha256 of its key; the exponent memos of its
-    products; the residue of each negated exponent the rows read; and the
-    minor tables.
+    its ``damping_key``, at the sha256 of its key; the exponent index of its
+    columns; the exponent memos of its products; the residue of each
+    negated exponent the rows read; and the minor tables.
+
+    The index is the union of the columns' exponents, sorted once by
+    ``ordering_key``: bit i of a column's masks stands for ``exponents[i]``.
+    A column's ``cut`` holds the index exponents e with
+    ``compare(e, truncation) <= 0``, found by bisecting the sorted keys; each
+    exponent whose shadow is not ``_apart`` from the truncation's goes
+    through ``check_tie``, as ``compare`` would send it, so a tie within
+    2^-P still warns.  Cuts are prefixes of one order, so the AND of a
+    subset's cuts is the cut at its common bound, and the exponents of a
+    subset up to that bound are the OR of its masks ANDed with it.
 
     A search makes one and drops it when it returns, so nothing outlives
     the search.  It holds one minor table per stage, shared by the
@@ -394,7 +414,7 @@ class _Screen:
     next size.
     """
 
-    def __init__(self, basis):
+    def __init__(self, basis, columns: Sequence[_Column] = ()):
         self.basis = basis
         keys = basis.symbols + tuple(damping_key(n) for n in basis.symbols + (ONE,))
         self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
@@ -402,6 +422,56 @@ class _Screen:
         self.memos = _Memos(basis)
         self._tables: dict = {}
         self._negated: dict = {}   # Exponent -> residue of its negation, None: no image
+        key = basis.ordering_key
+        self.exponents = sorted({e for col in columns for e, _ in col.evaluated.terms},
+                                key=key)
+        position = {e: i for i, e in enumerate(self.exponents)}
+        sort_keys = [key(e) for e in self.exponents]
+        cuts: dict = {None: -1}
+        for col in columns:
+            col.positions = [position[e] for e, _ in col.evaluated.terms]
+            col.mask = sum(1 << i for i in col.positions)
+            bound = col.evaluated.truncation
+            if bound not in cuts:
+                cuts[bound] = (1 << self._count_upto(sort_keys, bound)) - 1
+            col.cut = cuts[bound]
+        self.masks = [col.mask for col in columns]
+        self.cuts = [col.cut for col in columns]
+
+    def _count_upto(self, keys: list, bound: Exponent) -> int:
+        """How many index exponents are at most ``bound``, the ties among
+        them warned of as ``compare`` warns."""
+        basis, exponents = self.basis, self.exponents
+        kb = basis.ordering_key(bound)
+        count = bisect_right(keys, kb)
+        lo = hi = count
+        while lo and not basis._apart(keys[lo - 1][0], kb[0]):
+            lo -= 1
+        while hi < len(keys) and not basis._apart(keys[hi][0], kb[0]):
+            hi += 1
+        for e in exponents[lo:hi]:
+            if e is not bound:
+                basis.check_tie(e, bound)
+        return count
+
+    def counted_out(self, idx: Sequence[int]) -> bool:
+        """Whether the columns at positions ``idx`` have fewer exponents up
+        to their common bound than columns, so that ``_decide`` would refuse
+        them as underdetermined; never for columns all known in full."""
+        cut = reduce(and_, map(self.cuts.__getitem__, idx))
+        return cut != -1 and \
+            (reduce(or_, map(self.masks.__getitem__, idx)) & cut).bit_count() < len(idx)
+
+    def lowest(self, mask: int, count: Optional[int] = None) -> list[Exponent]:
+        """The index exponents of the ``count`` lowest bits of ``mask`` (all
+        of them for None), least first."""
+        exponents = self.exponents
+        out = []
+        while mask and len(out) != count:
+            low = mask & -mask
+            out.append(exponents[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     def negated(self, e: Exponent) -> Optional[int]:
         """The residue of -e at the point, the factor one derivative puts on
@@ -434,27 +504,22 @@ class _Screen:
 
 
 def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, Dependent]:
-    """The verdict on one subset.  On truncated data the probe and window
-    stages are screened first: a stage of a subset of ``_PROOF_MIN_K`` or
-    more columns that ``_cannot_hit`` proves to have no hit is passed over
-    unexpanded, and each other stage's determinant is formed, its least hit
-    the witness.  With no hit, the term matrix decides."""
-    basis = screen.basis
+    """The verdict on one subset, whose columns ``screen`` indexes.  On
+    truncated data the probe and window stages are screened first: a stage
+    of a subset of ``_PROOF_MIN_K`` or more columns that ``_cannot_hit``
+    proves to have no hit is passed over unexpanded, and each other stage's
+    determinant is formed, its least hit the witness.  With no hit, the term
+    matrix decides.  The subset's exponents up to its common bound, least
+    first, are the low bits of the OR of its masks ANDed with its cuts."""
     k = len(columns)
-    common: Optional[Exponent] = None
-    exact = True
+    mask, cut = 0, -1
     for col in columns:
-        cut = col.evaluated.truncation
-        if cut is not None:
-            exact = False
-            common = cut if common is None else meet_bounds(basis, common, cut)
-
-    exponents: dict = {}
-    for col in columns:
-        exponents.update(dict.fromkeys(col.exponents_upto(common)))
-    ordered = sorted(exponents, key=basis.ordering_key)
+        mask |= col.mask
+        cut &= col.cut
+    exact = cut == -1
 
     if exact:
+        ordered = screen.lowest(mask)
         if not ordered:
             # every column is the exact zero: a term matrix with no rows has
             # rank 0, and every vector is a relation
@@ -462,11 +527,12 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
         # complete data: the term matrix over every exponent decides
         window = ordered
     else:
-        window = ordered[: k + _ROW_MARGIN]
+        mask &= cut
+        window = screen.lowest(mask, k + _ROW_MARGIN)
         if len(window) < k:
             raise HorizonTooShort(
                 f"only {len(window)} exponents available below the common bound; "
-                f"{k} products cannot be tested", max_safe=common,
+                f"{k} products cannot be tested", max_safe=_common_bound(columns),
                 details="underdetermined")
 
         # Screen of the window determinant mod p: a nonzero residue is the
@@ -484,7 +550,7 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
                 break
             hits = det.hits()
             if hits:
-                return Independent(min(hits, key=basis.ordering_key))
+                return Independent(min(hits, key=screen.basis.ordering_key))
 
         if len(window) < k + _ROW_MARGIN:
             # A relation certified by barely more constraints than unknowns is
@@ -492,8 +558,9 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
             raise HorizonTooShort(
                 f"only {len(window)} exponents below the common bound; "
                 f"certifying a relation among {k} products needs "
-                f"{k + _ROW_MARGIN}", max_safe=common,
+                f"{k + _ROW_MARGIN}", max_safe=_common_bound(columns),
                 details="underdetermined")
+        ordered = screen.lowest(mask)
 
     # every returned relation holds on all rows: a window relation that
     # fails beyond the window is replaced by one solved on every row
@@ -511,23 +578,31 @@ def _decide(columns: Sequence[_Column], screen: _Screen) -> Union[Independent, D
         why = "determinant vanished up to the horizon" if imaged else \
             "the screen had no image mod p"
         raise HorizonTooShort(f"{why} but the term matrix has full column rank",
-                              max_safe=common, details="determinant-vanished")
+                              max_safe=_common_bound(columns), details="determinant-vanished")
     return Dependent(tuple(coeffs), exact)
 
 
+def _common_bound(columns: Sequence[_Column]) -> Optional[Exponent]:
+    """The least truncation among the columns (None when all are exact)."""
+    basis = columns[0].evaluated.basis
+    common = None
+    for col in columns:
+        common = meet_bounds(basis, common, col.evaluated.truncation)
+    return common
+
+
 def _working_series(phi: FormalSeries, horizon: Optional[Exponent]) -> FormalSeries:
+    """``phi`` cut to ``horizon``: ``phi`` itself when the horizon does not
+    cut below its bound."""
     if horizon is None:
         return phi
-    bound = phi.truncation if phi.truncation is not None else horizon
-    bound = meet_bounds(phi.basis, bound, horizon)
-    return truncate(phi, bound)
+    bound = meet_bounds(phi.basis, phi.truncation, horizon)
+    return phi if bound is phi.truncation else truncate(phi, bound)
 
 
-def _columns(products: Sequence[DiffPolynomial], phi: FormalSeries,
-             horizon: Optional[Exponent]) -> list[_Column]:
-    """The products evaluated on ``phi`` cut to ``horizon``, over one memo."""
-    work = _working_series(phi, horizon)
-    memo: dict = {}
+def _columns(products: Sequence[DiffPolynomial], work: FormalSeries,
+             memo: dict) -> list[_Column]:
+    """The products evaluated on ``work``, over ``memo``."""
     columns = [_Column(evaluate_powers(p.terms[0][0][1], work, memo)) for p in products]
     if any(q.degree not in (0, None) for col in columns for _, q in col.evaluated.terms):
         raise ValueError("equation search expects univariate series")
@@ -552,7 +627,8 @@ def wronskian_dependence(products: Sequence[DiffPolynomial], phi: FormalSeries,
         if not powers or p.terms != (((0, powers), one),):
             raise ValueError(f"a product must be one monomial in f with coefficient 1 "
                              f"and no x, not {pretty(p)}")
-    return _decide(_columns(products, phi, horizon), _Screen(phi.basis))
+    columns = _columns(products, _working_series(phi, horizon), {})
+    return _decide(columns, _Screen(phi.basis, columns))
 
 
 def _relation_holds(matrix, coeffs) -> bool:
@@ -671,13 +747,18 @@ def search_ade(phi: FormalSeries, max_weight: int,
             raise _too_many_subsets(max_weight, comb(n, 2), 2)
     products = enumerate_products(max_weight)
     top = len(products) if max_k is None else min(max_k, len(products))
-    columns = _columns(products, phi, horizon)
+    work = _working_series(phi, horizon)
+    memo: dict = {}
+    columns = _columns(products, work, memo)
+    # the candidate's products are the columns' own when they were made on
+    # phi itself
+    memo = memo if work is phi else None
     searched = 0
     decided = 0
     refuted: list[str] = []
     skipped: list[str] = []
     inconclusive: list[str] = []
-    screen = _Screen(phi.basis)
+    screen = _Screen(phi.basis, columns)
     names = [pretty(p) for p in products]
     weights = [weight(p) for p in products]
     visits = 0
@@ -685,11 +766,16 @@ def search_ade(phi: FormalSeries, max_weight: int,
         visits += comb(len(products), k)
         if visits > MAX_SUBSETS:
             raise _too_many_subsets(max_weight, visits, k)
+        # combinations come in index order, which the stable sort keeps
+        # within a total weight
         combos = sorted(itertools.combinations(range(len(products)), k),
-                        key=lambda idx: (sum(weights[i] for i in idx), idx))
+                        key=lambda idx: sum(map(weights.__getitem__, idx)))
         for idx in combos:
-            label = " , ".join(names[i] for i in idx)
+            label = " , ".join(map(names.__getitem__, idx))
             searched += 1
+            if screen.counted_out(idx):
+                skipped.append(label)
+                continue
             try:
                 verdict = _decide([columns[i] for i in idx], screen)
             except HorizonTooShort as exc:
@@ -703,7 +789,7 @@ def search_ade(phi: FormalSeries, max_weight: int,
                 continue
             candidate = DiffPolynomial.collect(
                 (products[i].terms[0][0], c) for i, c in zip(idx, verdict.coefficients))
-            residual = substitute(candidate, phi)
+            residual = substitute(candidate, phi, memo=memo)
             if residual.is_zero:
                 return residual
             refuted.append(label)

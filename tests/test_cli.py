@@ -55,6 +55,36 @@ def geometric_file(tmp_path, lam_basis):
     return path
 
 
+_PARSE_ERROR_PREFIX = {"eq": "error[syntax-error]: ", "series": "error[syntax-error]: ",
+                       "cert": "error[schema-error]: unreadable FormalSatisfaction payload: "}
+
+
+def _parsing_paths(via, geometric_file, tmp_path):
+    """``argv(text)``: a command line that parses ``text`` as an equation
+    term (``eq``), a series coefficient (``series``) or a term of a
+    substitution certificate's edited equation (``cert``)."""
+    cert = tmp_path / "sub.cert.json"
+    assert main(["substitute", "--series", str(geometric_file),
+                 "--eq", "f' + lam*f + lam*f^2", "--out", str(cert)]) == EXIT_OK
+
+    def argv(text):
+        if via == "eq":
+            return ["eliminate-x", "--eq", text + " + f + x^2"]
+        if via == "series":
+            obj = json.loads(geometric_file.read_text())
+            obj["terms"][0]["coeff"] = text
+            path = tmp_path / "wide.series.json"
+            path.write_text(json.dumps(obj))
+            return ["substitute", "--series", str(path), "--eq", "f' + lam*f + lam*f^2"]
+        obj = json.loads(cert.read_text())
+        obj["evidence"]["equation"] = text + " + " + obj["evidence"]["equation"]
+        path = tmp_path / "wide.cert.json"
+        path.write_text(json.dumps(obj))
+        return ["verify", "cert", str(path)]
+
+    return argv
+
+
 class TestRunAnalysis:
     def test_zeta_corpus_refutation_exit(self, zeta_corpus, tmp_path):
         config = AnalysisConfig(rank_bound=10, output=str(tmp_path / "certs"))
@@ -466,27 +496,8 @@ class TestErrorCodes:
         # equation or a coefficient it is refused from the bit lengths, at
         # once and in one error line, before it is formed; 9^1000 reads as
         # its digits written out do
-        cert = tmp_path / "sub.cert.json"
-        assert main(["substitute", "--series", str(geometric_file),
-                     "--eq", "f' + lam*f + lam*f^2", "--out", str(cert)]) == EXIT_OK
-
-        def argv(text):
-            if via == "eq":
-                return ["eliminate-x", "--eq", text + " + f + x^2"]
-            if via == "series":
-                obj = json.loads(geometric_file.read_text())
-                obj["terms"][0]["coeff"] = text
-                path = tmp_path / "wide.series.json"
-                path.write_text(json.dumps(obj))
-                return ["substitute", "--series", str(path), "--eq", "f' + lam*f + lam*f^2"]
-            obj = json.loads(cert.read_text())
-            obj["evidence"]["equation"] = text + " + " + obj["evidence"]["equation"]
-            path = tmp_path / "wide.cert.json"
-            path.write_text(json.dumps(obj))
-            return ["verify", "cert", str(path)]
-
-        prefix = "error[schema-error]: unreadable FormalSatisfaction payload: " \
-            if via == "cert" else "error[syntax-error]: "
+        argv = _parsing_paths(via, geometric_file, tmp_path)
+        prefix = _PARSE_ERROR_PREFIX[via]
         want = (f"{prefix}the power has a coefficient of more than {MAX_RATIONAL_DIGITS} "
                 "digits (line 1, column 3)\n")
         out = _run_cli(argv("9^99999999"))
@@ -506,6 +517,19 @@ class TestErrorCodes:
             outputs.append((code, lines, out.err))
         assert outputs[0] == outputs[1]
         assert "error" not in outputs[0][2]
+
+    @pytest.mark.parametrize("via", ["eq", "series", "cert"])
+    @pytest.mark.parametrize("text, column", [("1" * 4400, 1), ("2^" + "1" * 4400, 3)],
+                             ids=["rational", "power"])
+    def test_long_integer_literal(self, via, text, column, geometric_file, tmp_path, capsys):
+        # a literal of more than 4300 digits, as a rational or as a power's
+        # exponent, is refused at its token in one error line, not by int()
+        argv = _parsing_paths(via, geometric_file, tmp_path)
+        capsys.readouterr()
+        want = (f"{_PARSE_ERROR_PREFIX[via]}an integer of more than {MAX_RATIONAL_DIGITS} "
+                f"digits (line 1, column {column})\n")
+        assert main(argv(text)) == EXIT_ERROR
+        assert capsys.readouterr() == ("", want)
 
     @pytest.mark.parametrize("via, error", [("series", "io"), ("cert", "schema-error"),
                                             ("config", "config"), ("horizon", "config")])

@@ -107,6 +107,21 @@ class TestErrors:
             f"the power has a coefficient of more than {MAX_RATIONAL_DIGITS} digits "
             f"(line 1, column {column})")
 
+    @pytest.mark.parametrize("text, column", [
+        ("1" * 4301 + "*f", 1),
+        ("1/" + "3" * 4301, 3),
+        ("f^" + "1" * 4301, 3),
+        ("f(s+" + "1" * 4301 + ")", 5),
+    ], ids=["rational", "denominator", "power", "shift"])
+    def test_literal_past_the_digit_cap(self, text, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_diffpoly(text)
+        assert str(err.value) == (f"an integer of more than {MAX_RATIONAL_DIGITS} digits "
+                                  f"(line 1, column {column})")
+
+    def test_literal_at_the_digit_cap(self):
+        assert parse_coefficient("1" * 4300) == Coefficient.from_fraction(int("1" * 4300))
+
     @pytest.mark.parametrize("text, value", [
         ("10^4299", 10 ** 4299), ("2^14284", 2 ** 14284), ("(-1/9)^4000", Fraction(1, 9 ** 4000)),
         ("1^99999999", 1), ("0^99999999", 0), ("(-1)^99999999", -1)])

@@ -39,6 +39,7 @@ from dforge.series import (
     damping_key,
     differentiate_s,
     make_series,
+    meet_bounds,
     prefix,
     series_sum,
     zero_series,
@@ -436,7 +437,7 @@ class TestSharedScreen:
             work = _working_series(phi, horizon)
             memo = {}
             columns = [_Column(_evaluate(p, work, memo)) for p in products]
-            screen = _Screen(basis)
+            screen = _Screen(basis, columns)
             subsets = [sorted(rng.sample(range(len(products)), rng.randint(2, 5)))
                        for _ in range(15)]
             for idx in sorted(subsets, key=len):
@@ -579,7 +580,7 @@ class TestColumnTable:
         basis, _, phi = _zeta(20)
         memo = {}
         columns = [_Column(_evaluate(p, phi, memo)) for p in enumerate_products(4)]
-        screen = _Screen(basis)
+        screen = _Screen(basis, columns)
 
         def refuse(*args):
             raise AssertionError("the screen formed an exact entry")
@@ -680,7 +681,7 @@ class TestExactDecision:
             sizes.add(len(phi.terms))
             memo = {}
             columns = [_Column(_evaluate(p, phi, memo)) for p in products]
-            screen, table = _Screen(basis), {}
+            screen, table = _Screen(basis, columns), {}
             for k in range(2, 5):
                 for idx in itertools.combinations(range(len(products)), k):
                     cols = [columns[i] for i in idx]
@@ -818,7 +819,7 @@ class TestScreenProof:
                                         "random", "shifted"])
     def test_a_proof_is_never_followed_by_a_hit(self, family):
         basis, columns = _proof_family(family)
-        screen = _Screen(basis)
+        screen = _Screen(basis, columns)
         rng = random.Random(family)
         fired = hit = 0
         for _ in range(40):
@@ -851,7 +852,7 @@ class TestScreenProof:
         # the order-0 residues have full rank, so no other argument gives one
         one, two = Exponent.constant(1), Exponent.constant(1 + gap)
         cols = self._columns(unit_basis, {one: 1, two: 1}, {one: 1})
-        screen = _Screen(unit_basis)
+        screen = _Screen(unit_basis, cols)
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionTieWarning)
             assert wronskian._cannot_hit(cols, _PROBE_TERMS, screen) is proved
@@ -864,7 +865,7 @@ class TestScreenProof:
         # row it would be 1.  The exact Wronskian, 2 e^(-s), lies past it.
         zero, one = Exponent.zero(), Exponent.constant(1)
         cols = self._columns(unit_basis, {zero: 1, one: 1}, {zero: 2})
-        screen = _Screen(unit_basis)
+        screen = _Screen(unit_basis, cols)
         assert wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
         det = _wronskian_determinant(cols, _PROBE_TERMS, screen)
         assert det.bound == zero and det.hits() == []
@@ -874,7 +875,7 @@ class TestScreenProof:
         # the order-0 rows are not, and the Wronskian -e^(-s) hits
         zero, one = Exponent.zero(), Exponent.constant(1)
         cols = self._columns(unit_basis, {zero: 1, one: 1}, {zero: 1, one: 2})
-        screen = _Screen(unit_basis)
+        screen = _Screen(unit_basis, cols)
         assert not wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
         assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == [one]
 
@@ -884,7 +885,7 @@ class TestScreenProof:
         # residues have rank 1, yet the determinant hits
         tiny, one = Exponent.constant(Fraction(1, _MODULUS)), Exponent.constant(1)
         cols = self._columns(unit_basis, {tiny: _MODULUS}, {one: 1})
-        screen = _Screen(unit_basis)
+        screen = _Screen(unit_basis, cols)
         assert Coefficient.from_exponent(-tiny).residue(screen.point, _MODULUS) is None
         assert not wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
         assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == [tiny + one]
@@ -893,14 +894,14 @@ class TestScreenProof:
         exps = [Exponent.constant(i) for i in (1, 2)]
         cols = self._columns(unit_basis, {exps[0]: 1, exps[1]: 3}, {exps[0]: 2},
                              {exps[1]: 5})
-        screen = _Screen(unit_basis)
+        screen = _Screen(unit_basis, cols)
         assert wronskian._cannot_hit(cols, _PROBE_TERMS, screen)
         assert _wronskian_determinant(cols, _PROBE_TERMS, screen).hits() == []
 
     def test_an_entry_with_no_image_gives_no_proof(self, lam_basis):
         phi = geometric_series(lam_basis, 12)
         cols = [_Column(_evaluate(parse_diffpoly(t), phi)) for t in ("f(s+1/2)", "f", "f^2")]
-        assert not wronskian._cannot_hit(cols, _PROBE_TERMS, _Screen(lam_basis))
+        assert not wronskian._cannot_hit(cols, _PROBE_TERMS, _Screen(lam_basis, cols))
 
     def test_zeta_weight_four_expands_few_determinants(self, monkeypatch):
         # the acceptance-6 search: 2662 screen determinants were expanded
@@ -978,6 +979,144 @@ class TestBoundTest:
             for kept in (self._added, self._multiplied, self._added):
                 assert kept(basis, exps, bound, screen) == want
         assert len(record) == 1
+
+
+def _triage_family(name):
+    """The basis, series, products and horizons of one family for the
+    triage oracles: a zeta prefix and one with seeded coefficients over
+    log 1..30, two exponentials, and a geometric series with plain or with
+    shifted products; the horizon None keeps the series' own bound."""
+    rng = random.Random(name)
+    if name in ("zeta", "random"):
+        basis, vecs = log_basis_for_indices(range(1, 31), PREC)
+        coeff = (lambda n: 1) if name == "zeta" else (lambda n: rand_fraction(rng) or 1)
+        phi = make_series([(vecs[n], coeff(n)) for n in range(1, 31)], basis, vecs[30])
+        return basis, phi, enumerate_products(4), (vecs[3], vecs[4], vecs[6], vecs[9])
+    if name == "two-exponential":
+        basis = SymbolBasis.from_pairs([("a", "0.53"), ("b", "1.37")], precision=PREC)
+        a, b = Exponent.of("a"), Exponent.of("b")
+        phi = make_series([(a, 1), (b, rand_fraction(rng) or 1)], basis, b * 4)
+        return basis, phi, enumerate_products(4), (a * 2, b * 2, None)
+    basis, phi = _geometric_family()
+    lam = Exponent.of("lam")
+    products = _shifted_products() if name == "shifted" else enumerate_products(4)
+    return basis, phi, products, (lam * 3, lam * 5, lam * 8, None)
+
+
+class TestTriage:
+    """The search's exponent index against the per-subset work it replaces:
+    a subset's exponents up to its common bound, read from its masks,
+    against those ``compare`` keeps; a subset counted out against
+    ``_decide``'s refusal; and a search that counts subsets out against one
+    that sends every subset to ``_decide``."""
+
+    @pytest.mark.parametrize("family", ["zeta", "random", "geometric", "two-exponential",
+                                        "shifted"])
+    def test_masks_keep_what_compare_keeps(self, family):
+        basis, phi, products, horizons = _triage_family(family)
+        rng = random.Random(family)
+        counted = reached = 0
+        for horizon in horizons:
+            columns = wronskian._columns(products, _working_series(phi, horizon), {})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", PrecisionTieWarning)
+                screen = _Screen(basis, columns)
+            for _ in range(40):
+                k = rng.randint(2, 6)
+                idx = sorted(rng.sample(range(len(columns)), k))
+                cols = [columns[i] for i in idx]
+                common = None
+                for col in cols:
+                    common = meet_bounds(basis, common, col.evaluated.truncation)
+                want = sorted({e for col in cols for e, _ in col.evaluated.terms
+                               if common is None or basis.compare(e, common) <= 0},
+                              key=basis.ordering_key)
+                mask, cut = 0, -1
+                for col in cols:
+                    mask, cut = mask | col.mask, cut & col.cut
+                assert screen.lowest(mask & cut) == want
+                assert (cut == -1) == (common is None)
+                out = screen.counted_out(idx)
+                assert out == (common is not None and len(want) < k)
+                try:
+                    _decide(cols, screen)
+                    refused = False
+                except HorizonTooShort as exc:
+                    refused = "cannot be tested" in str(exc)
+                    assert exc.details == "underdetermined" or not refused
+                assert refused == out
+                counted += out
+                reached += not out
+        assert counted and reached
+
+    @pytest.mark.parametrize("family, max_weight", [
+        ("zeta", 4), ("random", 3), ("geometric", 3), ("two-exponential", 3)])
+    def test_counted_out_subsets_never_reach_decide(self, family, max_weight, monkeypatch):
+        # each search runs twice, once with no subset counted out, as
+        # every subset went to _decide before the index: the results are
+        # equal, the subsets counted out are exactly the ones the first run
+        # missed, and each of them was refused there as underdetermined
+        basis, phi, _, horizons = _triage_family(family)
+        decide, make_columns = wronskian._decide, wronskian._columns
+        runs = []
+
+        def columns(*args):
+            runs[-1]["columns"] = make_columns(*args)
+            return runs[-1]["columns"]
+
+        def recorded(cols, screen):
+            run = runs[-1]
+            idx = tuple(next(i for i, c in enumerate(run["columns"]) if c is col)
+                        for col in cols)
+            try:
+                verdict = decide(cols, screen)
+            except HorizonTooShort as exc:
+                run["calls"].append((idx, exc.details))
+                raise
+            run["calls"].append((idx, None))
+            return verdict
+
+        monkeypatch.setattr(wronskian, "_columns", columns)
+        monkeypatch.setattr(wronskian, "_decide", recorded)
+        total = 0
+        for horizon in horizons:
+            results = []
+            for count_out in (False, True):
+                runs.append({"calls": []})
+                with monkeypatch.context() as m:
+                    if not count_out:
+                        m.setattr(_Screen, "counted_out", lambda self, idx: False)
+                    try:
+                        results.append(search_ade(phi, max_weight, horizon))
+                    except HorizonTooShort as exc:
+                        results.append(exc.details)
+            every, triaged = runs[-2]["calls"], runs[-1]["calls"]
+            assert results[0] == results[1]
+            reached = {idx for idx, _ in triaged}
+            assert [call for call in every if call[0] in reached] == triaged
+            counted = [why for idx, why in every if idx not in reached]
+            assert set(counted) <= {"underdetermined"}
+            total += len(counted)
+        assert total
+
+    @pytest.mark.parametrize("precision", [20, 128])
+    def test_a_tie_with_a_column_bound_warns(self, precision):
+        # the second column's exponent 3/2 + 2^-(P+4) is within 2^-P of the
+        # first column's bound a = 3/2: indexing the two warns, as compare
+        # did on the exponents of the pair up to their common bound
+        basis = SymbolBasis.from_pairs([("a", "1.5")], precision=precision)
+        bound = Exponent.of("a")
+        tie = Exponent.constant(Fraction(3, 2) + Fraction(1, 2 ** (precision + 4)))
+        one, two = Exponent.constant(1), Exponent.constant(2)
+        cols = [_Column(make_series([(one, 1)], basis, bound)),
+                _Column(make_series([(one, 2), (tie, 1)], basis, two))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionTieWarning)
+            want = [e for e in (one, tie) if basis.compare(e, bound) <= 0]
+        with pytest.warns(PrecisionTieWarning, match=r"vs \(a\)") as record:
+            screen = _Screen(basis, cols)
+        assert len(record) == 1
+        assert screen.lowest((cols[0].mask | cols[1].mask) & cols[0].cut) == want
 
 
 def _symbolic_entry(rng, damped=0.05):
@@ -1113,8 +1252,8 @@ class TestModularImage:
         assert want.subsets_searched == 57 and len(want.skipped_inconclusive) == 7
         init = _Screen.__init__
 
-        def at_zero(self, basis):
-            init(self, basis)
+        def at_zero(self, basis, columns=()):
+            init(self, basis, columns)
             self.point = dict.fromkeys(self.point, 0)
 
         calls = []
