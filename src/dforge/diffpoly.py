@@ -17,12 +17,10 @@ from .series import (
     Coefficient,
     RationalLike,
     SparsePoly,
-    XPoly,
     _as_coefficient,
     _as_rational,
     drop_power,
     merge_powers,
-    power_product,
 )
 
 
@@ -259,36 +257,3 @@ def eliminate_x(F: DiffPolynomial) -> DiffPolynomial:
         raise AssertionError("resultant unexpectedly kept explicit x")
     return result
 
-
-# ---------------------------------------------------------------------------
-# Evaluation on concrete polynomial solutions (used by elimination checks)
-# ---------------------------------------------------------------------------
-
-def xpoly_derivative(p: XPoly) -> XPoly:
-    return XPoly.collect((k - 1, c.scale(k)) for k, c in p.terms if k >= 1)
-
-
-def xpoly_shift(p: XPoly, h: RationalLike) -> XPoly:
-    """Substitute x -> x + h by binomial expansion."""
-    if h == 0:
-        return p
-    from math import comb
-    return XPoly.collect((j, c.scale(comb(k, j) * h ** (k - j)))
-                         for k, c in p.terms for j in range(k + 1))
-
-
-def evaluate_on_xpolynomial(F: DiffPolynomial, phi: XPoly) -> XPoly:
-    """Substitute the concrete polynomial phi(x) for f, x staying explicit."""
-    def value(ind: DiffIndeterminate) -> XPoly:
-        p = phi
-        for _ in range(ind.order):
-            p = xpoly_derivative(p)
-        return xpoly_shift(p, ind.shift)
-
-    memo: dict = {}
-    total = XPoly.zero()
-    for (xdeg, powers), c in F.terms:
-        part = XPoly.monomial(xdeg, c)
-        product = power_product(powers, value, memo)
-        total = total + (part if product is None else part * product)
-    return total

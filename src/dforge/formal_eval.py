@@ -89,11 +89,6 @@ def _evaluate_monomials(F: DiffPolynomial, phi: FormalSeries,
         for (xdeg, powers), coeff in F.terms])
 
 
-def max_safe_horizon(F: DiffPolynomial, phi: FormalSeries) -> Optional[Exponent]:
-    """Largest horizon the substitution residual can be certified to."""
-    return _evaluate_monomials(F, phi).truncation
-
-
 def substitute(F: DiffPolynomial, phi: FormalSeries,
                horizon: Optional[Exponent] = None, *,
                memo: Optional[dict] = None) -> Residual:
@@ -133,9 +128,6 @@ class PartialLeadingTerms:
     entries: tuple[tuple[DiffIndeterminate, Coefficient, Exponent], ...]
     min_exponent: Exponent
     argmin: tuple[DiffIndeterminate, ...]
-
-    def as_dict(self) -> dict:
-        return {ind: (b, lam) for ind, b, lam in self.entries}
 
 
 def initial_terms_of_partials(F: DiffPolynomial, phi: FormalSeries,
@@ -192,16 +184,6 @@ class ExpPolynomial:
 
     def rate_value(self, k: Fraction):
         return fraction_to_mpf(k, self.basis.precision)
-
-    def evaluate(self, lam) -> mpmath.mpf:
-        with workprec(self.basis.precision):
-            lam = mpmath.mpf(str(lam)) if isinstance(lam, (int, float, str)) \
-                else (fraction_to_mpf(lam, self.basis.precision)
-                      if isinstance(lam, Fraction) else lam)
-            total = mpmath.mpf(0)
-            for t, k, c in self.terms:
-                total += c.numeric(self.basis) * lam ** t * mpmath.exp(lam * self.rate_value(k))
-            return total
 
 
 @dataclass(frozen=True)

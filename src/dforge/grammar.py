@@ -34,15 +34,12 @@ from typing import NamedTuple, Optional
 
 from .diffpoly import DiffIndeterminate, DiffPolynomial
 from .errors import ExprSyntaxError, UnknownSymbol
-from .numeric import MAX_RATIONAL_DIGITS
+from .numeric import CAP_BITS, MAX_RATIONAL_DIGITS, frac_str
 from .series import Coefficient, Exponent, RationalLike, SymbolBasis, _as_rational, _join_signed
 
 # deepest nesting of parentheses a parse accepts: past it, a syntax error
 # at the opening parenthesis rather than a RecursionError
 MAX_NESTING = 100
-
-# the bit length of 10^MAX_RATIONAL_DIGITS, the least integer of more digits
-_CAP_BITS = (10 ** MAX_RATIONAL_DIGITS).bit_length()
 
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<uint>\d+)|(?P<ident>\w+)|(?P<quote>')"
                     r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
@@ -214,9 +211,9 @@ def _power_too_wide(value: DiffPolynomial, k: int) -> bool:
     b = n.bit_length()
     # 2^((b-1)k) <= n^k < 2^(bk): only between the two is n^k formed, and it
     # then has fewer than twice the cap's bits
-    if b * k < _CAP_BITS:
+    if b * k < CAP_BITS:
         return False
-    return (b - 1) * k >= _CAP_BITS or n ** k >= 10 ** MAX_RATIONAL_DIGITS
+    return (b - 1) * k >= CAP_BITS or n ** k >= 10 ** MAX_RATIONAL_DIGITS
 
 
 def _linear_exponent(poly: DiffPolynomial, tok: _Token) -> Exponent:
@@ -281,10 +278,10 @@ def _term_str(m, c: Coefficient) -> tuple[str, str]:
         sign = "-" if q < 0 else "+"
         q = abs(q)
         if not mono:
-            return sign, str(q)
+            return sign, frac_str(q)
         if q == 1:
             return sign, mono
-        return sign, f"{q}*{mono}"
+        return sign, f"{frac_str(q)}*{mono}"
     if len(c.terms) == 1:
         cm, q = c.terms[0]
         sign = "-" if q < 0 else "+"

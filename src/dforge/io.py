@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from .errors import SchemaError
 from .grammar import parse_coefficient
-from .numeric import MAX_RATIONAL_DIGITS
+from .numeric import MAX_RATIONAL_DIGITS, frac_str
 from .series import (
     ONE,
     Exponent,
@@ -25,10 +25,6 @@ from .series import (
 )
 
 TOOL_VERSION = "dforge 0.1.0"
-
-
-def frac_str(q: RationalLike) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _digits(text: str) -> int:

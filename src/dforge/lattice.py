@@ -359,18 +359,6 @@ def prime_support(indices: Iterable[int], limit: int = DEFAULT_FACTOR_LIMIT) -> 
     return PrimeSupport(tuple(sorted(primes)), count, tuple(unfactored))
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Plain sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
 def log_basis_for_indices(indices: Iterable[int], precision: int,
                           limit: int = DEFAULT_FACTOR_LIMIT) -> tuple[SymbolBasis, dict[int, Exponent]]:
     """Prime-log symbol basis covering the given indices, with log n vectors.

@@ -14,7 +14,6 @@ divides and therefore stays exact in any integral domain.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -64,26 +63,6 @@ def _minor(matrix, table: dict, suffixes, rows: tuple, col: int):
     if total is None:  # the column is exactly zero on these rows
         total = matrix[rows[0]][col]
     table[key] = total
-    return total
-
-
-def determinant_leibniz(matrix: Sequence[Sequence[object]]):
-    """Plain permutation-sum determinant (independent oracle path)."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("determinant requires a non-empty matrix")
-    total = None
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        prod = matrix[0][perm[0]]
-        for i in range(1, n):
-            if not prod:
-                break
-            prod = prod * matrix[i][perm[i]]
-        if inversions % 2:
-            prod = -prod
-        total = prod if total is None else total + prod
     return total
 
 

@@ -2,9 +2,12 @@
 
 All exact data is rational: an integral value is a Python ``int``, any
 other a ``fractions.Fraction`` (see ``series._as_rational``), and no
-``float`` ever holds exact data.  This module is the one place where
-values are turned into mpmath floats.  Every conversion takes
-an explicit bit precision so that results are reproducible.
+``float`` ever holds exact data.  This module converts rationals, decimal
+strings and exponents into mpmath floats; ``formal_eval``, ``obstruction``
+and ``Coefficient.numeric`` build their other ``mpf`` values (constants,
+ratios, a coefficient's sum of terms) inside ``workprec``.  Every
+conversion takes an explicit bit precision so that results are
+reproducible.
 
 Exponent values go through one kernel on mpmath's raw ``libmp`` tuples,
 with no context manager and no temporary ``mpf``: each step rounds to
@@ -39,6 +42,9 @@ MAX_PRECISION = 4096
 # printed back, so inputs wider than it are refused before they are built.
 MAX_RATIONAL_DIGITS = 4300
 
+# the bit length of 10^MAX_RATIONAL_DIGITS, the least integer of more digits
+CAP_BITS = (10 ** MAX_RATIONAL_DIGITS).bit_length()
+
 # Extra working bits so that P-bit decisions are not corrupted by the last
 # few rounding steps of an evaluation chain.
 GUARD_BITS = 16
@@ -49,6 +55,17 @@ def check_precision(precision_bits: int, error=ValueError) -> None:
     before the first evaluation at a precision read from input."""
     if not 0 < precision_bits <= MAX_PRECISION:
         raise error(f"precision must be positive and at most {MAX_PRECISION}")
+
+
+def frac_str(q) -> str:
+    """``str`` of an int or Fraction, "p" or "p/q"; one with a numerator or
+    denominator of more than MAX_RATIONAL_DIGITS digits, which Python would
+    not write out, is refused with ``ValueError``, decided on bit lengths."""
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) >= CAP_BITS \
+            and max(abs(q.numerator), q.denominator) >= 10 ** MAX_RATIONAL_DIGITS:
+        raise ValueError(f"a rational of more than {MAX_RATIONAL_DIGITS} digits "
+                         f"cannot be written")
+    return str(q)
 
 
 def workprec(precision_bits: int):

@@ -29,7 +29,6 @@ from .io import (
     basis_to_obj,
     canonical_json,
     exponent_to_obj,
-    frac_str,
     obj_to_basis,
     obj_to_exponent,
     obj_to_series,
@@ -38,7 +37,7 @@ from .io import (
     series_to_obj,
 )
 from .lattice import Lattice, factorize, gap_ratios, integer_basis
-from .numeric import check_precision, decimal_text, workprec
+from .numeric import check_precision, decimal_text, frac_str, workprec
 from .series import Exponent, FormalSeries, SymbolBasis
 
 FINITE_BASIS_REFUTATION = "FiniteBasisRefutation"

@@ -33,6 +33,7 @@ from .numeric import (
     GUARD_BITS,
     check_precision,
     decimal_str_to_mpf,
+    frac_str,
     fraction_to_mpf,
     magnitude,
     scaled_value,
@@ -287,8 +288,13 @@ class SymbolBasis:
         if len(self.values) != len(self.symbols):
             raise BadBasis("one numeric value per symbol required")
         check_precision(self.precision, BadBasis)
-        values = {n: decimal_str_to_mpf(v, self.precision)
-                  for n, v in zip(self.symbols, self.values)}
+        values = {}
+        for name, text in zip(self.symbols, self.values):
+            try:
+                values[name] = decimal_str_to_mpf(text, self.precision)
+            except (ValueError, ZeroDivisionError):   # mpmath reads "1/0" as a ratio
+                raise BadBasis(f"symbol {name!r} has value {text[:40]!r}, "
+                               f"not a decimal number") from None
         for name, value in values.items():
             if not 0 < value < float("inf"):
                 raise BadBasis(f"symbol {name!r} must have a finite, strictly positive value")
@@ -733,9 +739,9 @@ class Coefficient(SparsePoly):
         for m, q in self.terms:
             ms = _mono_str(m)
             if ms:
-                body = ms if abs(q) == 1 else f"{abs(q)}*{ms}"
+                body = ms if abs(q) == 1 else f"{frac_str(abs(q))}*{ms}"
             else:
-                body = str(abs(q))
+                body = frac_str(abs(q))
             parts.append(("-" if q < 0 else "+", body))
         return _join_signed(parts)
 

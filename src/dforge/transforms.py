@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diffpoly import DiffPolynomial, partial_wrt, xpoly_derivative
+from .diffpoly import DiffPolynomial, partial_wrt
 from .errors import (
     DforgeError,
     InvarianceViolated,
@@ -24,8 +24,9 @@ from .errors import (
     ZeroScalar,
 )
 from .formal_eval import substitute
-from .io import basis_to_obj, exponent_to_obj, frac_str
+from .io import basis_to_obj, exponent_to_obj
 from .lattice import LatticeBasis, express, log_basis_for_indices
+from .numeric import frac_str
 from .obstruction import FORMAL_SATISFACTION, Certificate, residual_certificate
 from .series import (
     Coefficient,
@@ -33,7 +34,6 @@ from .series import (
     FormalSeries,
     SparsePoly,
     SymbolBasis,
-    XPoly,
     _as_coefficient,
     differentiate_s,
     drop_power,
@@ -230,38 +230,6 @@ def ode_to_pde(F: DiffPolynomial, mu: int,
     return PdeResult(total, mu, names, order)
 
 
-def substitute_power_series(result: PdeResult, g_coeffs: Sequence[Fraction],
-                            order: int) -> list[Coefficient]:
-    """Evaluate a single-variable PDE on G given as a power-series prefix.
-
-    Returns the residual coefficients up to x-degree ``order`` (inclusive);
-    all-zero entries mean the series satisfies the equation to that order.
-    Rate symbols stay symbolic inside the returned coefficients.
-    """
-    if result.mu != 1:
-        raise ValueError("series substitution is implemented for one variable")
-
-    def cut(p: XPoly) -> XPoly:
-        return XPoly(tuple(t for t in p.terms if t[0] <= order))
-
-    partials = [XPoly.collect((k, Coefficient.from_fraction(Fraction(c)))
-                              for k, c in enumerate(g_coeffs))]
-
-    def partial(a: int) -> XPoly:
-        while len(partials) <= a:
-            partials.append(xpoly_derivative(partials[-1]))
-        return partials[a]
-
-    total = XPoly.zero()
-    for (betas, xpow), c in result.poly.terms:
-        term = cut(XPoly.monomial(xpow[0], c))
-        for beta, k in betas:
-            for _ in range(k):
-                term = cut(term * partial(beta[0]))
-        total = total + term
-    return [total.coefficient(j) for j in range(order + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Hilbert functional equation for the bivariate zeta prefix
 # ---------------------------------------------------------------------------
@@ -284,6 +252,23 @@ def zeta_xs_prefix(N: int, shift: int, precision: int = 128,
     return make_series(spec, basis, exponents[N])
 
 
+#: The longest prefix a Hilbert grid may check.  The tests, CI and the
+#: benchmark stay at N <= 80.
+MAX_HILBERT_N = 1000
+
+#: The most checks, (max_weight_ops + 1)(max_shift + 1)(max_s_derivatives + 1),
+#: one grid may make.  Apart from the tests of the caps, the largest grid
+#: the tests use has 64, CI's and the benchmark's 18; the costliest within
+#: the caps, N = 1000 with mu = 19 and four s-derivatives, takes about 5 s
+#: and 150 MB.
+MAX_HILBERT_CHECKS = 100
+
+#: The highest s-derivative a grid may take: the d-th derivative's
+#: coefficients are (-log n)^d, whose monomials in the prime logs grow like
+#: d^(k-1) for n with k prime factors.  The tests use at most 3.
+MAX_HILBERT_S_DERIVATIVES = 4
+
+
 def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
                         ds_max: Optional[int] = None,
                         precision: int = 128) -> Certificate:
@@ -291,13 +276,22 @@ def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
 
     Verifies (x d/dx)^mu zeta(x, s-nu) = zeta(x, s-mu-nu) together with its
     s-derivative variants for the whole parameter grid; every residual must
-    be identically zero on the prefix.
+    be identically zero on the prefix.  A grid past ``MAX_HILBERT_N``,
+    ``MAX_HILBERT_CHECKS`` or ``MAX_HILBERT_S_DERIVATIVES``, or with a
+    negative count, is refused with ``ValueError`` before any prefix is built.
     """
     if ds_max is None:
         ds_max = nu_max
+    counts = (f"max_shift={nu_max}, max_weight_ops={mu_max}, "
+              f"max_s_derivatives={ds_max}")
     if min(nu_max, mu_max, ds_max) < 0:
-        raise ValueError(f"the grid counts must be non-negative: max_shift={nu_max}, "
-                         f"max_weight_ops={mu_max}, max_s_derivatives={ds_max}")
+        raise ValueError(f"the grid counts must be non-negative: {counts}")
+    if N > MAX_HILBERT_N:
+        raise ValueError(f"prefix bound {N} is above {MAX_HILBERT_N}")
+    if (mu_max + 1) * (nu_max + 1) * (ds_max + 1) > MAX_HILBERT_CHECKS:
+        raise ValueError(f"the grid would make more than {MAX_HILBERT_CHECKS} checks: {counts}")
+    if ds_max > MAX_HILBERT_S_DERIVATIVES:
+        raise ValueError(f"max_s_derivatives={ds_max} is above {MAX_HILBERT_S_DERIVATIVES}")
     basis, exponents = log_basis_for_indices(range(1, N + 1), precision)
     # d-th s-derivative of the shift's prefix, keyed (shift, d); (shift, 0)
     # is the prefix itself, so each prefix is built and differentiated once
@@ -311,13 +305,14 @@ def verify_hilbert_zeta(N: int, nu_max: int, mu_max: int,
             derived[shift, d] = differentiate_s(base, d)
         return derived[shift, d]
 
+    # (x d/dx)^mu of derivative(nu, d) under (nu, d), one step per mu
+    sides: dict[tuple[int, int], FormalSeries] = {}
     checks = 0
     for mu in range(mu_max + 1):
         for nu in range(nu_max + 1):
             for d in range(ds_max + 1):
-                lhs = derivative(nu, d)
-                for _ in range(mu):
-                    lhs = x_log_derivative(lhs)
+                lhs = sides[nu, d] = (derivative(nu, d) if mu == 0
+                                      else x_log_derivative(sides[nu, d]))
                 rhs = derivative(mu + nu, d)
                 # canonical over one basis and bound: equal iff no difference
                 if lhs != rhs:

@@ -69,7 +69,7 @@ def enumerate_products(max_weight: int) -> list[DiffPolynomial]:
     one = Coefficient.one()
     out: list[DiffPolynomial] = []
     for w in range(1, max_weight + 1):
-        for orders in sorted(_partitions_as_orders(w), key=_graded_lex_key):
+        for orders in _orders(w):
             mono = (0, tuple((DiffIndeterminate(0, o), k) for o, k in orders))
             out.append(DiffPolynomial(((mono, one),)))
     return out
@@ -82,34 +82,21 @@ def weight(product: DiffPolynomial) -> int:
     return sum((ind.order + 1) * k for ind, k in powers)
 
 
-def _partitions_as_orders(w: int) -> list[tuple[tuple[int, int], ...]]:
-    """Partitions of w encoded as (derivative order, multiplicity) pairs.
+def _orders(w: int, order: int = 0):
+    """Partitions of w into factors of derivative order >= ``order``, a
+    factor of order o counting o + 1, as (order, multiplicity) pairs.
 
-    A part of size p stands for one factor of derivative order p-1.
+    Most factors of the lowest order come first: the listing is
+    lexicographic on the negated multiplicity vector.  Module-level, since
+    a recursive closure is a reference cycle.
     """
-    results: list = []
-    _extend_partitions(w, w, {}, results)
-    return results
-
-
-def _extend_partitions(remaining: int, max_part: int, acc: dict, results: list) -> None:
-    # module-level, since a recursive closure is a reference cycle
-    if remaining == 0:
-        results.append(tuple(sorted((p - 1, k) for p, k in acc.items())))
-        return
-    for p in range(min(remaining, max_part), 0, -1):
-        acc[p] = acc.get(p, 0) + 1
-        _extend_partitions(remaining - p, p, acc, results)
-        acc[p] -= 1
-        if not acc[p]:
-            del acc[p]
-
-
-def _graded_lex_key(orders: tuple[tuple[int, int], ...]):
-    dense = [0] * (orders[-1][0] + 1)
-    for o, k in orders:
-        dense[o] = k
-    return tuple(-k for k in dense)
+    if w == 0:
+        yield ()
+    for k in range(w // (order + 1), 0, -1):
+        for rest in _orders(w - k * (order + 1), order + 1):
+            yield ((order, k),) + rest
+    if w > order + 1:   # room left for factors of higher order only
+        yield from _orders(w, order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +348,10 @@ class _Memos:
     """The exponent work of one search's screen products, each piece done
     once: ``sums``, the basis's ``exponent_sums``, and ``past[bound]``, the
     memo ``series._past`` (never past, for no bound) kept for the search, so
-    a tie within 2^-P against a bound warns once per search."""
+    a tie within 2^-P against a bound warns once per search.  It stays
+    apart from ``_Screen``: every screen series holds its memos, and the
+    screen holds those series in its rows and minor tables, so memos on the
+    screen itself would make a reference cycle."""
 
     __slots__ = ("basis", "sums", "past")
 
@@ -742,7 +732,7 @@ def search_ade(phi: FormalSeries, max_weight: int,
         raise ValueError("max k must be at least 2")
     n = 0
     for w in range(1, max_weight + 1):   # count the products before building them
-        n += len(_partitions_as_orders(w))
+        n += sum(1 for _ in _orders(w))
         if comb(n, 2) > MAX_SUBSETS:      # so a huge weight is refused at once
             raise _too_many_subsets(max_weight, comb(n, 2), 2)
     products = enumerate_products(max_weight)

@@ -14,7 +14,7 @@ import pytest
 
 import dforge
 from conftest import geometric_series
-from dforge import grammar
+from dforge import grammar, transforms
 from dforge.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -333,6 +333,38 @@ class TestMain:
         assert captured.err.startswith("error[bad-input]: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [["--n", "1000000000"], ["--max-mu", "1000000000"],
+                                       ["--max-nu", "1000000000"],
+                                       ["--max-ds", "1000000000"]])
+    def test_verify_hilbert_past_the_caps_is_bad_input(self, flags, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prefix basis built past the caps")
+
+        monkeypatch.setattr(transforms, "log_basis_for_indices", refuse)
+        argv = ["verify", "hilbert", "--n", "6", "--max-mu", "1", "--max-nu", "1", *flags]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[bad-input]: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["n", "max_weight_ops", "max_shift", "max_s_derivatives"])
+    def test_verify_cert_refuses_a_hilbert_grid_past_the_caps(self, key, monkeypatch,
+                                                              tmp_path, capsys):
+        out = tmp_path / "hilbert.cert.json"
+        assert main(["verify", "hilbert", "--n", "6", "--max-mu", "1", "--max-nu", "1",
+                     "--out", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        obj["evidence"][key] = 10 ** 9
+        out.write_text(json.dumps(obj))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prefix basis built past the caps")
+
+        monkeypatch.setattr(transforms, "log_basis_for_indices", refuse)
+        assert main(["verify", "cert", str(out)]) == EXIT_ERROR
+        assert "rebuild failed" in capsys.readouterr().out
+
     def test_verify_cert_refuses_an_empty_hilbert_grid(self, tmp_path, capsys):
         out = tmp_path / "hilbert.cert.json"
         assert main(["verify", "hilbert", "--n", "3", "--max-mu", "1", "--max-nu", "1",
@@ -596,6 +628,53 @@ class TestErrorCodes:
         assert main([*command, "--series", str(path), "--out", str(out)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error[bad-basis]: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["substitute", "--eq", "f' + lam*f + lam*f^2"],
+                                         ["derive-ade"]])
+    def test_unparsed_symbol_value_is_bad_basis(self, command, lam_basis, tmp_path, capsys):
+        # mpmath reads "1/0" as a ratio and divides by zero
+        obj = series_to_obj(geometric_series(lam_basis, 6))
+        obj["basis"]["symbols"][0]["value_decimal_string"] = "1/0"
+        path = tmp_path / "ratio.series.json"
+        path.write_text(json.dumps(obj))
+        assert main([*command, "--series", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error[bad-basis]: symbol 'lam' has value '1/0', not a decimal number\n"
+
+    def test_unparsed_symbol_value_in_certificate_is_schema_error(self, geometric_file,
+                                                                  tmp_path, capsys):
+        path = tmp_path / "sub.cert.json"
+        assert main(["substitute", "--series", str(geometric_file),
+                     "--eq", "f' + lam*f + lam*f^2", "--out", str(path)]) == EXIT_OK
+        obj = json.loads(path.read_text())
+        # the basis block the rebuild reads: the substituted series'
+        obj["evidence"]["series"]["basis"]["symbols"][0]["value_decimal_string"] = "1/0"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "cert", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[schema-error]: ")
+        assert captured.err.endswith("symbol 'lam' has value '1/0', not a decimal number\n")
+        assert captured.err.count("\n") == 1
+
+    def test_residual_too_wide_to_write_is_bad_input(self, lam_basis, tmp_path, capsys):
+        # 9^4000 has 3817 digits and parses; the residual's 9^8000 has 7634,
+        # past Python's int-to-str limit, and is refused where it is written
+        obj = series_to_obj(geometric_series(lam_basis, 6))
+        obj["terms"][0]["coeff"] = str(9 ** 4000)
+        path = tmp_path / "wide.series.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "c.json"
+        assert main(["substitute", "--series", str(path), "--eq", "f' + lam*f + lam*f^2",
+                     "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error[bad-input]: a rational of more than "
+                                f"{MAX_RATIONAL_DIGITS} digits cannot be written\n")
         assert not out.exists()
 
     def test_non_string_symbol_name_is_schema_error(self, lam_basis, tmp_path, capsys):

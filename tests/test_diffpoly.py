@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import dforge.diffpoly
+from oracles import determinant_leibniz, evaluate_on_xpolynomial
 from dforge.diffpoly import (
     DiffIndeterminate,
     DiffPolynomial,
     eliminate_x,
-    evaluate_on_xpolynomial,
     partial_wrt,
     split_x_monomial_content,
     sylvester_matrix,
@@ -23,7 +23,7 @@ from dforge.diffpoly import (
 )
 from dforge.errors import DegenerateInput, ResultantVanished
 from dforge.grammar import parse_diffpoly, pretty
-from dforge.linalg import determinant, determinant_leibniz
+from dforge.linalg import determinant
 from dforge.series import Coefficient, XPoly
 
 

@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from conftest import PREC
+from oracles import primes_up_to
 import dforge.lattice
 from dforge.errors import FactorLimitExceeded, PrecisionTieWarning
 from dforge.io import canonical_json, exponent_to_obj
@@ -25,7 +26,6 @@ from dforge.lattice import (
     log_basis_for_indices,
     omega_rewrite,
     prime_support,
-    primes_up_to,
     reconstruct,
 )
 from dforge.linalg import rational_rank

@@ -6,7 +6,8 @@ from fractions import Fraction
 from dforge.diffpoly import eliminate_x
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.series import Coefficient, Exponent, XPoly, make_series
-from dforge.transforms import ode_to_pde, substitute_power_series
+from dforge.transforms import ode_to_pde
+from oracles import substitute_power_series
 
 COEFF = ("-7/3 + L2*L3 - 3/2*L2^2 - L3*exp(-(-2*L2)) + L5*exp(-(1/2*L3 - 1))")
 

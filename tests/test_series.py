@@ -19,13 +19,14 @@ import mpmath
 import pytest
 
 from conftest import PREC, convolve_oracle, geometric_series, rand_fraction, residue_series
+from oracles import determinant_leibniz
 from dforge import series
 from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import BadBasis, BadBound, BasisMismatch, PrecisionTieWarning
 from dforge.formal_eval import forcing_threshold, substitute
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.io import canonical_json, dump_series, exponent_to_obj, load_series, series_to_obj
-from dforge.linalg import determinant, determinant_leibniz
+from dforge.linalg import determinant
 from dforge.lattice import gap_ratios, integer_basis, log_basis_for_indices
 from dforge.obstruction import (
     finite_basis_certificate,

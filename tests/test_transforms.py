@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import PREC, geometric_series
+from oracles import substitute_power_series
 from dforge import transforms
 from dforge.errors import DforgeError, NotInLatticeError, ShiftPresent, ZeroScalar
 from dforge.grammar import parse_diffpoly
@@ -23,7 +24,6 @@ from dforge.transforms import (
     PdePolynomial,
     ode_to_pde,
     rescale,
-    substitute_power_series,
     verify_hilbert_zeta,
     verify_rescale_invariance,
     zeta_xs_prefix,
@@ -175,6 +175,31 @@ class TestHilbert:
         nu, mu, ds = counts
         with pytest.raises(ValueError, match="non-negative"):
             verify_hilbert_zeta(6, nu, mu, ds)
+
+    @pytest.mark.parametrize("args, match", [
+        ((1001, 1, 1, 1), "prefix bound"),
+        ((10 ** 9, 1, 1, 1), "prefix bound"),
+        ((6, 10 ** 9, 1, 1), "more than 100 checks"),
+        ((6, 1, 10 ** 9, 1), "more than 100 checks"),
+        ((6, 1, 1, 10 ** 9), "more than 100 checks"),
+        ((6, 4, 4, 4), "more than 100 checks"),   # 125 checks
+        ((6, 0, 0, 5), "max_s_derivatives=5"),
+    ])
+    def test_grid_past_the_caps_is_refused_before_any_prefix(self, args, match, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prefix basis built past the caps")
+
+        monkeypatch.setattr(transforms, "log_basis_for_indices", refuse)
+        with pytest.raises(ValueError, match=match):
+            verify_hilbert_zeta(*args)
+
+    def test_grids_at_the_caps_are_checked(self):
+        # the caps the README documents; nu = mu = 4, d <= 3 is 100 checks,
+        # and d = 4 alone is inside its cap
+        assert (transforms.MAX_HILBERT_N, transforms.MAX_HILBERT_CHECKS,
+                transforms.MAX_HILBERT_S_DERIVATIVES) == (1000, 100, 4)
+        assert verify_hilbert_zeta(6, 4, 4, 3).evidence["checks"] == 100
+        assert verify_hilbert_zeta(6, 0, 0, 4).evidence["checks"] == 5
 
     def test_certificate_of_an_empty_grid_fails_its_rebuild(self):
         cert = verify_hilbert_zeta(6, 1, 1)

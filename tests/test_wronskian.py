@@ -17,15 +17,15 @@ from conftest import (
     rand_fraction,
     residue_series,
 )
+from oracles import determinant_leibniz
 from dforge import wronskian
-from dforge.diffpoly import DiffPolynomial
+from dforge.diffpoly import DiffIndeterminate, DiffPolynomial
 from dforge.errors import HorizonTooShort, PrecisionTieWarning
 from dforge.formal_eval import evaluate_powers, substitute
 from dforge.grammar import parse_diffpoly, pretty
 from dforge.lattice import log_basis_for_indices
 from dforge.linalg import (
     determinant,
-    determinant_leibniz,
     ring_echelon,
     ring_nullspace_vector,
 )
@@ -94,6 +94,21 @@ class TestEnumerate:
     def test_weight_three(self):
         assert [str(p) for p in enumerate_products(3)] == [
             "f", "f^2", "f'", "f^3", "f*f'", "f''"]
+
+    def test_listing_matches_sorted_partitions(self):
+        # every multiplicity vector (k_0, ..., k_{w-1}) with sum (o+1) k_o = w,
+        # sorted by the negated vector: most factors of the lowest order first
+        want = []
+        for w in range(1, 11):
+            vectors = [v for v in itertools.product(*(range(w // (o + 1) + 1)
+                                                      for o in range(w)))
+                       if sum((o + 1) * k for o, k in enumerate(v)) == w]
+            for v in sorted(vectors, key=lambda v: tuple(-k for k in v)):
+                want.append(tuple((DiffIndeterminate.make(o), k)
+                                  for o, k in enumerate(v) if k))
+        got = enumerate_products(10)
+        assert [p.terms[0][0] for p in got] == [(0, powers) for powers in want]
+        assert all(p.terms[0][1] == Coefficient.one() for p in got)
 
     def test_counts_match_partition_oracle(self):
         for w in range(1, 9):
