@@ -3,7 +3,10 @@
 Subcommands: analyze, substitute, eliminate-x, basis, derive-ade, rescale,
 ode-to-pde, verify (with cert / hilbert / rescale forms).  Exit codes:
 0 analysis completed, 2 obstruction evidence found (greppable), 1 error
-(``error[<code>]`` on stderr; ``error[usage]`` for a bad command line).
+(``error[<code>]`` on stderr; ``error[usage]`` for a bad command line,
+flags that need another, such as ``analyze --eq`` or ``--derive`` without
+``--series``, and ``basis`` without exactly one of ``--corpus`` and
+``--series``).
 Configuration is JSON (one format); the DFORGE_PRECISION environment
 variable overrides the precision of the bases dforge builds itself (corpus
 pipelines and ``verify hilbert``); a series file carries its own.
@@ -166,13 +169,13 @@ def run_analysis(config: AnalysisConfig, inputs: AnalysisInputs
 
     if inputs.equation:
         if phi is None:
-            raise DforgeError("--eq requires --series")
+            raise UsageError("--eq requires --series")
         certificates.append(_formal_check(config, phi, inputs.equation, True)[1])
         summary["pipeline"].append("substitute")
 
     if inputs.derive:
         if phi is None:
-            raise DforgeError("--derive requires --series")
+            raise UsageError("--derive requires --series")
         found, cert = _derive(config, phi)
         if cert is None:
             summary["derive_ade"] = _not_found_obj(found)
@@ -405,7 +408,7 @@ def _dispatch(args) -> int:
     if args.command == "basis":
         config = _load_config(args)
         if bool(args.corpus) == bool(args.series):
-            raise DforgeError("exactly one of --corpus / --series is required")
+            raise UsageError("exactly one of --corpus / --series is required")
         if args.corpus:
             corpus = read_corpus(args.corpus)
             indices = [n for n, a in corpus if a != 0]

@@ -174,7 +174,7 @@ class SchemaError(DforgeError):
 
 
 class UsageError(DforgeError):
-    """The command line does not parse: an unknown flag or a bad flag value."""
+    """A command line that does not parse, or whose flags do not go together."""
 
     code = "usage"
 

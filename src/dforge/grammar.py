@@ -19,7 +19,8 @@ whitespace separates tokens and is otherwise skipped.  Errors give a 1-based
 line and column, and only ``\\n`` starts a line.  The argument of
 ``exp(...)`` is free of x and f, linear in the symbols, and holds no
 ``exp``.  Parentheses, those of ``exp(`` included, nest at most
-:data:`MAX_NESTING` deep.
+:data:`MAX_NESTING` deep, and no product forms more than
+:data:`MAX_PRODUCT_PAIRS` term pairs.
 
 Examples: ``f'' - 1``, ``f'^2 - 4*f``, ``f(s+1) - 2*f``, ``x^2*f'' + f``,
 ``f' + L*f + L*f^2``.  The pretty printer emits canonical text whose parse
@@ -40,6 +41,14 @@ from .series import Coefficient, Exponent, RationalLike, SymbolBasis, _as_ration
 # deepest nesting of parentheses a parse accepts: past it, a syntax error
 # at the opening parenthesis rather than a RecursionError
 MAX_NESTING = 100
+
+# most term pairs one product of a parse may form, a term counting once per
+# term of its coefficient.  Each '*' is a product, and so is each step of a
+# power of more than one term, built by repeated multiplication (exact and
+# canonical, so the same polynomial as repeated squaring); past the budget,
+# a syntax error at the operator before the product is formed.  One-term
+# powers are bounded by ``_power_too_wide`` instead.
+MAX_PRODUCT_PAIRS = 1000
 
 _TOKEN = re.compile(r"(?P<space>\s+)|(?P<uint>\d+)|(?P<ident>\w+)|(?P<quote>')"
                     r"|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
@@ -128,18 +137,29 @@ class _Parser:
 
     def term(self) -> DiffPolynomial:
         value = self.factor()
-        while self.accept("*"):
-            value = value * self.factor()
+        while (op := self.peek()).text == "*":
+            self.advance()
+            value = _product(op, value, self.factor())
         return value
 
     def factor(self) -> DiffPolynomial:
         value = self.atom()
-        while self.accept("^"):
+        while (op := self.peek()).text == "^":
+            self.advance()
             tok, k = self.uint()
-            if _power_too_wide(value, k):
+            if _width(value) > 1:
+                if k > MAX_PRODUCT_PAIRS:
+                    raise op.error(f"a power of more than one term with an exponent "
+                                   f"above {MAX_PRODUCT_PAIRS}")
+                power = value if k else DiffPolynomial.one()
+                for _ in range(k - 1):
+                    power = _product(op, power, value)
+                value = power
+            elif _power_too_wide(value, k):
                 raise tok.error(f"the power has a coefficient of more than "
                                 f"{MAX_RATIONAL_DIGITS} digits")
-            value = value ** k
+            else:
+                value = value ** k
         return value
 
     def rational(self) -> RationalLike:
@@ -198,6 +218,19 @@ class _Parser:
                 shift = q if sign == "+" else -q
             self.expect(")")
         return DiffPolynomial.from_indeterminate(DiffIndeterminate(shift, order))
+
+
+def _width(value: DiffPolynomial) -> int:
+    """The terms of ``value``, each counted once per term of its coefficient."""
+    return sum(len(c.terms) for _, c in value.terms)
+
+
+def _product(op: _Token, a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
+    """``a * b``, refused at ``op`` before it is formed when it would form
+    more than MAX_PRODUCT_PAIRS term pairs."""
+    if _width(a) * _width(b) > MAX_PRODUCT_PAIRS:
+        raise op.error(f"a product of more than {MAX_PRODUCT_PAIRS} term pairs")
+    return a * b
 
 
 def _power_too_wide(value: DiffPolynomial, k: int) -> bool:

@@ -195,7 +195,7 @@ class _Column:
             if None in row.values():
                 self._rows[stage] = None
                 return None
-            kept.append(_NumSeries(row, bound, screen.memos))
+            kept.append(_NumSeries(row, bound, screen.basis, screen.past))
         return kept[:count]
 
 
@@ -243,13 +243,11 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
 
     The union is the OR of the columns' stage masks over the screen's
     exponent index, whose low bits are its least exponents.  No proof is
-    given when an entry has no image or is the exact zero.
+    given when an entry has no image.
     """
     k = len(columns)
     rows = [col.screen_rows(stage, k, screen) for col in columns]
-    # the rows of a column share its bound: an entry is the exact zero only
-    # when that bound is None
-    if None in rows or any(col_rows[0].bound is None for col_rows in rows):
+    if None in rows:
         return False
     union = 0
     for col in columns:
@@ -257,7 +255,7 @@ def _cannot_hit(columns: Sequence[_Column], stage: int, screen: "_Screen") -> bo
     least = screen.lowest(union, k)
     if len(least) < k:
         return True
-    basis, sums = screen.basis, screen.memos.sums
+    basis, sums = screen.basis, screen.basis.exponent_sums()
     key = basis.ordering_key
     low = least[0]
     for e in least[1:]:
@@ -288,18 +286,19 @@ class _NumSeries:
     at its exponent.
     """
 
-    __slots__ = ("terms", "bound", "memos", "_least")
+    __slots__ = ("terms", "bound", "basis", "past", "_least")
 
-    def __init__(self, terms: dict, bound: Optional[Exponent], memos: "_Memos"):
+    def __init__(self, terms: dict, bound: Exponent, basis, past: _Memo):
         self.terms = terms  # Exponent -> int in [0, _MODULUS)
         self.bound = bound
-        self.memos = memos
+        self.basis = basis
+        self.past = past    # the search's bound tests: past[bound][e]
         self._least = _UNKNOWN
 
-    def least(self) -> Optional[Exponent]:
+    def least(self) -> Exponent:
         """Least stored exponent, or the bound when no term is stored."""
         if self._least is _UNKNOWN:
-            self._least = (min(self.terms, key=self.memos.basis.ordering_key) if self.terms
+            self._least = (min(self.terms, key=self.basis.ordering_key) if self.terms
                            else self.bound)
         return self._least
 
@@ -308,58 +307,33 @@ class _NumSeries:
         nonzero."""
         return [e for e, v in self.terms.items() if v]
 
-    def __bool__(self) -> bool:
-        """False only for the exact zero: no term and no bound."""
-        return bool(self.terms) or self.bound is not None
-
     def __add__(self, other: "_NumSeries") -> "_NumSeries":
-        memos = self.memos
-        bound = meet_bounds(memos.basis, self.bound, other.bound)
+        bound = meet_bounds(self.basis, self.bound, other.bound)
         out = dict(self.terms)
         for e, v in other.terms.items():
             out[e] = out[e] + v if e in out else v
-        past = memos.past[bound]
+        past = self.past[bound]
         return _NumSeries({e: v % _MODULUS for e, v in out.items() if not past[e]}, bound,
-                          memos)
+                          self.basis, self.past)
 
     def __neg__(self) -> "_NumSeries":
         return _NumSeries({e: -v % _MODULUS for e, v in self.terms.items()}, self.bound,
-                          self.memos)
+                          self.basis, self.past)
 
     def __mul__(self, other: "_NumSeries") -> "_NumSeries":
-        memos = self.memos
-        if not self or not other:
-            return _NumSeries({}, None, memos)
-        bound = product_bound(memos.basis, self.bound, self.least(), other.bound, other.least())
-        past = memos.past[bound]
+        basis = self.basis
+        bound = product_bound(basis, self.bound, self.least(), other.bound, other.least())
+        past, sums = self.past[bound], basis.exponent_sums()
         out: dict = {}
         for ea, va in self.terms.items():
-            sums = memos.sums[ea]
+            row = sums[ea]
             for eb, vb in other.terms.items():
-                e = sums[eb]
+                e = row[eb]
                 if e in out:
                     out[e] += va * vb
                 elif not past[e]:
                     out[e] = va * vb
-        return _NumSeries({e: v % _MODULUS for e, v in out.items()}, bound, memos)
-
-
-class _Memos:
-    """The exponent work of one search's screen products, each piece done
-    once: ``sums``, the basis's ``exponent_sums``, and ``past[bound]``, the
-    memo ``series._past`` (never past, for no bound) kept for the search, so
-    a tie within 2^-P against a bound warns once per search.  It stays
-    apart from ``_Screen``: every screen series holds its memos, and the
-    screen holds those series in its rows and minor tables, so memos on the
-    screen itself would make a reference cycle."""
-
-    __slots__ = ("basis", "sums", "past")
-
-    def __init__(self, basis):
-        self.basis = basis
-        self.sums = basis.exponent_sums()
-        self.past = _Memo(lambda bound: _Memo(lambda e: False) if bound is None
-                          else _past(basis, bound))
+        return _NumSeries({e: v % _MODULUS for e, v in out.items()}, bound, basis, self.past)
 
 
 class _ModP(int):
@@ -383,8 +357,14 @@ class _Screen:
     the Wronskian screen and the term-matrix image read every coefficient,
     with each symbol, and each damping factor e^(-name) and e^(-1) under
     its ``damping_key``, at the sha256 of its key; the exponent index of its
-    columns; the exponent memos of its products; the residue of each
-    negated exponent the rows read; and the minor tables.
+    columns; ``past[bound]``, the bound test ``series._past`` kept for the
+    search, so a tie within 2^-P against a bound warns once per search; the
+    residue of each negated exponent the rows read; and the minor tables.
+
+    Its columns are evaluated on one working series and it screens only
+    truncated subsets, so every screen series has a bound.  Those series
+    hold the basis and ``past``, which refers to the basis alone: the screen
+    holds them in its rows and minor tables, and no reference cycle forms.
 
     The index is the union of the columns' exponents, sorted once by
     ``ordering_key``: bit i of a column's masks stands for ``exponents[i]``.
@@ -409,7 +389,7 @@ class _Screen:
         keys = basis.symbols + tuple(damping_key(n) for n in basis.symbols + (ONE,))
         self.point = {n: int.from_bytes(sha256(n.encode()).digest(), "big") % _MODULUS
                       for n in keys}
-        self.memos = _Memos(basis)
+        self.past = _Memo(lambda bound: _past(basis, bound))
         self._tables: dict = {}
         self._negated: dict = {}   # Exponent -> residue of its negation, None: no image
         key = basis.ordering_key
@@ -643,26 +623,24 @@ def _relation(matrix, screen: _Screen) -> Optional[list[Coefficient]]:
 
 
 def _normalize(vec: list[Coefficient]) -> list[Coefficient]:
-    """Divide by the rational content and by the common damping factor
-    e^(-mu), mu the coordinatewise least damping exponent of the terms, and
-    fix the sign deterministically."""
+    """Divide the nonzero ``vec`` by its rational content and by the common
+    damping factor e^(-mu), mu the coordinatewise least damping exponent of
+    the terms, and fix the sign deterministically."""
     fracs = [q for c in vec for _, q in c.terms]
-    if not fracs:
-        return vec
     num = 0
     den = 1
     for q in fracs:
         num = gcd(num, q.numerator)
         den = den * q.denominator // gcd(den, q.denominator)
-    content = Fraction(num, den) if num else Fraction(1)
+    content = Fraction(num, den)
     dampings = {damp for c in vec for (_, damp), _ in c.terms}
     names = {n for damp in dampings for n in damp.symbols()}
     mu = Exponent.make({n: min(damp.coord(n) for damp in dampings) for n in names},
                        min(damp.const for damp in dampings))
     if not mu.is_zero:
         vec = [c * Coefficient.damping(-mu) for c in vec]
-    lead = next((c for c in vec if not c.is_zero), None)
-    if lead is not None and lead.terms[0][1] < 0:
+    lead = next(c for c in vec if not c.is_zero)
+    if lead.terms[0][1] < 0:
         content = -content
     return [c.scale(1 / content) for c in vec]
 

@@ -65,7 +65,7 @@ def residue_series(s: FormalSeries, screen: _Screen) -> _NumSeries:
     """The screen's form of ``s``, converted term by term: the residue of
     each coefficient at the screen's point, stored for every term."""
     return _NumSeries({e: p.constant().residue(screen.point, _MODULUS) for e, p in s.terms},
-                      s.truncation, screen.memos)
+                      s.truncation, screen.basis, screen.past)
 
 
 def series_terms_dict(s: FormalSeries):

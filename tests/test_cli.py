@@ -27,7 +27,9 @@ from dforge.cli import (
 )
 from dforge.errors import SchemaError
 from dforge.io import MAX_RATIONAL_DIGITS, dump_series, load_series, parse_frac, series_to_obj
+from dforge.lattice import log_basis_for_indices
 from dforge.numeric import MAX_PRECISION
+from dforge.series import SymbolBasis, make_series
 from dforge.wronskian import MAX_SUBSETS
 
 
@@ -44,6 +46,16 @@ def _run_cli(argv):
 def zeta_corpus(tmp_path):
     path = tmp_path / "zeta.txt"
     path.write_text("\n".join(str(n) for n in range(1, 101)) + "\n")
+    return path
+
+
+def _zeta_file(path, damped=None):
+    """The zeta prefix sum_{n=1..30} e^(-s log n), truncated at log 30, as a
+    series file; ``damped`` maps an index to a coefficient text."""
+    basis, vecs = log_basis_for_indices(range(1, 31), 128)
+    coeffs = {n: grammar.parse_coefficient(text, basis) for n, text in (damped or {}).items()}
+    dump_series(make_series([(vecs[n], coeffs.get(n, 1)) for n in range(1, 31)], basis,
+                            vecs[30]), path)
     return path
 
 
@@ -265,6 +277,45 @@ class TestMain:
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == \
             "e3b11ca17814c076488119ed6b0eb41a1cd5332f25ef32bc3e9004d518481ac4"
 
+    @pytest.mark.parametrize("seed", [None, "0", "1"])
+    def test_derive_ade_where_the_window_has_no_image(self, seed, tmp_path, monkeypatch,
+                                                      capsys):
+        # the 5th coefficient exp(1/2*L2): from term 5 on, its damping
+        # coordinate 1/2 leaves the window stage with no residue mod p, and
+        # the 3-term probe, screened first, still certifies subsets; the
+        # digest was recorded at 57 subsets searched, 23 inconclusive and 1
+        # underdetermined, and holds under any hash seed
+        path = _zeta_file(tmp_path / "z30d.json", {5: "exp(1/2*L2)"})
+        argv = ["derive-ade", "--series", str(path), "--max-weight", "3",
+                "--horizon", '{"L3": "2"}']
+        if seed is None:
+            assert main(argv) == EXIT_OK
+            out = capsys.readouterr().out
+        else:
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            done = _run_cli(argv)
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
+            out = done.stdout
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "b3fe44aa766913d2809d52b47a8eaeb539b0d54526371388df3bd4355785e4f6"
+        summary = json.loads(out)
+        assert (summary["subsets_searched"], len(summary["skipped_inconclusive"]),
+                len(summary["skipped_underdetermined"])) == (57, 23, 1)
+
+    def test_analyze_derive_reports_the_search_when_no_equation_is_found(self, tmp_path,
+                                                                         capsys):
+        # zeta 1..30 has no equation at weight 2: analyze's summary carries
+        # the fields derive-ade prints, and no certificate
+        path = _zeta_file(tmp_path / "z30.json")
+        flags = ["--series", str(path), "--max-weight", "2", "--horizon", '{"L5": "1"}']
+        assert main(["derive-ade", *flags]) == EXIT_OK
+        searched = json.loads(capsys.readouterr().out)
+        assert searched["found"] is None and searched["subsets_searched"] == 4
+        assert main(["analyze", "--derive", *flags]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "certificates": [], "derive_ade": searched, "exit_code": EXIT_OK,
+            "pipeline": ["derive-ade"]}
+
     def test_derive_ade_on_the_zero_series_known_in_full(self, tmp_path, capsys):
         # no term and no bound: every product is the exact zero, so f = 0
         # is the first relation, and its certificate re-verifies
@@ -452,7 +503,12 @@ class TestErrorCodes:
     @pytest.mark.parametrize("argv", [["substitute", "--bogus"],
                                       ["derive-ade", "--series", "s.json", "--max-weight", "x"],
                                       ["frobnicate"],
-                                      ["eliminate-x", "--eq", "f", "--config", "c.json"]])
+                                      ["eliminate-x", "--eq", "f", "--config", "c.json"],
+                                      # flags that need a series, or exactly one input
+                                      ["analyze", "--eq", "f"],
+                                      ["analyze", "--derive"],
+                                      ["basis"],
+                                      ["basis", "--corpus", "c.txt", "--series", "s.json"]])
     def test_bad_command_line_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_ERROR
         err = capsys.readouterr().err
@@ -549,6 +605,32 @@ class TestErrorCodes:
             outputs.append((code, lines, out.err))
         assert outputs[0] == outputs[1]
         assert "error" not in outputs[0][2]
+
+    @pytest.mark.parametrize("via", ["eq", "series", "cert"])
+    @pytest.mark.parametrize("text, column", [
+        ("(1 + L2 + L3)^100*f", 14),
+        ("(f + f' + x + 1)^30", 17),
+        ("*".join(f"(a{i} + b{i} + c{i})" for i in range(11)) + "*f", 90),
+    ], ids=["power-of-a-coefficient", "power-of-a-polynomial", "eleven-factors"])
+    def test_product_past_the_pair_budget(self, via, text, column, tmp_path, capsys):
+        # each took seconds to minutes to build on every path that parses an
+        # equation or a coefficient; the product past the budget is refused
+        # at its operator, at once and in one error line
+        names = ["L2", "L3"] + [f"{c}{i}" for i in range(11) for c in "abc"]
+        basis = SymbolBasis.from_pairs([("lam", "0.7")] + [(n, "1.5") for n in names],
+                                       precision=128)
+        series = tmp_path / "geometric.series.json"
+        dump_series(geometric_series(basis, 15), series)
+        argv = _parsing_paths(via, series, tmp_path)
+        want = (f"{_PARSE_ERROR_PREFIX[via]}a product of more than "
+                f"{grammar.MAX_PRODUCT_PAIRS} term pairs (line 1, column {column})\n")
+        out = _run_cli(argv(text))
+        assert (out.returncode, out.stdout, out.stderr) == (EXIT_ERROR, "", want)
+        capsys.readouterr()
+        start = time.process_time()
+        assert main(argv(text)) == EXIT_ERROR
+        assert time.process_time() - start < 1
+        assert capsys.readouterr() == ("", want)
 
     @pytest.mark.parametrize("via", ["eq", "series", "cert"])
     @pytest.mark.parametrize("text, column", [("1" * 4400, 1), ("2^" + "1" * 4400, 3)],

@@ -130,6 +130,43 @@ class TestErrors:
         assert parse_coefficient(f"({text})*L2^99999999") == \
             Coefficient.from_fraction(value) * Coefficient.from_symbol("L2", 99999999)
 
+    @pytest.mark.parametrize("text, column", [
+        ("(1 + L2 + L3)^100*f", 14),
+        ("(1 + L2 + L3)^200*f", 14),
+        ("(f + f' + x + 1)^30", 17),
+        ("*".join(f"(a{i} + b{i} + c{i})" for i in range(11)) + "*f", 90),  # the 6th '*'
+    ])
+    def test_product_past_the_pair_budget(self, text, column):
+        # refused at the operator, before the product past the budget is
+        # formed: a power builds a term at a time, so (1 + L2 + L3)^k stops
+        # at its first step past 1000 term pairs, whatever k is
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_diffpoly(text)
+        assert str(err.value) == (f"a product of more than {grammar.MAX_PRODUCT_PAIRS} "
+                                  f"term pairs (line 1, column {column})")
+
+    def test_power_of_more_than_one_term_past_the_budget_is_refused_at_once(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_diffpoly("f^100*(x + 1)^1001")
+        assert str(err.value) == (
+            f"a power of more than one term with an exponent above "
+            f"{grammar.MAX_PRODUCT_PAIRS} (line 1, column 14)")
+
+    def test_products_inside_the_pair_budget(self):
+        # 40 terms times 25 is the budget; powers of more than one term are
+        # the polynomials that repeated squaring gives
+        terms = [f"L{i}*f" for i in range(40)]
+        left = parse_diffpoly(" + ".join(terms))
+        assert 40 * 26 > grammar.MAX_PRODUCT_PAIRS == 40 * 25
+        assert parse_diffpoly(f"({' + '.join(terms)})*({' + '.join(terms[:25])})") == \
+            left * parse_diffpoly(" + ".join(terms[:25]))
+        with pytest.raises(ExprSyntaxError, match="term pairs"):
+            parse_diffpoly(f"({' + '.join(terms)})*({' + '.join(terms[:25])} + x)")
+        for text, k in [("f + f' + x + 1", 6), ("1 + L2 + L3", 20), ("(1 + exp(-L2))*f", 9),
+                        ("f - f(s+1/2)", 0), ("f - f(s+1/2)", 1), ("2*x - 3", 30)]:
+            assert parse_diffpoly(f"({text})^{k}") == parse_diffpoly(text) ** k
+        assert parse_diffpoly("(f - f)^99999999") == DiffPolynomial()
+
     def test_deep_exp_is_refused_as_nested_exp_inside_the_cap(self):
         depth = grammar.MAX_NESTING
         with pytest.raises(ExprSyntaxError, match="must not nest exp"):

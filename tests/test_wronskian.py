@@ -949,15 +949,15 @@ class TestBoundTest:
 
     @staticmethod
     def _added(basis, exps, bound, screen=None):
-        memos = (screen or _Screen(basis)).memos
-        ones = _NumSeries({e: 1 for e in exps}, None, memos)
-        return list((ones + _NumSeries({}, bound, memos)).terms)
+        past = (screen or _Screen(basis)).past
+        ones = _NumSeries({e: 1 for e in exps}, bound, basis, past)
+        return list((ones + _NumSeries({}, bound, basis, past)).terms)
 
     @staticmethod
     def _multiplied(basis, exps, bound, screen=None):
-        memos = (screen or _Screen(basis)).memos
-        ones = _NumSeries({e: 1 for e in exps}, bound, memos)
-        product = ones * _NumSeries({Exponent.zero(): 1}, None, memos)
+        past = (screen or _Screen(basis)).past
+        ones = _NumSeries({e: 1 for e in exps}, bound, basis, past)
+        product = ones * _NumSeries({Exponent.zero(): 1}, bound, basis, past)
         assert product.bound == bound
         return list(product.terms)
 
